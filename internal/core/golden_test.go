@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -117,4 +118,23 @@ func TestGoldenTable1(t *testing.T) {
 	var buf bytes.Buffer
 	e.Run(NewTestbed(42).SetParallelism(2), TinyScale, &buf)
 	checkGolden(t, "table1.txt", buf.Bytes())
+}
+
+// TestGoldenLagArtifacts locks the lag path: the packet scatter, the
+// endpoint survey, one lag CDF and one RTT table (Figs 2-4, 8), plus
+// every ablation's baseline and counterfactual arms, all rendered on
+// one testbed so the later artifacts also read memoized units.
+func TestGoldenLagArtifacts(t *testing.T) {
+	tb := NewTestbed(42)
+	var buf bytes.Buffer
+	for _, id := range []string{"fig2", "fig3", "fig4", "fig8",
+		"ablate-webex-geo", "ablate-meet-single", "ablate-zoom-nolb", "ablate-p2p"} {
+		e, ok := Lookup(id)
+		if !ok {
+			t.Fatalf("%s not registered", id)
+		}
+		fmt.Fprintf(&buf, "== %s ==\n", id)
+		e.Run(tb, TinyScale, &buf)
+	}
+	checkGolden(t, "lag_artifacts.txt", buf.Bytes())
 }
