@@ -9,29 +9,13 @@ import (
 	"github.com/vcabench/vcabench/internal/report"
 )
 
-// lagPair runs an ablation's two arms — baseline and counterfactual —
-// as a scheduled unit pair with the same study geometry. Each arm runs
-// on its own fork (keyed keyA/keyB, so shard seeds are stable) and the
-// counterfactual applies cfg to its shard before measuring.
-func lagPair(tb *Testbed, sc Scale, keyA, keyB string, kind platform.Kind,
-	host geo.Region, fleet []geo.Region, cfg platform.Config) (baseline, counter *LagStudyResult) {
-	(&Scheduler{TB: tb}).Run([]Unit{
-		{Key: keyA, Run: func(stb *Testbed) {
-			baseline = RunLagStudy(stb, kind, host, fleet, sc)
-		}},
-		{Key: keyB, Run: func(stb *Testbed) {
-			stb.OverridePlatform(cfg)
-			counter = RunLagStudy(stb, kind, host, fleet, sc)
-		}},
-	})
-	return baseline, counter
-}
-
 // ablations are design-choice benches beyond the paper: each flips one
 // inferred infrastructure property and re-measures, confirming that the
-// paper's observations are consequences of that property. The baseline
-// and counterfactual arms are independent campaign units scheduled in
-// parallel via lagPair.
+// paper's observations are consequences of that property. The
+// counterfactual arm measures a named platform variant such as
+// "zoom@relay" (see internal/platform). Both arms are ordinary memoized
+// lag units, so they run in parallel and warm reruns read them from the
+// cell store.
 func ablations() []Experiment {
 	return []Experiment{
 		{
@@ -39,18 +23,16 @@ func ablations() []Experiment {
 			Title: "Webex with geo-local (paid-tier) relays",
 			Paper: "§6: paid Webex streams from close-by servers (RTT < 20ms)",
 			Run: func(tb *Testbed, sc Scale, w io.Writer) {
-				cfg := platform.DefaultConfig(platform.Webex)
-				cfg.PaidTier = true
-				cfg.USPoPs = []geo.Region{geo.PoPUSEast, geo.PoPUSCentral, geo.PoPUSWest}
-				cfg.EUPoPs = []geo.Region{geo.PoPEUWest, geo.PoPEUCentral, geo.PoPEUNorth}
-				free, paid := lagPair(tb, sc, "ablate-webex-geo/free", "ablate-webex-geo/paid",
-					platform.Webex, geo.CH, EULagFleet(geo.CH), cfg)
+				sce := LagScenario{ID: "ablate-webex-geo", Host: geo.CH, Fleet: EULagFleet(geo.CH)}
+				arms := lagStudyAll(tb, sc, sce,
+					lagUnit{sce.ID + "/free", platform.Webex}, lagUnit{sce.ID + "/paid", platform.WebexPaidTier})
+				free, paid := arms[0], arms[1]
 
 				t := report.Table{
 					Title:  "ablation: Webex free vs paid tier, host CH",
 					Header: []string{"client", "free median lag ms", "paid median lag ms", "free median RTT ms", "paid median RTT ms"},
 				}
-				for _, r := range EULagFleet(geo.CH) {
+				for _, r := range sce.Fleet {
 					t.AddRow(r.Name,
 						free.Lags[r.Name].Median(), paid.Lags[r.Name].Median(),
 						free.RTTs[r.Name].Median(), paid.RTTs[r.Name].Median())
@@ -63,17 +45,16 @@ func ablations() []Experiment {
 			Title: "Meet forced onto a single-relay topology",
 			Paper: "tests whether Meet's EU advantage comes from per-client endpoints",
 			Run: func(tb *Testbed, sc Scale, w io.Writer) {
-				cfg := platform.DefaultConfig(platform.Meet)
-				cfg.PerClientEndpoints = false
-				cfg.EUPoPs = nil // US-only footprint, single session relay
-				normal, single := lagPair(tb, sc, "ablate-meet-single/per-client", "ablate-meet-single/single-relay",
-					platform.Meet, geo.CH, EULagFleet(geo.CH), cfg)
+				sce := LagScenario{ID: "ablate-meet-single", Host: geo.CH, Fleet: EULagFleet(geo.CH)}
+				arms := lagStudyAll(tb, sc, sce,
+					lagUnit{sce.ID + "/per-client", platform.Meet}, lagUnit{sce.ID + "/single-relay", platform.MeetSingleRelay})
+				normal, single := arms[0], arms[1]
 
 				t := report.Table{
 					Title:  "ablation: Meet per-client endpoints vs single US relay, host CH",
 					Header: []string{"client", "per-client median lag ms", "single-relay median lag ms"},
 				}
-				for _, r := range EULagFleet(geo.CH) {
+				for _, r := range sce.Fleet {
 					t.AddRow(r.Name, normal.Lags[r.Name].Median(), single.Lags[r.Name].Median())
 				}
 				t.Render(w)
@@ -84,16 +65,16 @@ func ablations() []Experiment {
 			Title: "Zoom without regional load balancing",
 			Paper: "tests whether the 3 RTT bands of Figs 10a/11a come from the US-PoP lottery",
 			Run: func(tb *Testbed, sc Scale, w io.Writer) {
-				cfg := platform.DefaultConfig(platform.Zoom)
-				cfg.RegionalLB = false // always the nearest US PoP
-				normal, nolb := lagPair(tb, sc, "ablate-zoom-nolb/lb", "ablate-zoom-nolb/nolb",
-					platform.Zoom, geo.CH, EULagFleet(geo.CH), cfg)
+				sce := LagScenario{ID: "ablate-zoom-nolb", Host: geo.CH, Fleet: EULagFleet(geo.CH)}
+				arms := lagStudyAll(tb, sc, sce,
+					lagUnit{sce.ID + "/lb", platform.Zoom}, lagUnit{sce.ID + "/nolb", platform.ZoomNoLB})
+				normal, nolb := arms[0], arms[1]
 
 				t := report.Table{
 					Title:  "ablation: Zoom RTT spread with/without regional LB, host CH",
 					Header: []string{"client", "LB RTT min..max ms", "no-LB RTT min..max ms"},
 				}
-				for _, r := range EULagFleet(geo.CH) {
+				for _, r := range sce.Fleet {
 					a, b := normal.RTTs[r.Name], nolb.RTTs[r.Name]
 					t.AddRow(r.Name,
 						fmt.Sprintf("%.0f..%.0f", a.Min(), a.Max()),
@@ -107,10 +88,10 @@ func ablations() []Experiment {
 			Title: "Zoom with P2P disabled for two-party calls",
 			Paper: "§4.2 footnote: N=2 streams peer-to-peer on ephemeral ports",
 			Run: func(tb *Testbed, sc Scale, w io.Writer) {
-				cfg := platform.DefaultConfig(platform.Zoom)
-				cfg.P2PWhenPair = false
-				normal, relay := lagPair(tb, sc, "ablate-p2p/p2p", "ablate-p2p/relay",
-					platform.Zoom, geo.USEast, []geo.Region{geo.USWest}, cfg)
+				sce := LagScenario{ID: "ablate-p2p", Host: geo.USEast, Fleet: []geo.Region{geo.USWest}}
+				arms := lagStudyAll(tb, sc, sce,
+					lagUnit{sce.ID + "/p2p", platform.Zoom}, lagUnit{sce.ID + "/relay", platform.ZoomRelay})
+				normal, relay := arms[0], arms[1]
 
 				t := report.Table{
 					Title:  "ablation: Zoom two-party P2P vs forced relay (host US-East, peer US-West)",

@@ -45,8 +45,9 @@ import (
 type Campaign struct {
 	Name        string `json:"name"`
 	Description string `json:"description,omitempty"`
-	// Platforms lists platform kinds ("zoom", "webex", "meet").
-	// Default: all three.
+	// Platforms lists platform kinds ("zoom", "webex", "meet") or
+	// variants ("webex@paid-tier", "meet@single-relay", "zoom@no-lb",
+	// "zoom@relay"). Default: the three calibrated platforms.
 	Platforms []string `json:"platforms,omitempty"`
 	// Geometries lists host/receiver placements. Default: a US-East
 	// host with receivers drawn from the paper's US pool.
@@ -259,10 +260,8 @@ func parseMotion(s string) (media.MotionClass, error) {
 }
 
 func parseKind(s string) (platform.Kind, error) {
-	for _, k := range platform.Kinds {
-		if s == string(k) {
-			return k, nil
-		}
+	if k := platform.Kind(s); k.Known() {
+		return k, nil
 	}
 	return "", fmt.Errorf("campaign: unknown platform %q", s)
 }

@@ -174,6 +174,7 @@ func TestCampaignValidation(t *testing.T) {
 			Geometries: []Geometry{{Name: "a/b", Host: "US-East", Zone: "US"}}}, "must not contain"},
 		{"slash in netem", Campaign{Name: "x", Netem: []Netem{{Name: "a/b"}}}, "must not contain"},
 		{"bad platform", Campaign{Name: "x", Platforms: []string{"teams"}}, "unknown platform"},
+		{"bad variant", Campaign{Name: "x", Platforms: []string{"zoom@nope"}}, "unknown platform"},
 		{"dup platform", Campaign{Name: "x", Platforms: []string{"zoom", "zoom"}}, "duplicate platform"},
 		{"bad motion", Campaign{Name: "x", Motions: []string{"fast"}}, "unknown motion"},
 		{"small size", Campaign{Name: "x", Sizes: []int{1}}, "size 1 < 2"},

@@ -6,17 +6,13 @@ import (
 	"encoding/gob"
 	"encoding/hex"
 	"fmt"
-	"sort"
-	"strings"
-
-	"github.com/vcabench/vcabench/internal/platform"
 )
 
 // This file is the persistence seam of the memoized scheduler: a
 // CellStore (implemented by internal/store, or anything else that can
 // hold bytes under a key) lets campaign-unit results outlive the
-// process. Every unit result is deterministic in (schema version, seed,
-// scale, overrides, campaign context, unit key), so that tuple IS the
+// process. Every unit result is deterministic in (schema version, cache
+// mode, seed, scale, campaign context, unit key), so that tuple IS the
 // storage key: runMemoized consults the store before dispatching a unit
 // and persists right after computing one, which makes warm reruns of
 // whole campaigns near-instant and byte-identical to cold runs.
@@ -41,7 +37,9 @@ type CellStore interface {
 // units alongside bare cell keys.
 // v4: diagnostics — QoEStudyResult gained the Diag flight-recorder
 // document and keys gained a bare/diag mode segment (see cellKey).
-const cellSchemaVersion = 4
+// v5: platform variants are named kinds inside unit keys and campaign
+// specs, so keys lost the platform-overrides segment.
+const cellSchemaVersion = 5
 
 func init() {
 	// Unit results are persisted as a gob interface value so one codec
@@ -83,25 +81,6 @@ func scaleFingerprint(sc Scale) string {
 	return sc.Name + "-" + fingerprint(fmt.Sprintf("%+v", sc))
 }
 
-// overridesFingerprint captures the platform overrides that Fork copies
-// into every unit's testbed. Overrides change results under unchanged
-// unit keys (the ablation mechanism), so they must key the store too.
-func (tb *Testbed) overridesFingerprint() string {
-	if len(tb.overrides) == 0 {
-		return "stock"
-	}
-	kinds := make([]string, 0, len(tb.overrides))
-	for k := range tb.overrides {
-		kinds = append(kinds, string(k))
-	}
-	sort.Strings(kinds)
-	var sb strings.Builder
-	for _, k := range kinds {
-		fmt.Fprintf(&sb, "%s=%+v;", k, tb.overrides[platform.Kind(k)])
-	}
-	return fingerprint(sb.String())
-}
-
 // cellKey composes the full persisted-cell key. salt carries campaign
 // context the unit key omits (single-valued axes never make it into
 // keys — see Campaign); "" means the key is already self-contained,
@@ -117,8 +96,8 @@ func (tb *Testbed) cellKey(sc Scale, salt, unitKey string) string {
 	if tb.diag {
 		mode = "diag"
 	}
-	return fmt.Sprintf("v%d/%s/seed%d/%s/%s/%s/%s",
-		cellSchemaVersion, mode, tb.seed, scaleFingerprint(sc), tb.overridesFingerprint(), salt, unitKey)
+	return fmt.Sprintf("v%d/%s/seed%d/%s/%s/%s",
+		cellSchemaVersion, mode, tb.seed, scaleFingerprint(sc), salt, unitKey)
 }
 
 // encodeCell serializes one unit result. Encoding happens immediately

@@ -89,18 +89,18 @@ func TestEULagPlatformGap(t *testing.T) {
 func TestEndpointChurn(t *testing.T) {
 	tb := NewTestbed(45)
 	sce := LagScenarios()[0]
-	zoom := lagStudy(tb, TinyScale, sce, platform.Zoom)
+	zoom := lagStudyAll(tb, TinyScale, sce, lagUnits(sce, platform.Zoom)...)[0]
 	if zoom.Endpoints.PerSession != 1 || zoom.Endpoints.Total != TinyScale.LagSessions {
 		t.Errorf("zoom endpoints: %+v", zoom.Endpoints)
 	}
-	meet := lagStudy(tb, TinyScale, sce, platform.Meet)
+	meet := lagStudyAll(tb, TinyScale, sce, lagUnits(sce, platform.Meet)...)[0]
 	if meet.Endpoints.Total > 2 {
 		t.Errorf("meet endpoints: %+v, want sticky (<=2)", meet.Endpoints)
 	}
 	// Memoization returns the identical result.
-	again := lagStudy(tb, TinyScale, sce, platform.Zoom)
+	again := lagStudyAll(tb, TinyScale, sce, lagUnits(sce, platform.Zoom)...)[0]
 	if again != zoom {
-		t.Error("lagStudy not memoized")
+		t.Error("lag unit not memoized")
 	}
 }
 
@@ -108,7 +108,8 @@ func TestEndpointChurn(t *testing.T) {
 // sides.
 func TestFig2Series(t *testing.T) {
 	tb := NewTestbed(46)
-	r := lagStudy(tb, TinyScale, LagScenarios()[0], platform.Webex)
+	sce := LagScenarios()[0]
+	r := lagStudyAll(tb, TinyScale, sce, lagUnits(sce, platform.Webex)...)[0]
 	big := func(ss []int) int {
 		n := 0
 		for _, s := range ss {
@@ -252,16 +253,30 @@ func TestStaticExperimentsRender(t *testing.T) {
 	}
 }
 
-// OverridePlatform must reject changes after instantiation.
-func TestOverrideAfterUse(t *testing.T) {
-	tb := NewTestbed(52)
-	tb.Platform(platform.Zoom)
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
+// A variant shares its base platform's node names, so one testbed must
+// refuse a second profile of a platform it already runs, in either
+// order, while other platforms and repeat lookups stay fine.
+func TestTestbedRejectsSecondProfileOfAPlatform(t *testing.T) {
+	for _, pair := range [][2]platform.Kind{
+		{platform.Zoom, platform.ZoomRelay},
+		{platform.ZoomRelay, platform.Zoom},
+		{platform.ZoomRelay, platform.ZoomNoLB},
+	} {
+		tb := NewTestbed(52)
+		first := tb.Platform(pair[0])
+		if tb.Platform(pair[0]) != first {
+			t.Errorf("%s: repeat lookup instantiated a second platform", pair[0])
 		}
-	}()
-	tb.OverridePlatform(platform.DefaultConfig(platform.Zoom))
+		tb.Platform(platform.Webex)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s after %s: expected panic", pair[1], pair[0])
+				}
+			}()
+			tb.Platform(pair[1])
+		}()
+	}
 }
 
 func TestFleetHelpers(t *testing.T) {

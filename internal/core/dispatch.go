@@ -49,9 +49,9 @@ type Dispatcher interface {
 
 // WithDispatcher attaches a unit dispatcher and returns tb for
 // chaining. Dispatch applies only to campaign cells (RunCampaign and
-// the campaign-backed experiments); lag studies and ablation runs with
-// platform overrides always compute in-process. Fleet topology and
-// failures never change rendered bytes, only wall-clock time.
+// the campaign-backed experiments); lag figures and ablations compute
+// in-process. Fleet topology and failures never change rendered bytes,
+// only wall-clock time.
 func (tb *Testbed) WithDispatcher(d Dispatcher) *Testbed {
 	tb.dispatcher = d
 	return tb
@@ -59,13 +59,11 @@ func (tb *Testbed) WithDispatcher(d Dispatcher) *Testbed {
 
 // remoteRunner builds the remote-execution closure runMemoized fans
 // missing units through, or nil when this run must stay local: no
-// dispatcher attached; platform overrides in effect (ablations exist
-// only in this process, a remote worker would compute stock platforms);
-// or a tweaked scale that merely reuses a preset's name (a UnitRequest
-// carries scales by name, so shipping it would silently change the
-// workload).
+// dispatcher attached, or a tweaked scale that merely reuses a preset's
+// name (a UnitRequest carries scales by name, so shipping it would
+// silently change the workload).
 func (tb *Testbed) remoteRunner(spec Campaign, sc Scale) func(key string) (any, bool) {
-	if tb.dispatcher == nil || len(tb.overrides) > 0 {
+	if tb.dispatcher == nil {
 		return nil
 	}
 	if preset, ok := ScaleByName(sc.Name); !ok || preset != sc {

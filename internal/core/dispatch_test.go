@@ -109,20 +109,30 @@ func TestDispatchSkipsTweakedScale(t *testing.T) {
 	}
 }
 
-// Platform overrides exist only in this process (the ablation
-// mechanism); campaigns run under them must stay local — a remote
-// worker would compute stock platforms under the same unit keys.
-func TestDispatchSkipsOverriddenPlatforms(t *testing.T) {
+// Platform variants are ordinary campaign values: a grid mixing a base
+// platform with one of its variants dispatches every cell and merges to
+// the bytes of a local run, and the variant really changes the cell.
+func TestDispatchVariantCampaignByteIdentical(t *testing.T) {
+	spec := Campaign{Name: "variant", Platforms: []string{"zoom", string(platform.ZoomRelay)}}
+	local := campaignJSON(t, NewTestbed(5), spec)
 	d := &workerDispatcher{}
-	tb := NewTestbed(5).WithDispatcher(d)
-	cfg := platform.DefaultConfig(platform.Zoom)
-	cfg.P2PWhenPair = false
-	tb.OverridePlatform(cfg)
-	if _, err := RunCampaign(tb, dispatchGrid, TinyScale); err != nil {
+	dist := campaignJSON(t, NewTestbed(5).WithDispatcher(d), spec)
+	if !bytes.Equal(local, dist) {
+		t.Errorf("dispatched variant campaign differs:\n--- local ---\n%s\n--- dispatched ---\n%s", local, dist)
+	}
+	if got := d.calls.Load(); got != 2 {
+		t.Errorf("dispatcher saw %d units, want 2", got)
+	}
+	res, err := RunCampaign(NewTestbed(5), spec, TinyScale)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got := d.calls.Load(); got != 0 {
-		t.Errorf("overridden-platform campaign was dispatched %d times", got)
+	p2p, relay := res.mustCell("variant/zoom"), res.mustCell("variant/zoom@relay")
+	if relay.Platform != "zoom@relay" {
+		t.Errorf("variant cell platform = %q", relay.Platform)
+	}
+	if p2p.DownMbps.Mean == relay.DownMbps.Mean {
+		t.Error("zoom@relay cell matches the stock two-party P2P cell")
 	}
 }
 

@@ -18,7 +18,7 @@ import (
 type Experiment struct {
 	ID    string
 	Title string
-	Paper string // the shape the paper reports, for EXPERIMENTS.md
+	Paper string // the shape the paper reports
 	Run   func(tb *Testbed, sc Scale, w io.Writer)
 }
 
@@ -43,34 +43,39 @@ func (tb *Testbed) memoPut(key string, v any) {
 	tb.memo[key] = v
 }
 
-// lagKey canonically names one (scenario, platform) lag campaign unit.
-func lagKey(sce LagScenario, kind platform.Kind) string {
-	return "lag/" + sce.ID + "/" + string(kind)
+// lagUnit is one lag-study campaign unit: its canonical key (which
+// derives the shard seed and names the memo and store entries) and the
+// platform or variant it measures.
+type lagUnit struct {
+	key  string
+	kind platform.Kind
 }
 
-// lagStudy memoizes RunLagStudy per (scenario, platform), each unit on
-// its own fork so the result depends only on (seed, scenario, platform)
-// and never on what ran before it.
-func lagStudy(tb *Testbed, sc Scale, sce LagScenario, kind platform.Kind) *LagStudyResult {
-	res := tb.runMemoized(sc, "", []string{lagKey(sce, kind)}, nil, func(stb *Testbed, _ int) any {
-		return RunLagStudy(stb, kind, sce.Host, sce.Fleet, sc)
-	}, nil)
-	return res[0].(*LagStudyResult)
+// lagUnits names a scenario's per-platform units
+// ("lag/<scenario>/<platform>"), which Figs 2-11 share.
+func lagUnits(sce LagScenario, kinds ...platform.Kind) []lagUnit {
+	units := make([]lagUnit, len(kinds))
+	for i, k := range kinds {
+		units[i] = lagUnit{key: "lag/" + sce.ID + "/" + string(k), kind: k}
+	}
+	return units
 }
 
-// lagStudyAll runs one scenario's full platform sweep — the campaign
-// behind each of Figs 4-11 — with the three platform units in parallel.
-func lagStudyAll(tb *Testbed, sc Scale, sce LagScenario) map[platform.Kind]*LagStudyResult {
-	keys := make([]string, len(platform.Kinds))
-	for i, k := range platform.Kinds {
-		keys[i] = lagKey(sce, k)
+// lagStudyAll runs lag units on one scenario's host placement through
+// the memo-aware scheduler, in parallel and each on its own fork, so
+// every result depends only on (seed, unit key) and never on what ran
+// before it. Results come back in unit order.
+func lagStudyAll(tb *Testbed, sc Scale, sce LagScenario, units ...lagUnit) []*LagStudyResult {
+	keys := make([]string, len(units))
+	for i, u := range units {
+		keys[i] = u.key
 	}
 	res := tb.runMemoized(sc, "", keys, nil, func(stb *Testbed, i int) any {
-		return RunLagStudy(stb, platform.Kinds[i], sce.Host, sce.Fleet, sc)
+		return RunLagStudy(stb, units[i].kind, sce.Host, sce.Fleet, sc)
 	}, nil)
-	out := make(map[platform.Kind]*LagStudyResult, len(res))
-	for i, k := range platform.Kinds {
-		out[k] = res[i].(*LagStudyResult)
+	out := make([]*LagStudyResult, len(res))
+	for i, v := range res {
+		out[i] = v.(*LagStudyResult)
 	}
 	return out
 }
@@ -78,9 +83,9 @@ func lagStudyAll(tb *Testbed, sc Scale, sce LagScenario) map[platform.Kind]*LagS
 // lagFigure renders one of Figs 4-7.
 func lagFigure(sce LagScenario) func(tb *Testbed, sc Scale, w io.Writer) {
 	return func(tb *Testbed, sc Scale, w io.Writer) {
-		studies := lagStudyAll(tb, sc, sce)
-		for _, kind := range platform.Kinds {
-			r := studies[kind]
+		studies := lagStudyAll(tb, sc, sce, lagUnits(sce, platform.Kinds...)...)
+		for i, kind := range platform.Kinds {
+			r := studies[i]
 			plot := report.CDFPlot{
 				Title:  fmt.Sprintf("%s: streaming lag CDF, host %s, %s", sce.ID, sce.Host.Name, kind),
 				XLabel: "video lag (ms)",
@@ -97,9 +102,9 @@ func lagFigure(sce LagScenario) func(tb *Testbed, sc Scale, w io.Writer) {
 // rttFigure renders one of Figs 8-11 (service proximity).
 func rttFigure(sce LagScenario, figID string) func(tb *Testbed, sc Scale, w io.Writer) {
 	return func(tb *Testbed, sc Scale, w io.Writer) {
-		studies := lagStudyAll(tb, sc, sce)
-		for _, kind := range platform.Kinds {
-			r := studies[kind]
+		studies := lagStudyAll(tb, sc, sce, lagUnits(sce, platform.Kinds...)...)
+		for i, kind := range platform.Kinds {
+			r := studies[i]
 			t := report.Table{
 				Title:  fmt.Sprintf("%s: RTT to service endpoints, host %s, %s", figID, sce.Host.Name, kind),
 				Header: []string{"client", "sessions", "min ms", "median ms", "max ms"},
@@ -252,7 +257,7 @@ func Experiments() []Experiment {
 			Title: "Video lag measurement: packet-size scatter",
 			Paper: "periodic spikes of >200B packets every 2s; receiver copy shifted by the lag",
 			Run: func(tb *Testbed, sc Scale, w io.Writer) {
-				r := lagStudy(tb, sc, sces[0], platform.Zoom)
+				r := lagStudyAll(tb, sc, sces[0], lagUnits(sces[0], platform.Zoom)...)[0]
 				t := report.Table{
 					Title:  "fig2: first flashes (zoom, host US-East)",
 					Header: []string{"side", "t (ms)", "bytes"},
@@ -288,9 +293,9 @@ func Experiments() []Experiment {
 					platform.Webex: "single endpoint per session",
 					platform.Meet:  "per-client endpoints, cross-relay",
 				}
-				studies := lagStudyAll(tb, sc, sces[0])
-				for _, kind := range platform.Kinds {
-					r := studies[kind]
+				studies := lagStudyAll(tb, sc, sces[0], lagUnits(sces[0], platform.Kinds...)...)
+				for i, kind := range platform.Kinds {
+					r := studies[i]
 					t.AddRow(string(kind), r.Endpoints.Sessions, r.Endpoints.Total,
 						r.Endpoints.PerSession, topo[kind])
 				}

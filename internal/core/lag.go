@@ -44,7 +44,7 @@ func RunLagStudy(tb *Testbed, kind platform.Kind, host geo.Region, others []geo.
 	resolve := tb.Resolver()
 
 	hostClient := client.New(tb.Net, client.Config{
-		Name:        tb.uniqueName("lag-" + string(kind) + "-host"),
+		Name:        tb.uniqueName("lag-" + string(pf.Kind()) + "-host"),
 		Region:      host,
 		SendVideo:   true,
 		VideoSource: media.NewFlash(sc.Profile, 2.0),
@@ -55,7 +55,7 @@ func RunLagStudy(tb *Testbed, kind platform.Kind, host geo.Region, others []geo.
 	recvs := make([]*client.Client, len(others))
 	for i, r := range others {
 		recvs[i] = client.New(tb.Net, client.Config{
-			Name:    tb.uniqueName("lag-" + string(kind) + "-" + r.Name),
+			Name:    tb.uniqueName("lag-" + string(pf.Kind()) + "-" + r.Name),
 			Region:  r,
 			Profile: sc.Profile,
 			Seed:    tb.seed + 200 + int64(i),

@@ -99,7 +99,7 @@ func RunQoEStudyWithSetup(tb *Testbed, kind platform.Kind, host geo.Region, recv
 		clip = media.NewSpeech(sc.QoEDur.Seconds(), tb.seed+11)
 	}
 	hostClient := client.New(tb.Net, client.Config{
-		Name:       tb.uniqueName("qoe-" + string(kind) + "-host"),
+		Name:       tb.uniqueName("qoe-" + string(pf.Kind()) + "-host"),
 		Region:     host,
 		SendVideo:  true,
 		VideoClass: motion,
@@ -111,7 +111,7 @@ func RunQoEStudyWithSetup(tb *Testbed, kind platform.Kind, host geo.Region, recv
 	})
 	recvs := make([]*client.Client, len(recvRegions))
 	for i, r := range recvRegions {
-		name := tb.uniqueName("qoe-" + string(kind) + "-r" + r.Name)
+		name := tb.uniqueName("qoe-" + string(pf.Kind()) + "-r" + r.Name)
 		cfg := client.Config{
 			Name:    name,
 			Region:  r,

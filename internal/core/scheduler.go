@@ -36,16 +36,12 @@ func shardSeed(base int64, key string) int64 {
 
 // Fork creates an independent testbed for one campaign unit: fresh
 // simulator, fresh network, fresh platform instances, seeded by
-// shardSeed(tb.seed, unitKey). Platform overrides registered on the
-// parent (the ablation mechanism) carry over; instantiated platforms do
-// not — a fork always provisions its own. Forks default to serial
+// shardSeed(tb.seed, unitKey). Instantiated platforms do not carry
+// over — a fork always provisions its own. Forks default to serial
 // scheduling so nested campaigns don't multiply workers.
 func (tb *Testbed) Fork(unitKey string) *Testbed {
 	ntb := NewTestbed(shardSeed(tb.seed, unitKey))
 	ntb.parallelism = 1
-	for k, cfg := range tb.overrides {
-		ntb.overrides[k] = cfg
-	}
 	// Telemetry rides along so nested campaign work on the fork reports
 	// into the same registry and tracer; it never influences results.
 	ntb.tel = tb.tel

@@ -36,14 +36,6 @@ func TestForkIndependence(t *testing.T) {
 	if a.Parallelism() != 1 {
 		t.Errorf("fork parallelism = %d, want 1 (no nested fan-out)", a.Parallelism())
 	}
-	// Overrides registered on the parent carry into forks.
-	cfg := platform.DefaultConfig(platform.Zoom)
-	cfg.P2PWhenPair = false
-	tb.OverridePlatform(cfg)
-	f := tb.Fork("unit-c")
-	if got, ok := f.overrides[platform.Zoom]; !ok || got.P2PWhenPair {
-		t.Error("platform override did not carry into the fork")
-	}
 }
 
 func TestSetParallelism(t *testing.T) {
@@ -173,7 +165,7 @@ func TestFig12SweepParallelDeterminism(t *testing.T) {
 }
 
 // The ablation arms run through the scheduler too; make sure the
-// counterfactual override lands on the right shard at any worker count.
+// counterfactual variant lands on the right shard at any worker count.
 func TestAblationParallelDeterminism(t *testing.T) {
 	serial := renderParallel(t, "ablate-p2p", 1)
 	parallel := renderParallel(t, "ablate-p2p", 4)
@@ -188,8 +180,8 @@ func TestAblationParallelDeterminism(t *testing.T) {
 func TestCampaignMemoSharing(t *testing.T) {
 	tb := NewTestbed(42).SetParallelism(2)
 	sce := LagScenarios()[0]
-	first := lagStudyAll(tb, TinyScale, sce)
-	if again := lagStudy(tb, TinyScale, sce, platform.Zoom); again != first[platform.Zoom] {
-		t.Error("lagStudy did not reuse the memoized campaign unit")
+	first := lagStudyAll(tb, TinyScale, sce, lagUnits(sce, platform.Kinds...)...)
+	if again := lagStudyAll(tb, TinyScale, sce, lagUnits(sce, platform.Zoom)...)[0]; again != first[0] {
+		t.Error("lag figure did not reuse the memoized campaign unit")
 	}
 }

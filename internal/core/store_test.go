@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"github.com/vcabench/vcabench/internal/platform"
 	"github.com/vcabench/vcabench/internal/report"
 	"github.com/vcabench/vcabench/internal/store"
 )
@@ -91,6 +90,36 @@ func TestStoreWarmLagFigureByteIdentical(t *testing.T) {
 	}
 }
 
+// Ablation arms are memoized lag units: a second run on a fresh testbed
+// sharing the store serves both arms from it and renders the same bytes.
+func TestStoreWarmAblationByteIdentical(t *testing.T) {
+	st := &mapStore{m: make(map[string][]byte)}
+	render := func() string {
+		tb := NewTestbed(42).WithStore(st)
+		e, ok := Lookup("ablate-p2p")
+		if !ok {
+			t.Fatal("ablate-p2p missing")
+		}
+		var sb strings.Builder
+		e.Run(tb, TinyScale, &sb)
+		if err := tb.StoreErr(); err != nil {
+			t.Fatal(err)
+		}
+		return sb.String()
+	}
+	cold := render()
+	if got := st.puts.Load(); got != 2 {
+		t.Fatalf("cold run persisted %d units, want 2 (one per arm)", got)
+	}
+	warm := render()
+	if got := st.puts.Load(); got != 2 {
+		t.Errorf("warm run recomputed %d arms", got-2)
+	}
+	if cold != warm {
+		t.Errorf("ablate-p2p warm render differs:\n--- cold ---\n%s\n--- warm ---\n%s", cold, warm)
+	}
+}
+
 func mustKeys(t *testing.T, c Campaign) []string {
 	t.Helper()
 	keys, err := c.UnitKeys()
@@ -102,7 +131,7 @@ func mustKeys(t *testing.T, c Campaign) []string {
 
 // Store keys must separate everything results depend on beyond the unit
 // key: schema version aside — seed, scale (including tweaked scales
-// reusing a preset name), platform overrides, and campaign context that
+// reusing a preset name) and campaign context that
 // single-valued axes leave out of unit keys.
 func TestCellKeyScoping(t *testing.T) {
 	base := NewTestbed(42)
@@ -119,13 +148,6 @@ func TestCellKeyScoping(t *testing.T) {
 	}
 	if a, b := base.cellKey(TinyScale, "ctx1", "k"), base.cellKey(TinyScale, "ctx2", "k"); a == b {
 		t.Error("different campaign salts share a cell key")
-	}
-	over := NewTestbed(42)
-	cfg := platform.DefaultConfig(platform.Zoom)
-	cfg.P2PWhenPair = false
-	over.OverridePlatform(cfg)
-	if a, b := base.cellKey(TinyScale, "", "k"), over.cellKey(TinyScale, "", "k"); a == b {
-		t.Error("platform overrides share a cell key with stock config")
 	}
 	// And two same-named campaigns differing only in a single-valued
 	// axis resolve to different salts (their unit keys collide).

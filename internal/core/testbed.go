@@ -5,8 +5,7 @@
 // figure of the evaluation (§4-§5). The QoE sweeps (Figs 12-18, Table 1
 // and the §6 extensions) are declared as Campaign grids and executed by
 // the campaign-matrix engine in campaign.go; Experiments() in
-// experiments.go remains the index of every rendered artifact (see also
-// DESIGN.md).
+// experiments.go remains the index of every rendered artifact.
 package core
 
 import (
@@ -33,7 +32,6 @@ type Testbed struct {
 	seed int64
 
 	platforms map[platform.Kind]*platform.Platform
-	overrides map[platform.Kind]platform.Config
 	nameSeq   int
 
 	// parallelism is the campaign worker count (see scheduler.go).
@@ -104,7 +102,6 @@ func NewTestbed(seed int64) *Testbed {
 		Net:         simnet.NewNetwork(sim, simnet.NetworkConfig{DistLossPer100ms: 0.002}),
 		seed:        seed,
 		platforms:   make(map[platform.Kind]*platform.Platform),
-		overrides:   make(map[platform.Kind]platform.Config),
 		parallelism: runtime.GOMAXPROCS(0),
 	}
 }
@@ -113,26 +110,20 @@ func NewTestbed(seed int64) *Testbed {
 // derives from.
 func (tb *Testbed) Seed() int64 { return tb.seed }
 
-// OverridePlatform replaces a platform's configuration before first use
-// (paid-tier and ablation experiments).
-func (tb *Testbed) OverridePlatform(cfg platform.Config) {
-	if _, used := tb.platforms[cfg.Kind]; used {
-		panic("core: OverridePlatform after the platform was instantiated")
-	}
-	tb.overrides[cfg.Kind] = cfg
-}
-
-// Platform returns (instantiating on first use) the given service.
+// Platform returns (instantiating on first use) the given service or
+// platform variant. A variant shares its base platform's node names, so
+// one testbed runs at most one profile per base platform: measure
+// "zoom" and "zoom@relay" on separate forks, as campaign units do.
 func (tb *Testbed) Platform(k platform.Kind) *platform.Platform {
 	if p, ok := tb.platforms[k]; ok {
 		return p
 	}
-	var p *platform.Platform
-	if cfg, ok := tb.overrides[k]; ok {
-		p = platform.NewWithConfig(cfg, tb.Net)
-	} else {
-		p = platform.New(k, tb.Net)
+	for other := range tb.platforms {
+		if other.Base() == k.Base() {
+			panic("core: testbed already runs a " + string(k.Base()) + " profile; run " + string(k) + " on its own fork")
+		}
 	}
+	p := platform.New(k, tb.Net)
 	if tb.diagRec != nil {
 		p.SetRateProbe(tb.rateProbe(string(k)))
 	}

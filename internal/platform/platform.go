@@ -15,7 +15,8 @@
 //   - Webex: one service endpoint per session (UDP/9000), always in
 //     US-East on the free tier (the artificial detour of Fig 5b/9b);
 //     endpoints almost always change per session. The paid tier
-//     (PaidTier option) provisions geographically close endpoints.
+//     (the webex@paid-tier variant) provisions geographically close
+//     endpoints.
 //   - Meet: one endpoint per *client* (UDP/19305), chosen from a global
 //     footprint including Europe; clients stick to the same endpoint
 //     across sessions; media crosses sender-endpoint → receiver-endpoint.
@@ -24,6 +25,7 @@ package platform
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"time"
 
 	"github.com/vcabench/vcabench/internal/capture"
@@ -44,8 +46,50 @@ const (
 // Kinds lists all platforms in the paper's presentation order.
 var Kinds = []Kind{Zoom, Webex, Meet}
 
+// Variants are counterfactual profiles of the calibrated platforms, each
+// flipping one inferred infrastructure property (the ablate-*
+// experiments). A variant is named "<base>@<change>" and runs anywhere a
+// Kind does; its Config keeps the base's Kind, so RNG streams, node
+// names, ports, IP ranges and rate policy match the base platform.
+const (
+	WebexPaidTier   Kind = "webex@paid-tier"   // geo-local relays (§6 paid subscriptions)
+	MeetSingleRelay Kind = "meet@single-relay" // one US relay instead of per-client endpoints
+	ZoomNoLB        Kind = "zoom@no-lb"        // nearest US PoP, no regional load balancing
+	ZoomRelay       Kind = "zoom@relay"        // two-party calls relayed, never P2P
+)
+
+// variants registers each variant's edit to its base's calibrated
+// profile.
+var variants = map[Kind]func(*Config){
+	WebexPaidTier: func(c *Config) {
+		c.PaidTier = true
+		c.USPoPs = []geo.Region{geo.PoPUSEast, geo.PoPUSCentral, geo.PoPUSWest}
+		c.EUPoPs = []geo.Region{geo.PoPEUWest, geo.PoPEUCentral, geo.PoPEUNorth}
+	},
+	MeetSingleRelay: func(c *Config) {
+		c.PerClientEndpoints = false
+		c.EUPoPs = nil
+	},
+	ZoomNoLB:  func(c *Config) { c.RegionalLB = false },
+	ZoomRelay: func(c *Config) { c.P2PWhenPair = false },
+}
+
+// Base returns the calibrated platform k derives from: the part before
+// "@" for a variant, k itself otherwise.
+func (k Kind) Base() Kind {
+	base, _, _ := strings.Cut(string(k), "@")
+	return Kind(base)
+}
+
+// Known reports whether k names a calibrated platform or a registered
+// variant.
+func (k Kind) Known() bool {
+	_, variant := variants[k]
+	return variant || k == Zoom || k == Webex || k == Meet
+}
+
 // Config is a platform's behavioral profile. The defaults for each Kind
-// are derived from the paper's findings; see DESIGN.md §1.
+// are derived from the paper's findings.
 type Config struct {
 	Kind      Kind
 	MediaPort int
@@ -82,8 +126,14 @@ type Config struct {
 	PaidTier bool
 }
 
-// DefaultConfig returns the calibrated profile for a platform.
+// DefaultConfig returns the profile a platform or variant name stands
+// for; an unknown name panics.
 func DefaultConfig(k Kind) Config {
+	if edit, ok := variants[k]; ok {
+		cfg := DefaultConfig(k.Base())
+		edit(&cfg)
+		return cfg
+	}
 	usPoPs := []geo.Region{geo.PoPUSEast, geo.PoPUSCentral, geo.PoPUSWest}
 	euPoPs := []geo.Region{geo.PoPEUWest, geo.PoPEUCentral, geo.PoPEUNorth}
 	switch k {
@@ -174,17 +224,9 @@ func (p *Platform) releaseEnvelope(env *envelope) {
 // observer, covering every session the platform runs.
 func (p *Platform) SetRateProbe(f func(session int, bps float64)) { p.rateProbe = f }
 
-// New instantiates a platform with its default configuration.
+// New instantiates a platform or variant with its DefaultConfig profile.
 func New(k Kind, net *simnet.Network) *Platform {
-	return NewWithConfig(DefaultConfig(k), net)
-}
-
-// NewWithConfig instantiates a platform with a custom profile (used by
-// the paid-tier and ablation experiments).
-func NewWithConfig(cfg Config, net *simnet.Network) *Platform {
-	if cfg.Policy == nil {
-		cfg.Policy = DefaultConfig(cfg.Kind).Policy
-	}
+	cfg := DefaultConfig(k)
 	return &Platform{
 		cfg:    cfg,
 		net:    net,

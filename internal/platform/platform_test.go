@@ -1,6 +1,7 @@
 package platform
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -36,12 +37,65 @@ func TestDefaultConfigs(t *testing.T) {
 }
 
 func TestUnknownKindPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
+	for _, k := range []Kind{"teams", "zoom@nope", "@relay"} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("DefaultConfig(%q): expected panic", k)
+				}
+			}()
+			DefaultConfig(k)
+		}()
+		if k.Known() {
+			t.Errorf("%q reported as known", k)
 		}
-	}()
-	DefaultConfig(Kind("teams"))
+	}
+}
+
+// Each variant is its base's calibrated profile with exactly one edit:
+// identity fields (Kind, port, IP range, policy) stay the base's, so
+// RNG streams and node names match, and the edited fields are the
+// counterfactual the variant names.
+func TestVariants(t *testing.T) {
+	cases := []struct {
+		variant, base Kind
+		edit          func(*Config)
+	}{
+		{WebexPaidTier, Webex, func(c *Config) {
+			c.PaidTier = true
+			c.USPoPs = []geo.Region{geo.PoPUSEast, geo.PoPUSCentral, geo.PoPUSWest}
+			c.EUPoPs = []geo.Region{geo.PoPEUWest, geo.PoPEUCentral, geo.PoPEUNorth}
+		}},
+		{MeetSingleRelay, Meet, func(c *Config) {
+			c.PerClientEndpoints = false
+			c.EUPoPs = nil
+		}},
+		{ZoomNoLB, Zoom, func(c *Config) { c.RegionalLB = false }},
+		{ZoomRelay, Zoom, func(c *Config) { c.P2PWhenPair = false }},
+	}
+	for _, c := range cases {
+		if !c.variant.Known() || c.variant.Base() != c.base {
+			t.Errorf("%s: Known=%v Base=%q, want known with base %q", c.variant, c.variant.Known(), c.variant.Base(), c.base)
+		}
+		got, base := DefaultConfig(c.variant), DefaultConfig(c.base)
+		if got.Kind != c.base || got.MediaPort != base.MediaPort || got.IPBase != base.IPBase ||
+			reflect.TypeOf(got.Policy) != reflect.TypeOf(base.Policy) {
+			t.Errorf("%s: identity fields differ from %s: %+v", c.variant, c.base, got)
+		}
+		want := base
+		c.edit(&want)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s:\n got %+v\nwant %+v", c.variant, got, want)
+		}
+		if reflect.DeepEqual(got, base) {
+			t.Errorf("%s equals its base profile", c.variant)
+		}
+	}
+	for _, k := range Kinds {
+		if !k.Known() || k.Base() != k {
+			t.Errorf("calibrated %s: Known=%v Base=%q", k, k.Known(), k.Base())
+		}
+	}
 }
 
 // startSession builds an n-party session with a host in hostRegion and
@@ -105,11 +159,7 @@ func TestWebexAlwaysUSEast(t *testing.T) {
 
 func TestWebexPaidTierGoesLocal(t *testing.T) {
 	_, net := newTestbed(3)
-	cfg := DefaultConfig(Webex)
-	cfg.PaidTier = true
-	cfg.USPoPs = []geo.Region{geo.PoPUSEast, geo.PoPUSWest}
-	cfg.EUPoPs = []geo.Region{geo.PoPEUWest, geo.PoPEUCentral}
-	p := NewWithConfig(cfg, net)
+	p := New(WebexPaidTier, net)
 	s, _, _ := startSession(t, p, net, geo.CH, []geo.Region{geo.FR}, "wp")
 	if z := s.Endpoints()[0].Region.Zone; z != geo.ZoneEU {
 		t.Errorf("paid-tier EU session relayed via %s", s.Endpoints()[0].Region.Name)

@@ -465,7 +465,10 @@ func (s *Server) run(j *job, sc core.Scale) {
 // finish records a terminal job and evicts the oldest finished jobs
 // beyond MaxJobs — result documents and cell-index entries are dropped
 // (the persistent store still holds every computed cell, so a
-// resubmission re-runs warm). Caller holds s.mu.
+// resubmission re-runs warm). "Oldest" is by completion, not
+// submission: evicting in submission order would drop a slow job the
+// moment it finishes, and its poller would get a 404 for a result it
+// never saw. Caller holds s.mu.
 func (s *Server) finish(j *job) {
 	s.finished = append(s.finished, j.id)
 	for len(s.finished) > s.cfg.MaxJobs {

@@ -393,12 +393,14 @@ func TestServeFinishEvictionRefcounting(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 
+	// Eviction follows completion order, so let a finish before b is
+	// submitted: a is then deterministically the oldest finished job.
 	a := submit(t, ts, `{"spec": `+testSpec+`}`)
+	poll(t, ts, a.ID)
 	b := submit(t, ts, `{"spec": {"name": "svc", "platforms": ["zoom"], "description": "twin"}}`)
 	if a.ID == b.ID {
 		t.Fatal("description should produce a distinct job id")
 	}
-	poll(t, ts, a.ID)
 	poll(t, ts, b.ID)
 
 	srv.mu.Lock()

@@ -292,8 +292,7 @@ type RunOpts struct {
 	// Dispatcher, when non-nil, shards campaign cells across a worker
 	// fleet (see NewPool). Cells the fleet cannot serve run locally;
 	// rendered bytes are identical to a purely local run either way.
-	// Experiments that are not campaign-backed (the lag figures)
-	// ignore it.
+	// Lag figures and ablations compute in-process.
 	Dispatcher Dispatcher
 	// Telemetry, when non-nil, records engine metrics and (with a
 	// Tracer attached) execution spans for the run. Telemetry never
