@@ -138,3 +138,23 @@ func TestGoldenLagArtifacts(t *testing.T) {
 	}
 	checkGolden(t, "lag_artifacts.txt", buf.Bytes())
 }
+
+// TestGoldenQoEArtifacts locks the scored QoE path: the fig12 sweep,
+// the breakdowns and cap sweeps built on its cells (Figs 14-18) and
+// both §6 extensions, all rendered on one parallel testbed. Every
+// number here went through the per-frame PSNR/SSIM/VIFp scorer, so a
+// scorer change that moves a single bit shows up in these bytes.
+func TestGoldenQoEArtifacts(t *testing.T) {
+	tb := NewTestbed(42).SetParallelism(2)
+	var buf bytes.Buffer
+	for _, id := range []string{"fig12", "fig14", "fig15", "fig16", "fig17", "fig18",
+		"ext-lastmile", "ext-scale"} {
+		e, ok := Lookup(id)
+		if !ok {
+			t.Fatalf("%s not registered", id)
+		}
+		fmt.Fprintf(&buf, "== %s ==\n", id)
+		e.Run(tb, TinyScale, &buf)
+	}
+	checkGolden(t, "qoe_artifacts.txt", buf.Bytes())
+}
