@@ -139,11 +139,13 @@ func RunQoEStudyWithSetup(tb *Testbed, kind platform.Kind, host geo.Region, recv
 		setup(nodes)
 	}
 
-	// One scorer per study: receivers of a session score against the
-	// same injected frames and share decoded-frame pointers, so the
-	// scorer's identity-keyed caches collapse that repeated work without
-	// changing any output bit. The scorer lives and dies with this call,
-	// on this goroutine — fork-safe by construction.
+	// One scorer per study, one CompareSession call per session:
+	// receivers of a session score against the same injected frames and
+	// share decoded-frame pointers, so scoring them together lets the
+	// identity-keyed caches collapse that repeated work, and lets each
+	// frame's stats go back to the scorer's buffer pool right after its
+	// last slot. No output bit changes. The scorer lives and dies with
+	// this call, on this goroutine — fork-safe by construction.
 	scorer := qoe.NewScorer()
 
 	// A trace-driven cell bins every receiver's downlink bytes over
@@ -188,10 +190,20 @@ func RunQoEStudyWithSetup(tb *Testbed, kind platform.Kind, host geo.Region, recv
 		// Score this session.
 		hostWin := hostClient.Trace().Between(from, to)
 		res.UpMbps.Add(hostWin.Rate(capture.Out) / 1e6)
-		for _, r := range recvs {
-			rec := r.Record(hostClient)
-			tb.recordFreezes(rec, r.Name(), from, sc.Profile.FPS)
-			v := scorer.CompareVideo(rec.Ref, rec.Displayed, sc.QoEStride)
+		recs := make([]client.Recording, len(recvs))
+		shown := make([][]*media.Frame, len(recvs))
+		for i, r := range recvs {
+			recs[i] = r.Record(hostClient)
+			tb.recordFreezes(recs[i], r.Name(), from, sc.Profile.FPS)
+			shown[i] = recs[i].Displayed
+		}
+		var scores []qoe.VideoResult
+		if len(recs) > 0 {
+			// Every recording's Ref holds the host's injected frames.
+			scores = scorer.CompareSession(recs[0].Ref, shown, sc.QoEStride)
+		}
+		for i, r := range recvs {
+			rec, v := recs[i], scores[i]
 			res.PSNR.Add(v.PSNR)
 			res.SSIM.Add(v.SSIM)
 			res.VIFP.Add(v.VIFP)

@@ -159,12 +159,23 @@ func TestCompareVideoFreezesAndNil(t *testing.T) {
 }
 
 func TestCompareVideoLengthMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	CompareVideo(make([]*media.Frame, 3), make([]*media.Frame, 4), 1)
+	mustPanic := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s: expected panic", name)
+			}
+		}()
+		f()
+	}
+	mustPanic("CompareVideo", func() {
+		CompareVideo(make([]*media.Frame, 3), make([]*media.Frame, 4), 1)
+	})
+	// A session panics when any receiver's length differs, not just the first.
+	mustPanic("CompareSession", func() {
+		NewScorer().CompareSession(make([]*media.Frame, 3),
+			[][]*media.Frame{make([]*media.Frame, 3), make([]*media.Frame, 2)}, 1)
+	})
 }
 
 func TestAlignFramesRecoversShift(t *testing.T) {

@@ -6,38 +6,32 @@ import (
 	"github.com/vcabench/vcabench/internal/media"
 )
 
-// statsBudgetFloats bounds the float64s a Scorer may retain in its
-// per-image stat cache (~48 MB). Past the budget the oldest entries are
-// evicted FIFO — eviction order is insertion order, never map order, so
-// a Scorer's behaviour is deterministic.
-const statsBudgetFloats = 6 << 20
-
-// Scorer computes the per-frame video metrics with memoization across a
-// study. Two layers make repeated scoring cheap without changing a
-// single output bit:
+// Scorer computes the per-frame video metrics of a session with
+// memoization that never changes an output bit:
 //
 //   - a pair cache keyed by frame identity: decoders hand every receiver
-//     the same reconstructed-frame pointer and repeat it across frozen
-//     display slots, so one (ref, shown) pair is typically scored many
-//     times per cell — and metric evaluation is a pure function of the
-//     two frames;
+//     the same reconstructed-frame pointer, so receivers that show the
+//     same frame at a slot share one (ref, shown) pair — and metric
+//     evaluation is a pure function of the two frames;
 //   - a per-image stat cache (float image, Gaussian means, raw second
 //     moments, the VIF pyramid): the one-image half of SSIM/VIFp, reused
-//     when the same frame participates in several distinct pairs.
+//     when the same frame participates in several distinct pairs, as a
+//     frozen frame does across slots.
 //
-// Frames must not be mutated after being scored (sources and codecs
+// Both caches live for one CompareSession call. A frame's stats go back
+// to the float-image pool right after the last slot that uses it, so the
+// working set is the few frames live at one slot and the pool's buffers
+// recycle from slot to slot and session to session; between calls the
+// scorer holds only the pool and the kernels.
+//
+// Frames must not be mutated while they are scored (sources and codecs
 // never do). A Scorer is single-goroutine, like the testbed that owns
 // it; independent forks get independent Scorers.
 type Scorer struct {
-	pool   *fimgPool
-	pairs  map[pairKey]pairScores
-	stats  map[*media.Frame]*imgStats
-	order  []*media.Frame // FIFO insertion order for eviction
-	head   int            // first live index in order
-	floats int            // retained floats across stats
-	blacks map[[2]int]*media.Frame
-	kssim  []float64
-	kvif   [4][]float64
+	pool  *fimgPool
+	stats map[*media.Frame]*imgStats // frames live in the current session
+	kssim []float64
+	kvif  [4][]float64
 }
 
 type pairKey struct{ ref, dist *media.Frame }
@@ -60,18 +54,15 @@ type imgStats struct {
 	// image's (mu, sxx), built lazily the first time the image is the
 	// reference of a pair and reused for every later pair sharing it.
 	denLog [4]*fimg
-	floats int
 }
 
 // NewScorer creates an empty scorer. Kernels are fixed by the metric
 // definitions, so they are built once here.
 func NewScorer() *Scorer {
 	sc := &Scorer{
-		pool:   newFimgPool(),
-		pairs:  make(map[pairKey]pairScores),
-		stats:  make(map[*media.Frame]*imgStats),
-		blacks: make(map[[2]int]*media.Frame),
-		kssim:  gaussianKernel(ssimWindow, ssimSigma),
+		pool:  newFimgPool(),
+		stats: make(map[*media.Frame]*imgStats),
+		kssim: gaussianKernel(ssimWindow, ssimSigma),
 	}
 	for scale := 1; scale <= 4; scale++ {
 		n := 1<<(5-scale) + 1 // 17, 9, 5, 3
@@ -80,57 +71,19 @@ func NewScorer() *Scorer {
 	return sc
 }
 
-// scorePair returns the three metrics for one (ref, shown) pair, from
-// the cache when the pair was scored before.
-func (sc *Scorer) scorePair(ref, shown *media.Frame) pairScores {
-	key := pairKey{ref, shown}
-	if ps, ok := sc.pairs[key]; ok {
-		return ps
-	}
-	ps := pairScores{
-		psnr: PSNR(ref, shown),
-		ssim: sc.ssimPair(ref, shown),
-		vifp: sc.vifPair(ref, shown),
-	}
-	sc.pairs[key] = ps
-	// Trim only between pairs: an eviction mid-pair could recycle stat
-	// buffers the pair is still reading.
-	sc.trim()
-	return ps
-}
-
-// blackFor returns the all-black stand-in frame for never-shown slots.
-func (sc *Scorer) blackFor(w, h int) *media.Frame {
-	key := [2]int{w, h}
-	if f, ok := sc.blacks[key]; ok {
-		return f
-	}
-	f := media.NewFrame(w, h)
-	sc.blacks[key] = f
-	return f
-}
-
 func (sc *Scorer) statsEntry(f *media.Frame) *imgStats {
 	if st, ok := sc.stats[f]; ok {
 		return st
 	}
 	st := &imgStats{}
 	sc.stats[f] = st
-	sc.order = append(sc.order, f)
 	return st
-}
-
-// retain accounts a cached buffer against the scorer's budget.
-func (sc *Scorer) retain(st *imgStats, im *fimg) *fimg {
-	st.floats += len(im.v)
-	sc.floats += len(im.v)
-	return im
 }
 
 // baseOf returns (building if needed) the frame's full-res float image.
 func (sc *Scorer) baseOf(st *imgStats, f *media.Frame) *fimg {
 	if st.base == nil {
-		st.base = sc.retain(st, fromFrame(sc.pool, f))
+		st.base = fromFrame(sc.pool, f)
 	}
 	return st.base
 }
@@ -141,9 +94,9 @@ func (sc *Scorer) ssimStats(f *media.Frame) *imgStats {
 	st := sc.statsEntry(f)
 	if st.ssimMu == nil {
 		x := sc.baseOf(st, f)
-		st.ssimMu = sc.retain(st, convValid(sc.pool, x, sc.kssim))
+		st.ssimMu = convValid(sc.pool, x, sc.kssim)
 		xx := mul(sc.pool, x, x)
-		st.ssimSxx = sc.retain(st, convValid(sc.pool, xx, sc.kssim))
+		st.ssimSxx = convValid(sc.pool, xx, sc.kssim)
 		sc.pool.put(xx)
 	}
 	return st
@@ -170,13 +123,12 @@ func (sc *Scorer) vifStats(f *media.Frame) *imgStats {
 				sc.pool.put(cur)
 				break
 			}
-			sc.retain(st, cur)
 		}
 		xx := mul(sc.pool, cur, cur)
 		st.vif[scale-1] = vifScale{
 			x:   cur,
-			mu:  sc.retain(st, convValid(sc.pool, cur, k)),
-			sxx: sc.retain(st, convValid(sc.pool, xx, k)),
+			mu:  convValid(sc.pool, cur, k),
+			sxx: convValid(sc.pool, xx, k),
 		}
 		sc.pool.put(xx)
 		st.vifScales = scale
@@ -202,31 +154,22 @@ func (sc *Scorer) denLogFor(st *imgStats, s int) *fimg {
 			}
 			dl.v[i] = math.Log10(1 + vx/vifSigmaNsq)
 		}
-		st.denLog[s] = sc.retain(st, dl)
+		st.denLog[s] = dl
 	}
 	return st.denLog[s]
 }
 
-// trim evicts the oldest per-image stats until the retained-float budget
-// holds again. Called only between pair computations.
-func (sc *Scorer) trim() {
-	for sc.floats > statsBudgetFloats && sc.head < len(sc.order) {
-		f := sc.order[sc.head]
-		sc.order[sc.head] = nil
-		sc.head++
-		st := sc.stats[f]
-		delete(sc.stats, f)
-		sc.floats -= st.floats
-		sc.releaseStats(st)
+// retire returns f's stats to the pool when slot is the last one that
+// uses f. A frame seen twice in one slot is released once.
+func (sc *Scorer) retire(f *media.Frame, lastUse map[*media.Frame]int, slot int) {
+	if lastUse[f] != slot {
+		return
 	}
-	// Compact the FIFO once the dead prefix dominates.
-	if sc.head > 64 && sc.head*2 > len(sc.order) {
-		sc.order = append(sc.order[:0], sc.order[sc.head:]...)
-		sc.head = 0
+	st, ok := sc.stats[f]
+	if !ok {
+		return
 	}
-}
-
-func (sc *Scorer) releaseStats(st *imgStats) {
+	delete(sc.stats, f)
 	sc.pool.put(st.base)
 	sc.pool.put(st.ssimMu)
 	sc.pool.put(st.ssimSxx)

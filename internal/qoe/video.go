@@ -206,54 +206,103 @@ func (r VideoResult) String() string {
 // of a dead stream score). stride samples every stride-th slot for speed
 // (1 = every frame).
 //
-// One-shot convenience over a fresh Scorer; studies that score many
-// recordings of the same session should reuse one Scorer so repeated
-// (reference, shown) pairs — frozen slots, receivers sharing a decoded
-// frame — hit its caches.
+// One-shot convenience over a fresh Scorer; studies that score every
+// receiver of a session should call CompareSession once, so frames
+// repeated across receivers and frozen slots hit its caches.
 func CompareVideo(ref, displayed []*media.Frame, stride int) VideoResult {
 	return NewScorer().CompareVideo(ref, displayed, stride)
 }
 
-// CompareVideo scores a displayed sequence against its reference through
-// the scorer's caches. See the package-level CompareVideo for the slot
-// conventions.
+// CompareVideo is CompareSession with one receiver.
 func (sc *Scorer) CompareVideo(ref, displayed []*media.Frame, stride int) VideoResult {
-	if len(ref) != len(displayed) {
-		panic(fmt.Sprintf("qoe: sequence lengths differ: %d vs %d", len(ref), len(displayed)))
+	return sc.CompareSession(ref, [][]*media.Frame{displayed}, stride)[0]
+}
+
+// CompareSession scores every receiver's displayed sequence against the
+// session's one reference, returning one result per receiver in order.
+// See the package-level CompareVideo for the slot conventions.
+//
+// Scoring is slot-major: at each sampled slot every receiver's pair is
+// scored, and each frame's cached stats are released as soon as the
+// last slot using it — as reference or as shown frame — is done. Each
+// receiver's sums still add its own pairs in slot order, and every pair
+// is a pure function of its two frames, so the results are bit-identical
+// to scoring each receiver alone.
+func (sc *Scorer) CompareSession(ref []*media.Frame, displayed [][]*media.Frame, stride int) []VideoResult {
+	for _, d := range displayed {
+		if len(ref) != len(d) {
+			panic(fmt.Sprintf("qoe: sequence lengths differ: %d vs %d", len(ref), len(d)))
+		}
 	}
 	if stride < 1 {
 		stride = 1
 	}
-	var res VideoResult
-	freezes := 0
-	scored := 0
-	var prevShown *media.Frame
-	for i := 0; i < len(ref); i++ {
-		shown := displayed[i]
-		if shown == prevShown || shown == nil {
-			freezes++
+	// Never-shown slots score against an all-black frame, one per
+	// geometry, so its pairs and stats are cached like any frame's.
+	blacks := make(map[[2]int]*media.Frame)
+	shownAt := func(r, i int) *media.Frame {
+		if f := displayed[r][i]; f != nil {
+			return f
 		}
-		prevShown = shown
-		if i%stride != 0 {
-			continue
+		key := [2]int{ref[i].W, ref[i].H}
+		f, ok := blacks[key]
+		if !ok {
+			f = media.NewFrame(ref[i].W, ref[i].H)
+			blacks[key] = f
 		}
-		if shown == nil {
-			shown = sc.blackFor(ref[i].W, ref[i].H)
-		}
-		ps := sc.scorePair(ref[i], shown)
-		res.PSNR += ps.psnr
-		res.SSIM += ps.ssim
-		res.VIFP += ps.vifp
-		scored++
+		return f
 	}
-	if scored > 0 {
-		res.PSNR /= float64(scored)
-		res.SSIM /= float64(scored)
-		res.VIFP /= float64(scored)
+	lastUse := make(map[*media.Frame]int)
+	for i := 0; i < len(ref); i += stride {
+		lastUse[ref[i]] = i
+		for r := range displayed {
+			lastUse[shownAt(r, i)] = i
+		}
 	}
-	res.Frames = scored
-	if len(ref) > 0 {
-		res.FreezeRatio = float64(freezes) / float64(len(ref))
+
+	res := make([]VideoResult, len(displayed))
+	pairs := make(map[pairKey]pairScores)
+	for i := 0; i < len(ref); i += stride {
+		for r := range displayed {
+			shown := shownAt(r, i)
+			key := pairKey{ref[i], shown}
+			ps, ok := pairs[key]
+			if !ok {
+				ps = pairScores{
+					psnr: PSNR(ref[i], shown),
+					ssim: sc.ssimPair(ref[i], shown),
+					vifp: sc.vifPair(ref[i], shown),
+				}
+				pairs[key] = ps
+			}
+			res[r].PSNR += ps.psnr
+			res[r].SSIM += ps.ssim
+			res[r].VIFP += ps.vifp
+			res[r].Frames++
+		}
+		sc.retire(ref[i], lastUse, i)
+		for r := range displayed {
+			sc.retire(shownAt(r, i), lastUse, i)
+		}
+	}
+
+	for r, d := range displayed {
+		freezes := 0
+		var prevShown *media.Frame
+		for _, shown := range d {
+			if shown == prevShown || shown == nil {
+				freezes++
+			}
+			prevShown = shown
+		}
+		if n := res[r].Frames; n > 0 {
+			res[r].PSNR /= float64(n)
+			res[r].SSIM /= float64(n)
+			res[r].VIFP /= float64(n)
+		}
+		if len(ref) > 0 {
+			res[r].FreezeRatio = float64(freezes) / float64(len(ref))
+		}
 	}
 	return res
 }
