@@ -30,9 +30,8 @@ func runExperiment(b *testing.B, id string) {
 	runExperimentParallel(b, id, 0)
 }
 
-// runExperimentParallel pins the campaign worker count; serial (1) vs
-// parallel (4) pairs below make the scheduler's speedup a tracked
-// metric. Output bytes are identical at any worker count.
+// runExperimentParallel pins the campaign worker count. Output bytes are
+// identical at any worker count.
 func runExperimentParallel(b *testing.B, id string, workers int) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
@@ -42,12 +41,12 @@ func runExperimentParallel(b *testing.B, id string, workers int) {
 	}
 }
 
-// Cold-vs-warm store pairs over the 30-cell US sweep: Cold pays full
-// compute plus persistence into a fresh store; Warm serves every cell
-// from a pre-populated store. The gap is the cache win the persistent
-// result store buys every rerun, CI job and daemon query.
+// The 30-cell US sweep, cold: full compute plus persistence into a
+// fresh store. It is the baseline of the Observed and Diag overhead
+// pairs below; the repository benchmark in bench/ times the same sweep
+// cold (qoe-sweep) and warm (warm-rerun).
 func BenchmarkFig12SweepCold(b *testing.B) {
-	b.ReportAllocs() // allocs/op is a gated number: see BENCH_10.json
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		st, err := vcabench.OpenStore(b.TempDir())
 		if err != nil {
@@ -85,7 +84,7 @@ func BenchmarkFig12SweepColdObserved(b *testing.B) {
 // document aggregated and encoded. Against the bare Cold number this
 // tracks what -diag-out costs when ON; the budget for the OFF case is
 // < 2% (nil probe checks on the packet and step paths), which the
-// bare Cold trajectory itself guards.
+// bench/ workloads guard, since they run with diagnostics off.
 func BenchmarkFig12SweepColdDiag(b *testing.B) {
 	var docs int
 	for i := 0; i < b.N; i++ {
@@ -107,28 +106,11 @@ func BenchmarkFig12SweepColdDiag(b *testing.B) {
 	b.ReportMetric(float64(docs), "diag-docs")
 }
 
-func BenchmarkFig12SweepWarm(b *testing.B) {
-	st, err := vcabench.OpenStore(b.TempDir())
-	if err != nil {
-		b.Fatal(err)
-	}
-	// Populate once; every timed iteration then recomputes zero cells.
-	if err := vcabench.RunWithOpts("fig12", 42, benchScale, vcabench.RunOpts{Store: st}, io.Discard); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := vcabench.RunWithOpts("fig12", 42, benchScale, vcabench.RunOpts{Store: st}, io.Discard); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// Distributed counterpart to the Fig 12 sweep pairs above: the same
-// 30 cells sharded across two loopback vcabenchd workers through the
-// cluster pool. On one machine this mostly measures the dispatch
-// overhead (HTTP + gob round trips) against BenchmarkFig12SweepSerial
-// and Parallel4; across real machines the fleet adds their cores.
+// Distributed counterpart to BenchmarkFig12SweepCold: the same 30 cells
+// sharded across two loopback vcabenchd workers through the cluster
+// pool. On one machine this mostly measures the dispatch overhead
+// (HTTP + gob round trips); across real machines the fleet adds their
+// cores.
 // Bytes are identical in every variant.
 func BenchmarkFig12SweepDistributed(b *testing.B) {
 	w1 := httptest.NewServer(serve.New(serve.Config{}).Handler())
@@ -149,8 +131,8 @@ func BenchmarkFig12SweepDistributed(b *testing.B) {
 }
 
 // Replicated campaign: two cells × five replicas through the full
-// aggregation pipeline. Against BenchmarkFig12SweepSerial-style
-// single-run numbers this tracks what the ×N replication axis costs;
+// aggregation pipeline. Against single-run numbers this tracks what the
+// ×N replication axis costs;
 // the reported metric is the mean PSNR CI half-width, the statistical
 // payoff the extra compute buys.
 func BenchmarkReplicatedCampaign(b *testing.B) {
@@ -178,16 +160,11 @@ func BenchmarkReplicatedCampaign(b *testing.B) {
 	b.ReportMetric(ci, "psnr-ci95-halfwidth")
 }
 
-// Serial-vs-parallel pairs over the two heaviest campaign shapes: a
-// (platform, scenario) lag figure and the 30-cell §4.3.1 US QoE sweep.
-func BenchmarkFig4CampaignSerial(b *testing.B)     { runExperimentParallel(b, "fig4", 1) }
-func BenchmarkFig4CampaignParallel4(b *testing.B)  { runExperimentParallel(b, "fig4", 4) }
-func BenchmarkFig12SweepSerial(b *testing.B)       { runExperimentParallel(b, "fig12", 1) }
-func BenchmarkFig12SweepParallel4(b *testing.B)    { runExperimentParallel(b, "fig12", 4) }
-func BenchmarkAblateP2PSerial(b *testing.B)        { runExperimentParallel(b, "ablate-p2p", 1) }
-func BenchmarkAblateP2PParallel4(b *testing.B)     { runExperimentParallel(b, "ablate-p2p", 4) }
-func BenchmarkFig17CapSweepSerial(b *testing.B)    { runExperimentParallel(b, "fig17", 1) }
-func BenchmarkFig17CapSweepParallel4(b *testing.B) { runExperimentParallel(b, "fig17", 4) }
+// Serial-vs-parallel pair over the P2P ablation's memoized lag units.
+// The bench/ workloads cover the other campaign shapes: setup_s is a
+// one-worker pass and pass_s_min a GOMAXPROCS-worker pass.
+func BenchmarkAblateP2PSerial(b *testing.B)    { runExperimentParallel(b, "ablate-p2p", 1) }
+func BenchmarkAblateP2PParallel4(b *testing.B) { runExperimentParallel(b, "ablate-p2p", 4) }
 
 func BenchmarkTable1(b *testing.B) { runExperiment(b, "table1") }
 func BenchmarkTable2(b *testing.B) { runExperiment(b, "table2") }
@@ -350,17 +327,3 @@ func BenchmarkAblateWebexGeo(b *testing.B)   { runExperiment(b, "ablate-webex-ge
 func BenchmarkAblateMeetSingle(b *testing.B) { runExperiment(b, "ablate-meet-single") }
 func BenchmarkAblateZoomNoLB(b *testing.B)   { runExperiment(b, "ablate-zoom-nolb") }
 func BenchmarkAblateP2P(b *testing.B)        { runExperiment(b, "ablate-p2p") }
-
-// Micro-benchmarks of the hot substrate paths.
-func BenchmarkSimnetPacketDelivery(b *testing.B) {
-	tb := vcabench.NewTestbed(1)
-	_ = tb
-	b.ReportAllocs()
-	// Covered in detail by the engine benches below; this measures the
-	// end-to-end experiment cost per simulated session second instead.
-	for i := 0; i < b.N; i++ {
-		t2 := vcabench.NewTestbed(int64(i))
-		vcabench.RunQoEStudy(t2, platform.Zoom, geo.USEast, []geo.Region{geo.USEast2},
-			media.LowMotion, vcabench.TinyScale, vcabench.QoEOpts{})
-	}
-}

@@ -12,6 +12,7 @@ import (
 
 	"github.com/vcabench/vcabench/internal/core"
 	"github.com/vcabench/vcabench/internal/obs"
+	"github.com/vcabench/vcabench/internal/obs/obstest"
 )
 
 // unitEcho is a minimal /units worker that returns a fixed payload,
@@ -66,7 +67,7 @@ func TestPoolMetrics(t *testing.T) {
 			t.Errorf("missing %q in:\n%s", want, text)
 		}
 	}
-	if probs := obs.LintText([]byte(text)); len(probs) != 0 {
+	if probs := obstest.LintText([]byte(text)); len(probs) != 0 {
 		t.Errorf("lint problems: %v", probs)
 	}
 	var done float64

@@ -745,8 +745,8 @@ func replicatedMetric(samples []*stats.Sample) *Metric {
 }
 
 // metricSlots pairs each QoE signal's sample with its Metric field on
-// CellResult and CellReplica, so replication aggregates every signal
-// through one loop instead of seven hand-written blocks.
+// CellResult and CellReplica, so single-run and replicated cells fill
+// every signal through one loop.
 var metricSlots = []struct {
 	sample func(*QoEStudyResult) *stats.Sample
 	cell   func(*CellResult) **Metric
@@ -992,13 +992,9 @@ func RunCampaign(tb *Testbed, spec Campaign, sc Scale) (*CampaignResult, error) 
 		}
 		if reps == 1 {
 			q := res[i].(*QoEStudyResult)
-			cr.PSNR = metricOf(q.PSNR)
-			cr.SSIM = metricOf(q.SSIM)
-			cr.VIFP = metricOf(q.VIFP)
-			cr.Freeze = metricOf(q.Freeze)
-			cr.UpMbps = metricOf(q.UpMbps)
-			cr.DownMbps = metricOf(q.DownMbps)
-			cr.MOS = metricOf(q.MOS)
+			for _, slot := range metricSlots {
+				*slot.cell(&cr) = metricOf(slot.sample(q))
+			}
 			cr.RateOverTime = ratePoints(q)
 			cr.Raw = q
 			if q.Diag != nil {

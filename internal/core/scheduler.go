@@ -83,22 +83,18 @@ type Unit struct {
 }
 
 // Scheduler fans campaign units across a bounded worker pool. Each unit
-// runs on TB.Fork(unit.Key); the pool size only changes wall-clock
-// time, never results. Run returns once every unit has finished, so
-// callers may merge unit outputs without further synchronization.
+// runs on TB.Fork(unit.Key) and the pool has TB.Parallelism() workers;
+// the pool size only changes wall-clock time, never results. Run returns
+// once every unit has finished, so callers may merge unit outputs
+// without further synchronization.
 type Scheduler struct {
 	TB *Testbed
-	// Workers bounds the pool; <=0 means TB.Parallelism().
-	Workers int
 }
 
 // Run executes every unit and waits for completion. A panicking unit is
 // re-panicked on the caller's goroutine after the pool drains.
 func (s *Scheduler) Run(units []Unit) {
-	workers := s.Workers
-	if workers <= 0 {
-		workers = s.TB.Parallelism()
-	}
+	workers := s.TB.Parallelism()
 	if workers > len(units) {
 		workers = len(units)
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/vcabench/vcabench/internal/obs"
+	"github.com/vcabench/vcabench/internal/obs/obstest"
 	"github.com/vcabench/vcabench/internal/report"
 	"github.com/vcabench/vcabench/internal/store"
 )
@@ -173,7 +174,7 @@ func TestEngineMetricsExposition(t *testing.T) {
 			t.Errorf("missing %q in:\n%s", want, text)
 		}
 	}
-	if probs := obs.LintText([]byte(text)); len(probs) != 0 {
+	if probs := obstest.LintText([]byte(text)); len(probs) != 0 {
 		t.Errorf("lint problems: %v", probs)
 	}
 }

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"github.com/vcabench/vcabench/internal/obs/obstest"
 )
 
 func mustText(t *testing.T, r *Registry) string {
@@ -98,7 +100,7 @@ func TestLabelValueEscaping(t *testing.T) {
 	if !strings.Contains(text, want) {
 		t.Fatalf("escaped series %q missing in:\n%s", want, text)
 	}
-	if probs := LintText([]byte(text)); len(probs) != 0 {
+	if probs := obstest.LintText([]byte(text)); len(probs) != 0 {
 		t.Fatalf("lint problems: %v", probs)
 	}
 }
@@ -153,7 +155,7 @@ func TestHistogramInvariants(t *testing.T) {
 			t.Errorf("missing %q in:\n%s", want, text)
 		}
 	}
-	if probs := LintText([]byte(text)); len(probs) != 0 {
+	if probs := obstest.LintText([]byte(text)); len(probs) != 0 {
 		t.Fatalf("lint problems: %v", probs)
 	}
 }
@@ -182,7 +184,7 @@ func TestGroupCollectorAndCollision(t *testing.T) {
 	if iDone < 0 || iRun < 0 || iDone > iRun {
 		t.Fatalf("group samples missing or unsorted:\n%s", text)
 	}
-	if probs := LintText([]byte(text)); len(probs) != 0 {
+	if probs := obstest.LintText([]byte(text)); len(probs) != 0 {
 		t.Fatalf("lint problems: %v", probs)
 	}
 
@@ -229,7 +231,7 @@ func TestConcurrentInstrumentsAndScrapes(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			text := mustText(t, r)
-			if probs := LintText([]byte(text)); len(probs) != 0 {
+			if probs := obstest.LintText([]byte(text)); len(probs) != 0 {
 				t.Errorf("lint under concurrency: %v", probs)
 			}
 		}()
@@ -281,7 +283,7 @@ func TestLintCatchesBadPayloads(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			probs := LintText([]byte(tc.payload))
+			probs := obstest.LintText([]byte(tc.payload))
 			found := false
 			for _, p := range probs {
 				if strings.Contains(p, tc.wantSub) {
@@ -301,7 +303,7 @@ func TestLintAcceptsCleanPayload(t *testing.T) {
 	r.GaugeVec("vcabench_b", "B.", "x", "y").With("1", "2").Set(3)
 	r.Histogram("vcabench_c_seconds", "C.", nil).Observe(0.02)
 	text := mustText(t, r)
-	if probs := LintText([]byte(text)); len(probs) != 0 {
+	if probs := obstest.LintText([]byte(text)); len(probs) != 0 {
 		t.Fatalf("clean payload flagged: %v\n%s", probs, text)
 	}
 }

@@ -1,8 +1,11 @@
-package obs
+// Package obstest holds test helpers for the telemetry layer. It imports
+// only the standard library, so obs's own tests can use it too.
+package obstest
 
 import (
 	"fmt"
 	"math"
+	"regexp"
 	"sort"
 	"strconv"
 	"strings"
@@ -11,7 +14,7 @@ import (
 // LintText checks a Prometheus text exposition payload the way
 // `promtool check metrics` would, returning one message per problem
 // (nil means clean). It enforces the format rules plus the conventions
-// this registry promises:
+// the obs registry promises:
 //
 //   - every sample belongs to a family announced by HELP and TYPE
 //   - TYPE is counter, gauge or histogram; counters end in _total
@@ -177,13 +180,13 @@ func LintText(data []byte) []string {
 		var sigParts, baseParts []string
 		var le string
 		for _, l := range labels {
-			if !validName(l.Name) {
-				addf(lineNo, "invalid label name %q on %q", l.Name, name)
+			if !validName(l.name) {
+				addf(lineNo, "invalid label name %q on %q", l.name, name)
 			}
-			part := l.Name + "=" + strconv.Quote(l.Value)
+			part := l.name + "=" + strconv.Quote(l.value)
 			sigParts = append(sigParts, part)
-			if l.Name == "le" && suffix == "_bucket" {
-				le = l.Value
+			if l.name == "le" && suffix == "_bucket" {
+				le = l.value
 			} else {
 				baseParts = append(baseParts, part)
 			}
@@ -238,9 +241,18 @@ func LintText(data []byte) []string {
 	return probs
 }
 
+// label is one parsed name="value" pair of a sample line.
+type label struct{ name, value string }
+
+// nameRE matches a legal metric or label name. It is written apart from
+// the registry's own check so the linter does not share its bugs.
+var nameRE = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*$`)
+
+func validName(s string) bool { return nameRE.MatchString(s) }
+
 // parseSampleLine splits `name{labels} value [timestamp]` handling
 // escaped quotes inside label values.
-func parseSampleLine(line string) (name string, labels []Label, value float64, err error) {
+func parseSampleLine(line string) (name string, labels []label, value float64, err error) {
 	rest := line
 	i := strings.IndexAny(rest, "{ ")
 	if i < 0 {
@@ -295,7 +307,7 @@ func parseSampleLine(line string) (name string, labels []Label, value float64, e
 			if !closed {
 				return "", nil, 0, fmt.Errorf("unterminated label value in %q", line)
 			}
-			labels = append(labels, Label{Name: ln, Value: val.String()})
+			labels = append(labels, label{name: ln, value: val.String()})
 			rest = strings.TrimLeft(rest, " \t")
 			if strings.HasPrefix(rest, ",") {
 				rest = rest[1:]

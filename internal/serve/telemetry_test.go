@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"github.com/vcabench/vcabench/internal/obs"
+	"github.com/vcabench/vcabench/internal/obs/obstest"
 	"github.com/vcabench/vcabench/internal/store"
 )
 
@@ -56,7 +57,7 @@ func TestServeMetricsEndpoint(t *testing.T) {
 			t.Errorf("missing %q in:\n%s", want, text)
 		}
 	}
-	if probs := obs.LintText([]byte(text)); len(probs) != 0 {
+	if probs := obstest.LintText([]byte(text)); len(probs) != 0 {
 		t.Errorf("lint problems before work: %v", probs)
 	}
 
@@ -92,7 +93,7 @@ func TestServeMetricsEndpoint(t *testing.T) {
 			t.Errorf("missing %q in:\n%s", want, text)
 		}
 	}
-	if probs := obs.LintText([]byte(text)); len(probs) != 0 {
+	if probs := obstest.LintText([]byte(text)); len(probs) != 0 {
 		t.Errorf("lint problems after work: %v", probs)
 	}
 }

@@ -1,9 +1,8 @@
 // Package stats provides the small statistical toolkit used throughout the
-// benchmark harness: empirical CDFs, quantiles, boxplot summaries,
-// histograms and streaming moment accumulators.
+// benchmark harness: empirical CDFs, quantiles, boxplot summaries and the
+// replication estimators.
 //
-// All functions are deterministic and allocation-conscious; the hot paths
-// (Sample.Add, Moments.Add) do not allocate.
+// All functions are deterministic and allocation-conscious.
 package stats
 
 import (
@@ -261,12 +260,6 @@ func NewCDF(xs []float64) *CDF {
 	return &CDF{xs: cp}
 }
 
-// CDF returns the sample's empirical CDF (shares storage with the Sample).
-func (s *Sample) CDF() *CDF {
-	s.sort()
-	return &CDF{xs: s.xs}
-}
-
 // Len reports the number of underlying observations.
 func (c *CDF) Len() int { return len(c.xs) }
 
@@ -299,146 +292,4 @@ func (c *CDF) Inverse(p float64) float64 {
 		idx = len(c.xs) - 1
 	}
 	return c.xs[idx]
-}
-
-// Points returns up to n (x, P(X<=x)) pairs suitable for plotting the CDF
-// as a step curve. If the sample has fewer than n points, every
-// observation is emitted.
-func (c *CDF) Points(n int) (xs, ps []float64) {
-	m := len(c.xs)
-	if m == 0 {
-		return nil, nil
-	}
-	if n <= 0 || n > m {
-		n = m
-	}
-	xs = make([]float64, 0, n)
-	ps = make([]float64, 0, n)
-	for i := 0; i < n; i++ {
-		// Evenly spaced order statistics, always including the last.
-		idx := m - 1
-		if n > 1 {
-			idx = i * (m - 1) / (n - 1)
-		}
-		xs = append(xs, c.xs[idx])
-		ps = append(ps, float64(idx+1)/float64(m))
-	}
-	return xs, ps
-}
-
-// Histogram counts observations into uniform-width bins across [lo, hi).
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int
-	under  int
-	over   int
-}
-
-// NewHistogram creates a histogram with nbins uniform bins on [lo, hi).
-func NewHistogram(lo, hi float64, nbins int) *Histogram {
-	if nbins <= 0 {
-		nbins = 1
-	}
-	if hi <= lo {
-		hi = lo + 1
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int, nbins)}
-}
-
-// Add records x, counting out-of-range values in underflow/overflow.
-func (h *Histogram) Add(x float64) {
-	if x < h.Lo {
-		h.under++
-		return
-	}
-	if x >= h.Hi {
-		h.over++
-		return
-	}
-	i := int((x - h.Lo) / (h.Hi - h.Lo) * float64(len(h.Counts)))
-	if i >= len(h.Counts) {
-		i = len(h.Counts) - 1
-	}
-	h.Counts[i]++
-}
-
-// Total returns the count of all recorded values including out-of-range.
-func (h *Histogram) Total() int {
-	t := h.under + h.over
-	for _, c := range h.Counts {
-		t += c
-	}
-	return t
-}
-
-// BinCenter returns the center x of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	w := (h.Hi - h.Lo) / float64(len(h.Counts))
-	return h.Lo + w*(float64(i)+0.5)
-}
-
-// Moments is a streaming accumulator for count, mean and variance using
-// Welford's algorithm. The zero value is ready to use.
-type Moments struct {
-	n    int
-	mean float64
-	m2   float64
-	min  float64
-	max  float64
-}
-
-// Add records one observation.
-func (m *Moments) Add(x float64) {
-	if m.n == 0 {
-		m.min, m.max = x, x
-	} else {
-		if x < m.min {
-			m.min = x
-		}
-		if x > m.max {
-			m.max = x
-		}
-	}
-	m.n++
-	d := x - m.mean
-	m.mean += d / float64(m.n)
-	m.m2 += d * (x - m.mean)
-}
-
-// N returns the number of observations.
-func (m *Moments) N() int { return m.n }
-
-// Mean returns the running mean (NaN when empty).
-func (m *Moments) Mean() float64 {
-	if m.n == 0 {
-		return math.NaN()
-	}
-	return m.mean
-}
-
-// Var returns the running population variance (NaN when empty).
-func (m *Moments) Var() float64 {
-	if m.n == 0 {
-		return math.NaN()
-	}
-	return m.m2 / float64(m.n)
-}
-
-// StdDev returns the running population standard deviation.
-func (m *Moments) StdDev() float64 { return math.Sqrt(m.Var()) }
-
-// Min returns the smallest observation (NaN when empty).
-func (m *Moments) Min() float64 {
-	if m.n == 0 {
-		return math.NaN()
-	}
-	return m.min
-}
-
-// Max returns the largest observation (NaN when empty).
-func (m *Moments) Max() float64 {
-	if m.n == 0 {
-		return math.NaN()
-	}
-	return m.max
 }

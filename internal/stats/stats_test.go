@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"encoding/gob"
 	"math"
-	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -118,36 +117,22 @@ func TestCDFInverse(t *testing.T) {
 	}
 }
 
-func TestCDFPoints(t *testing.T) {
-	xs := make([]float64, 100)
-	for i := range xs {
-		xs[i] = float64(i)
-	}
-	c := NewCDF(xs)
-	px, pp := c.Points(10)
-	if len(px) != 10 || len(pp) != 10 {
-		t.Fatalf("Points lengths %d/%d", len(px), len(pp))
-	}
-	if px[0] != 0 || px[9] != 99 {
-		t.Errorf("endpoints %v..%v", px[0], px[9])
-	}
-	if !sort.Float64sAreSorted(px) || !sort.Float64sAreSorted(pp) {
-		t.Errorf("points not monotone")
-	}
-	if pp[9] != 1 {
-		t.Errorf("final p = %v, want 1", pp[9])
-	}
-}
-
 func TestCDFPointsSmall(t *testing.T) {
 	c := NewCDF([]float64{5})
-	px, pp := c.Points(10)
-	if len(px) != 1 || px[0] != 5 || pp[0] != 1 {
-		t.Errorf("single-point CDF: %v %v", px, pp)
+	if got := c.At(4.9); got != 0 {
+		t.Errorf("single-point At(4.9) = %v, want 0", got)
+	}
+	if got := c.At(5); got != 1 {
+		t.Errorf("single-point At(5) = %v, want 1", got)
+	}
+	for _, p := range []float64{0, 0.5, 1} {
+		if got := c.Inverse(p); got != 5 {
+			t.Errorf("single-point Inverse(%v) = %v, want 5", p, got)
+		}
 	}
 	var empty CDF
-	if xs, ps := empty.Points(4); xs != nil || ps != nil {
-		t.Errorf("empty CDF points = %v %v", xs, ps)
+	if empty.Len() != 0 || !math.IsNaN(empty.At(0)) || !math.IsNaN(empty.Inverse(0.5)) {
+		t.Errorf("empty CDF: Len %d, At %v, Inverse %v", empty.Len(), empty.At(0), empty.Inverse(0.5))
 	}
 }
 
@@ -207,64 +192,6 @@ func TestQuantileMonotoneProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for i := 0; i < 10; i++ {
-		h.Add(float64(i))
-	}
-	h.Add(-1)
-	h.Add(11)
-	if h.Total() != 12 {
-		t.Errorf("Total = %d, want 12", h.Total())
-	}
-	for i, c := range h.Counts {
-		if c != 2 {
-			t.Errorf("bin %d count = %d, want 2", i, c)
-		}
-	}
-	if got := h.BinCenter(0); !almost(got, 1, 1e-12) {
-		t.Errorf("BinCenter(0) = %v", got)
-	}
-}
-
-func TestHistogramDegenerate(t *testing.T) {
-	h := NewHistogram(5, 5, 0) // invalid args are repaired
-	h.Add(5)
-	if h.Total() != 1 {
-		t.Errorf("Total = %d", h.Total())
-	}
-}
-
-func TestMomentsMatchesSample(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	var m Moments
-	s := NewSample(1000)
-	for i := 0; i < 1000; i++ {
-		x := rng.NormFloat64()*3 + 42
-		m.Add(x)
-		s.Add(x)
-	}
-	if !almost(m.Mean(), s.Mean(), 1e-9) {
-		t.Errorf("mean %v vs %v", m.Mean(), s.Mean())
-	}
-	if !almost(m.StdDev(), s.StdDev(), 1e-9) {
-		t.Errorf("sd %v vs %v", m.StdDev(), s.StdDev())
-	}
-	if m.Min() != s.Min() || m.Max() != s.Max() {
-		t.Errorf("min/max mismatch")
-	}
-	if m.N() != 1000 {
-		t.Errorf("N = %d", m.N())
-	}
-}
-
-func TestMomentsEmpty(t *testing.T) {
-	var m Moments
-	if !math.IsNaN(m.Mean()) || !math.IsNaN(m.Var()) || !math.IsNaN(m.Min()) || !math.IsNaN(m.Max()) {
-		t.Error("empty moments should be NaN")
 	}
 }
 

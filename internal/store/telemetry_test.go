@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"github.com/vcabench/vcabench/internal/obs"
+	"github.com/vcabench/vcabench/internal/obs/obstest"
 )
 
 // A telemetry-armed store exports its counters consistently and times
@@ -47,7 +48,7 @@ func TestStoreMetrics(t *testing.T) {
 			t.Errorf("missing %q in:\n%s", want, text)
 		}
 	}
-	if probs := obs.LintText([]byte(text)); len(probs) != 0 {
+	if probs := obstest.LintText([]byte(text)); len(probs) != 0 {
 		t.Errorf("lint problems: %v", probs)
 	}
 }
