@@ -48,7 +48,7 @@ func TestLowMotionCheaperThanHighMotion(t *testing.T) {
 		var s float64
 		var n int
 		for _, f := range frames {
-			if f.Skipped || f.Recon == nil {
+			if f.Skipped {
 				continue
 			}
 			s += f.QStep
@@ -66,10 +66,10 @@ func TestQualityImprovesWithRate(t *testing.T) {
 		var s float64
 		var n int
 		for _, f := range frames {
-			if f.Skipped || f.Recon == nil {
+			if f.Skipped {
 				continue
 			}
-			s += media.MeanAbsDiff(f.Source, f.Recon)
+			s += media.MeanAbsDiff(f.Source, f.Recon())
 			n++
 		}
 		return s / float64(n)
@@ -161,10 +161,11 @@ func TestResolutionLadderEngages(t *testing.T) {
 	if ef == nil {
 		t.Fatal("no coded inter frame")
 	}
-	if ef.Recon.W != ef.Source.W || ef.Recon.H != ef.Source.H {
-		t.Errorf("recon geometry %dx%d != source", ef.Recon.W, ef.Recon.H)
+	recon := ef.Recon()
+	if recon.W != ef.Source.W || recon.H != ef.Source.H {
+		t.Errorf("recon geometry %dx%d != source", recon.W, recon.H)
 	}
-	if d := media.MeanAbsDiff(ef.Source, ef.Recon); d < 2 {
+	if d := media.MeanAbsDiff(ef.Source, recon); d < 2 {
 		t.Errorf("distortion %.2f suspiciously low at 60kbps", d)
 	}
 }

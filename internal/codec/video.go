@@ -35,11 +35,39 @@ type EncodedFrame struct {
 	Skipped  bool // rate controller dropped this frame (stall)
 	Bits     int  // wire bits (what the network carries)
 	QStep    float64
-	// Source is the frame given to the encoder; Recon is what a decoder
-	// reconstructs. Both are retained as metadata in place of actual
-	// compressed bytes.
+	// Source is the frame given to the encoder, kept in place of actual
+	// compressed bytes. What a decoder reconstructs from it is built on
+	// first use by Recon; every copy of the frame shares that handle.
 	Source *media.Frame
-	Recon  *media.Frame
+	recon  *recon // nil for skipped frames
+}
+
+// recon is one coded frame's deferred reconstruction: what Encode would
+// have quantized, recorded until a decoder first asks for it.
+type recon struct {
+	enc        *VideoEncoder // nil once built
+	src        *media.Frame
+	qstep      float64
+	encW, encH int // resolution-ladder size the frame was coded at
+	frame      *media.Frame
+}
+
+// Recon returns what a decoder reconstructs from ef (nil for a skipped
+// frame). The frame is built on the first call and cached, so every copy
+// of ef returns the same *media.Frame. Building it first builds every
+// earlier frame of its encoder still pending, in encode order, so the
+// quantization noise draws are the same whichever frame is asked for
+// first. Recon changes its encoder's state: call it only from the
+// encoder's goroutine.
+func (ef *EncodedFrame) Recon() *media.Frame {
+	r := ef.recon
+	if r == nil {
+		return nil
+	}
+	if r.enc != nil {
+		r.enc.develop(r)
+	}
+	return r.frame
 }
 
 // VideoEncoderConfig tunes the encoder model.
@@ -56,7 +84,7 @@ type VideoEncoderConfig struct {
 	// Seed drives the quantization noise.
 	Seed int64
 	// SceneCutMAD forces a keyframe above this inter-frame complexity
-	// (default 25).
+	// (default 45).
 	SceneCutMAD float64
 	// DebtLimitSec is how many seconds of target bits the controller may
 	// owe before skipping frames (default 0.35 s).
@@ -95,10 +123,13 @@ type VideoEncoder struct {
 	sinceKey   int
 	debtBits   float64
 	targetBps  float64
+	// pending holds the coded frames whose reconstructions are not
+	// built yet, in encode order (see EncodedFrame.Recon).
+	pending []*recon
 	// pool recycles the resize ladder's transient frames (the
 	// down-scaled source and its quantized form). Reconstructions are
-	// never pooled: they outlive the encoder call and downstream QoE
-	// caches key on their identity.
+	// never pooled: they outlive the build and downstream QoE caches
+	// key on their identity.
 	pool *media.FramePool
 }
 
@@ -142,7 +173,8 @@ func (e *VideoEncoder) TargetBps() float64 { return e.targetBps }
 
 // Encode consumes the next source frame and returns its encoded form.
 // A Skipped frame carries no bits and no reconstruction: the rate
-// controller is stalling the stream.
+// controller is stalling the stream. Encode does not quantize; the
+// reconstruction is built when a decoder first asks for it.
 func (e *VideoEncoder) Encode(f *media.Frame) EncodedFrame {
 	seq := e.seq
 	e.seq++
@@ -210,17 +242,8 @@ func (e *VideoEncoder) Encode(f *media.Frame) EncodedFrame {
 	effBits := rdBitsPerPixel * encPix * math.Log2(1+m/qstep)
 	bits := effBits * e.cfg.BitScale
 
-	var recon *media.Frame
-	if scale == 1 {
-		recon = e.quantize(f, qstep)
-	} else {
-		small := f.ResizePooled(e.pool, encW, encH)
-		qsmall := e.pool.Get(encW, encH)
-		e.quantizeTo(qsmall, small, qstep)
-		recon = qsmall.Resize(f.W, f.H)
-		e.pool.Put(small)
-		e.pool.Put(qsmall)
-	}
+	r := &recon{enc: e, src: f, qstep: qstep, encW: encW, encH: encH}
+	e.pending = append(e.pending, r)
 	if key {
 		e.sinceKey = 0
 	} else {
@@ -232,8 +255,43 @@ func (e *VideoEncoder) Encode(f *media.Frame) EncodedFrame {
 	}
 	return EncodedFrame{
 		Seq: seq, Keyframe: key, Bits: int(bits), QStep: qstep,
-		Source: f, Recon: recon,
+		Source: f, recon: r,
 	}
+}
+
+// develop builds every pending reconstruction in encode order, up to
+// and including r. Skipping one would shift the noise draws of every
+// frame after it.
+func (e *VideoEncoder) develop(r *recon) {
+	for i, p := range e.pending {
+		p.frame = e.reconstruct(p)
+		p.enc = nil
+		e.pending[i] = nil
+		if p == r {
+			e.pending = e.pending[i+1:]
+			return
+		}
+	}
+	panic("codec: reconstruction not pending on its encoder")
+}
+
+// reconstruct quantizes p's source at its qstep, coding it at the
+// ladder size and scaling the result back up when the ladder stepped
+// down.
+func (e *VideoEncoder) reconstruct(p *recon) *media.Frame {
+	f := p.src
+	if p.encW == f.W && p.encH == f.H {
+		r := media.NewFrame(f.W, f.H)
+		e.quantizeTo(r, f, p.qstep)
+		return r
+	}
+	small := f.ResizePooled(e.pool, p.encW, p.encH)
+	qsmall := e.pool.Get(p.encW, p.encH)
+	e.quantizeTo(qsmall, small, p.qstep)
+	r := qsmall.Resize(f.W, f.H)
+	e.pool.Put(small)
+	e.pool.Put(qsmall)
+	return r
 }
 
 // solveQStep inverts the rate model for a bit budget, clamped to the
@@ -256,17 +314,9 @@ func solveQStep(m, bits, npix float64) float64 {
 	return q
 }
 
-// quantize produces the reconstructed frame: source plus uniform
-// quantization noise in ±Δ/2.
-func (e *VideoEncoder) quantize(f *media.Frame, qstep float64) *media.Frame {
-	r := media.NewFrame(f.W, f.H)
-	e.quantizeTo(r, f, qstep)
-	return r
-}
-
 // quantizeTo writes the quantized form of f into r (same geometry,
-// every pixel), drawing one noise sample per pixel in row-major order —
-// the exact draw sequence of the historical clone-then-mutate form.
+// every pixel): source plus uniform quantization noise in ±Δ/2, one
+// noise sample per pixel drawn in row-major order.
 func (e *VideoEncoder) quantizeTo(r, f *media.Frame, qstep float64) {
 	half := qstep / 2
 	for i := range r.Pix {
@@ -303,16 +353,16 @@ func NewVideoDecoder() *VideoDecoder { return &VideoDecoder{needKey: true} }
 func (d *VideoDecoder) Decode(ef *EncodedFrame) *media.Frame {
 	d.totalOut++
 	switch {
-	case ef == nil, ef != nil && ef.Skipped:
+	case ef == nil, ef.Skipped:
 		// Freeze.
 		if ef == nil {
 			d.needKey = true // reference chain broken
 		}
 	case ef.Keyframe:
 		d.needKey = false
-		d.last = ef.Recon
+		d.last = ef.Recon()
 	case !d.needKey:
-		d.last = ef.Recon
+		d.last = ef.Recon()
 	default:
 		// Inter frame without a valid reference: keep freezing.
 	}
