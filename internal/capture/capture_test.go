@@ -2,6 +2,7 @@ package capture
 
 import (
 	"bytes"
+	"sort"
 	"testing"
 	"testing/quick"
 	"time"
@@ -34,23 +35,6 @@ func TestIPForName(t *testing.T) {
 		if o == 0 || o == 255 {
 			t.Errorf("degenerate octet in %v", a)
 		}
-	}
-}
-
-func TestFlowHashSymmetric(t *testing.T) {
-	f := Flow{
-		Src: Endpoint{IP: IPv4{10, 1, 1, 1}, Port: 5004},
-		Dst: Endpoint{IP: IPv4{10, 2, 2, 2}, Port: 8801},
-	}
-	if f.FastHash() != f.Reverse().FastHash() {
-		t.Error("FastHash not symmetric")
-	}
-	other := Flow{
-		Src: Endpoint{IP: IPv4{10, 1, 1, 1}, Port: 5005},
-		Dst: Endpoint{IP: IPv4{10, 2, 2, 2}, Port: 8801},
-	}
-	if f.FastHash() == other.FastHash() {
-		t.Error("distinct flows hash equal (collision in trivial case)")
 	}
 }
 
@@ -103,34 +87,6 @@ func TestRemoteEndpoints(t *testing.T) {
 	}
 }
 
-func TestRateSeries(t *testing.T) {
-	tr := NewTrace("n")
-	// Second 0: 1000B, second 1: nothing, second 2: 2000B.
-	tr.Add(mkRecord(0, In, 1, 2, 1000))
-	tr.Add(mkRecord(2*time.Second, In, 1, 2, 2000))
-	s := tr.RateSeries(In, time.Second)
-	if len(s) != 3 {
-		t.Fatalf("series len = %d", len(s))
-	}
-	if s[0] != 8000 || s[1] != 0 || s[2] != 16000 {
-		t.Errorf("series = %v", s)
-	}
-}
-
-func TestMerge(t *testing.T) {
-	a, b := NewTrace("a"), NewTrace("b")
-	a.Add(mkRecord(0, In, 1, 2, 10))
-	a.Add(mkRecord(2*time.Second, In, 1, 2, 10))
-	b.Add(mkRecord(time.Second, Out, 3, 4, 20))
-	m := a.Merge(b)
-	if m.Len() != 3 {
-		t.Fatalf("merged len = %d", m.Len())
-	}
-	if !m.Records[1].Time.Equal(t0.Add(time.Second)) {
-		t.Error("merge not time-ordered")
-	}
-}
-
 func TestBurstDetection(t *testing.T) {
 	tr := NewTrace("host")
 	// Keepalives every 100ms (60B), flashes at 2s, 4s, 6s (5 big packets each).
@@ -142,8 +98,10 @@ func TestBurstDetection(t *testing.T) {
 			tr.Add(mkRecord(flashAt+time.Duration(k)*5*time.Millisecond, Out, 5004, 8801, 900))
 		}
 	}
-	// Re-sort by merging with empty (records were appended out of order).
-	tr = tr.Merge(NewTrace("x"))
+	// Restore time order (the flashes were appended after the keepalives).
+	sort.SliceStable(tr.Records, func(i, j int) bool {
+		return tr.Records[i].Time.Before(tr.Records[j].Time)
+	})
 	bursts := Bursts(tr, Out, DefaultBurstConfig)
 	if len(bursts) != 3 {
 		t.Fatalf("bursts = %d, want 3 (%v)", len(bursts), bursts)

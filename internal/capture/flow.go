@@ -57,32 +57,3 @@ type Flow struct {
 }
 
 func (f Flow) String() string { return f.Src.String() + "->" + f.Dst.String() }
-
-// Reverse returns the opposite direction of the flow.
-func (f Flow) Reverse() Flow { return Flow{Src: f.Dst, Dst: f.Src} }
-
-// FastHash returns a symmetric non-cryptographic hash: a flow and its
-// reverse hash identically, so bidirectional conversations can be grouped
-// (the property gopacket documents for load-balancing across workers).
-func (f Flow) FastHash() uint64 {
-	a := endpointHash(f.Src)
-	b := endpointHash(f.Dst)
-	if a > b {
-		a, b = b, a
-	}
-	h := fnv.New64a()
-	var buf [16]byte
-	for i := 0; i < 8; i++ {
-		buf[i] = byte(a >> (8 * i))
-		buf[8+i] = byte(b >> (8 * i))
-	}
-	h.Write(buf[:])
-	return h.Sum64()
-}
-
-func endpointHash(e Endpoint) uint64 {
-	h := fnv.New64a()
-	h.Write(e.IP[:])
-	h.Write([]byte{byte(e.Port >> 8), byte(e.Port)})
-	return h.Sum64()
-}

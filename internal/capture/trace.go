@@ -146,42 +146,3 @@ func (t *Trace) RemoteEndpoints(d Dir) []Endpoint {
 	}
 	return out
 }
-
-// RateSeries buckets the trace into windows of the given width and returns
-// the per-window L7 rate in bits/s for direction d. Windows are aligned to
-// the trace start.
-func (t *Trace) RateSeries(d Dir, window time.Duration) []float64 {
-	if window <= 0 || len(t.Records) == 0 {
-		return nil
-	}
-	from, to := t.Span()
-	n := int(to.Sub(from)/window) + 1
-	bytes := make([]int64, n)
-	for _, r := range t.Records {
-		if r.Dir != d {
-			continue
-		}
-		i := int(r.Time.Sub(from) / window)
-		if i >= 0 && i < n {
-			bytes[i] += int64(r.Len)
-		}
-	}
-	rates := make([]float64, n)
-	for i, b := range bytes {
-		rates[i] = float64(b) * 8 / window.Seconds()
-	}
-	return rates
-}
-
-// Merge returns a new trace containing the records of both traces in time
-// order. Node is taken from t.
-func (t *Trace) Merge(other *Trace) *Trace {
-	out := NewTrace(t.Node)
-	out.Records = make([]Record, 0, len(t.Records)+len(other.Records))
-	out.Records = append(out.Records, t.Records...)
-	out.Records = append(out.Records, other.Records...)
-	sort.SliceStable(out.Records, func(i, j int) bool {
-		return out.Records[i].Time.Before(out.Records[j].Time)
-	})
-	return out
-}

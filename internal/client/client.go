@@ -43,14 +43,13 @@ type Config struct {
 }
 
 // Client is one emulated participant: node + feeder + monitor +
-// controller + recorder.
+// recorder.
 type Client struct {
 	cfg  Config
 	sim  *simnet.Sim
 	node *simnet.Node
 
-	Monitor    *Monitor
-	Controller *Controller
+	Monitor *Monitor
 
 	att    *platform.Attachment
 	enc    *codec.VideoEncoder
@@ -94,7 +93,6 @@ func New(net *simnet.Network, cfg Config) *Client {
 		gotAu:  make(map[int]*codec.AudioFrame),
 	}
 	c.Monitor = NewMonitor(node, cfg.Resolve)
-	c.Controller = NewController(net.Sim())
 	return c
 }
 
@@ -263,14 +261,8 @@ func (c *Client) Reset() {
 // SentVideo returns the sender-side encoded-frame log.
 func (c *Client) SentVideo() []codec.EncodedFrame { return c.sent }
 
-// SentAudio returns the sender-side audio-frame log.
-func (c *Client) SentAudio() []codec.AudioFrame { return c.sentAu }
-
 // ReceivedVideo returns frames that arrived complete, by sender frame seq.
 func (c *Client) ReceivedVideo() map[int]*codec.EncodedFrame { return c.gotVid }
-
-// ReceiveStats returns the reassembler's counters.
-func (c *Client) ReceiveStats() rtp.Stats { return c.reasm.StatsSnapshot() }
 
 // Trace returns the client's packet capture.
 func (c *Client) Trace() *capture.Trace { return c.Monitor.Trace() }

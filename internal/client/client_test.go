@@ -169,66 +169,6 @@ func TestRecordingUnderLoss(t *testing.T) {
 	}
 }
 
-func TestControllerWorkflow(t *testing.T) {
-	sim, _ := testbed(1)
-	ctl := NewController(sim)
-	if ctl.State() != StateIdle {
-		t.Fatal("initial state")
-	}
-	joined := false
-	ctl.ScriptJoin(func() { joined = true })
-	sim.RunFor(10 * time.Second)
-	if !joined || ctl.State() != StateInMeeting {
-		t.Fatalf("after join: %v joined=%v", ctl.State(), joined)
-	}
-	left := false
-	ctl.ScriptLeave(func() { left = true })
-	sim.RunFor(5 * time.Second)
-	if !left || ctl.State() != StateLeft {
-		t.Fatalf("after leave: %v", ctl.State())
-	}
-	// Full transition log recorded.
-	if len(ctl.Log()) < 6 {
-		t.Errorf("transition log has %d entries", len(ctl.Log()))
-	}
-	// Rejoin from Left is allowed.
-	ctl.ScriptJoin(nil)
-	sim.RunFor(10 * time.Second)
-	if ctl.State() != StateInMeeting {
-		t.Errorf("rejoin: %v", ctl.State())
-	}
-}
-
-func TestControllerBadTransitionPanics(t *testing.T) {
-	sim, _ := testbed(1)
-	ctl := NewController(sim)
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	ctl.ScriptLeave(nil) // not in meeting
-}
-
-func TestViewAndStateStrings(t *testing.T) {
-	for _, v := range []View{ViewFullScreen, ViewGallery, ViewScreenOff} {
-		if v.String() == "" {
-			t.Error("empty view string")
-		}
-	}
-	for s := StateIdle; s <= StateLeft; s++ {
-		if s.String() == "" {
-			t.Error("empty state string")
-		}
-	}
-	sim, _ := testbed(1)
-	ctl := NewController(sim)
-	ctl.SetView(ViewGallery)
-	if ctl.View() != ViewGallery {
-		t.Error("SetView")
-	}
-}
-
 func TestMonitorRecordsRTPMetadata(t *testing.T) {
 	host := Config{
 		Name: "mon-host", Region: geo.USEast,

@@ -32,9 +32,6 @@ func (tb *Testbed) WithDiagnostics() *Testbed {
 	return tb
 }
 
-// DiagArmed reports whether the flight recorder is on.
-func (tb *Testbed) DiagArmed() bool { return tb.diag }
-
 // armDiag installs a fresh recorder keyed by unitKey ("" outside
 // campaign units) and points every probe seam at it. Platforms
 // instantiated later are wired by Platform.

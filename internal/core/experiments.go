@@ -5,7 +5,6 @@ import (
 	"io"
 	"time"
 
-	"github.com/vcabench/vcabench/internal/client"
 	"github.com/vcabench/vcabench/internal/geo"
 	"github.com/vcabench/vcabench/internal/media"
 	"github.com/vcabench/vcabench/internal/mobile"
@@ -553,8 +552,8 @@ func Experiments() []Experiment {
 				}
 				for _, n := range []int{3, 6, 11} {
 					for _, k := range platform.Kinds {
-						full := mobile.Scenario{Label: "full", Feed: media.HighMotion, View: client.ViewFullScreen, N: n}
-						gal := mobile.Scenario{Label: "gal", Feed: media.HighMotion, View: client.ViewGallery, N: n}
+						full := mobile.Scenario{Label: "full", Feed: media.HighMotion, View: mobile.ViewFullScreen, N: n}
+						gal := mobile.Scenario{Label: "gal", Feed: media.HighMotion, View: mobile.ViewGallery, N: n}
 						t.AddRow(n, string(k),
 							fmt.Sprintf("%.2f/%.2f",
 								mobile.DataRateMbps(k, mobile.GalaxyS10, full),

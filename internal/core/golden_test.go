@@ -120,15 +120,15 @@ func TestGoldenTable1(t *testing.T) {
 	checkGolden(t, "table1.txt", buf.Bytes())
 }
 
-// TestGoldenLagArtifacts locks the lag path: the packet scatter, the
-// endpoint survey, one lag CDF and one RTT table (Figs 2-4, 8), plus
-// every ablation's baseline and counterfactual arms, all rendered on
-// one testbed so the later artifacts also read memoized units.
-func TestGoldenLagArtifacts(t *testing.T) {
-	tb := NewTestbed(42)
+// checkGoldenArtifacts renders the registry artifacts ids in order on
+// one testbed at the given parallelism (0 = the testbed default), so
+// later artifacts also read the units earlier ones memoized, and pins
+// the concatenated bytes in the golden file name.
+func checkGoldenArtifacts(t *testing.T, name string, parallel int, ids ...string) {
+	t.Helper()
+	tb := NewTestbed(42).SetParallelism(parallel)
 	var buf bytes.Buffer
-	for _, id := range []string{"fig2", "fig3", "fig4", "fig8",
-		"ablate-webex-geo", "ablate-meet-single", "ablate-zoom-nolb", "ablate-p2p"} {
+	for _, id := range ids {
 		e, ok := Lookup(id)
 		if !ok {
 			t.Fatalf("%s not registered", id)
@@ -136,25 +136,31 @@ func TestGoldenLagArtifacts(t *testing.T) {
 		fmt.Fprintf(&buf, "== %s ==\n", id)
 		e.Run(tb, TinyScale, &buf)
 	}
-	checkGolden(t, "lag_artifacts.txt", buf.Bytes())
+	checkGolden(t, name, buf.Bytes())
+}
+
+// TestGoldenLagArtifacts locks the lag path: the packet scatter, the
+// endpoint survey, one lag CDF and one RTT table (Figs 2-4, 8), plus
+// every ablation's baseline and counterfactual arms.
+func TestGoldenLagArtifacts(t *testing.T) {
+	checkGoldenArtifacts(t, "lag_artifacts.txt", 0, "fig2", "fig3", "fig4", "fig8",
+		"ablate-webex-geo", "ablate-meet-single", "ablate-zoom-nolb", "ablate-p2p")
 }
 
 // TestGoldenQoEArtifacts locks the scored QoE path: the fig12 sweep,
 // the breakdowns and cap sweeps built on its cells (Figs 14-18) and
-// both §6 extensions, all rendered on one parallel testbed. Every
-// number here went through the per-frame PSNR/SSIM/VIFp scorer, so a
-// scorer change that moves a single bit shows up in these bytes.
+// both §6 extensions. Every number here went through the per-frame
+// PSNR/SSIM/VIFp scorer, so a scorer change that moves a single bit
+// shows up in these bytes.
 func TestGoldenQoEArtifacts(t *testing.T) {
-	tb := NewTestbed(42).SetParallelism(2)
-	var buf bytes.Buffer
-	for _, id := range []string{"fig12", "fig14", "fig15", "fig16", "fig17", "fig18",
-		"ext-lastmile", "ext-scale"} {
-		e, ok := Lookup(id)
-		if !ok {
-			t.Fatalf("%s not registered", id)
-		}
-		fmt.Fprintf(&buf, "== %s ==\n", id)
-		e.Run(tb, TinyScale, &buf)
-	}
-	checkGolden(t, "qoe_artifacts.txt", buf.Bytes())
+	checkGoldenArtifacts(t, "qoe_artifacts.txt", 2, "fig12", "fig14", "fig15", "fig16", "fig17", "fig18",
+		"ext-lastmile", "ext-scale")
+}
+
+// TestGoldenRemainingArtifacts locks the artifacts no other golden
+// covers: the device, vantage-point and mobile tables (Tables 2-4),
+// the bandwidth-drop dip (Fig 13) and the mobile resource survey
+// (Fig 19), whose scenarios read the client layout values.
+func TestGoldenRemainingArtifacts(t *testing.T) {
+	checkGoldenArtifacts(t, "remaining_artifacts.txt", 2, "table2", "table3", "table4", "fig13", "fig19")
 }

@@ -11,21 +11,6 @@ type AudioClip struct {
 	Samples []float64
 }
 
-// Duration returns the clip length in seconds.
-func (c *AudioClip) Duration() float64 {
-	if c.Rate == 0 {
-		return 0
-	}
-	return float64(len(c.Samples)) / float64(c.Rate)
-}
-
-// Clone returns a deep copy.
-func (c *AudioClip) Clone() *AudioClip {
-	s := make([]float64, len(c.Samples))
-	copy(s, c.Samples)
-	return &AudioClip{Rate: c.Rate, Samples: s}
-}
-
 // Slice returns the sub-clip [from, to) in samples (view, shared storage).
 func (c *AudioClip) Slice(from, to int) *AudioClip {
 	if from < 0 {
@@ -38,39 +23,6 @@ func (c *AudioClip) Slice(from, to int) *AudioClip {
 		from = to
 	}
 	return &AudioClip{Rate: c.Rate, Samples: c.Samples[from:to]}
-}
-
-// RMS returns the root-mean-square level of the clip.
-func (c *AudioClip) RMS() float64 {
-	if len(c.Samples) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, s := range c.Samples {
-		sum += s * s
-	}
-	return math.Sqrt(sum / float64(len(c.Samples)))
-}
-
-// Normalize scales the clip to the target RMS level in place (EBU-R128
-// style loudness normalization stands behind the paper's audio pipeline;
-// a plain RMS normalization is its moral equivalent for synthetic speech).
-func (c *AudioClip) Normalize(targetRMS float64) {
-	r := c.RMS()
-	if r == 0 {
-		return
-	}
-	g := targetRMS / r
-	for i := range c.Samples {
-		v := c.Samples[i] * g
-		if v > 1 {
-			v = 1
-		}
-		if v < -1 {
-			v = -1
-		}
-		c.Samples[i] = v
-	}
 }
 
 // DefaultAudioRate is the synthesis sample rate (wideband speech).
@@ -120,12 +72,4 @@ func NewTone(seconds, freq float64, rate int) *AudioClip {
 		c.Samples[i] = 0.5 * math.Sin(2*math.Pi*freq*float64(i)/float64(rate))
 	}
 	return c
-}
-
-// NewSilence synthesizes a silent clip.
-func NewSilence(seconds float64, rate int) *AudioClip {
-	if rate <= 0 {
-		rate = DefaultAudioRate
-	}
-	return &AudioClip{Rate: rate, Samples: make([]float64, int(seconds*float64(rate)))}
 }

@@ -1,8 +1,7 @@
 // Package media generates the deterministic audiovisual content the paper
 // injected through loopback devices: a low-motion "talking head" feed, a
 // high-motion "tour guide" feed, the periodic-flash feed used for lag
-// measurement (Fig 2), padded variants that keep client UI widgets out of
-// the scored viewport (Fig 13), and speech-like PCM audio.
+// measurement (Fig 2), and speech-like PCM audio.
 //
 // Frames are single-plane 8-bit luma images: every QoE metric the paper
 // uses (PSNR, SSIM, VIFp) is computed on luma, so carrying chroma would
@@ -81,13 +80,6 @@ func (f *Frame) At(x, y int) uint8 { return f.Pix[y*f.W+x] }
 // Set writes the pixel at (x, y).
 func (f *Frame) Set(x, y int, v uint8) { f.Pix[y*f.W+x] = v }
 
-// Fill sets every pixel to v.
-func (f *Frame) Fill(v uint8) {
-	for i := range f.Pix {
-		f.Pix[i] = v
-	}
-}
-
 // MeanAbsDiff returns the mean absolute pixel difference between two
 // frames of identical geometry — the simulator's motion/complexity
 // measure. It panics on geometry mismatch.
@@ -146,18 +138,6 @@ func (f *Frame) Crop(x0, y0, w, h int) *Frame {
 	g := NewFrame(w, h)
 	for y := 0; y < h; y++ {
 		copy(g.Pix[y*w:(y+1)*w], f.Pix[(y0+y)*f.W+x0:(y0+y)*f.W+x0+w])
-	}
-	return g
-}
-
-// Pad returns a new frame with a uniform border of the given width and
-// luma value around the content (the Fig-13 trick that keeps client UI
-// widgets out of the scored area).
-func (f *Frame) Pad(border int, v uint8) *Frame {
-	g := NewFrame(f.W+2*border, f.H+2*border)
-	g.Fill(v)
-	for y := 0; y < f.H; y++ {
-		copy(g.Pix[(y+border)*g.W+border:(y+border)*g.W+border+f.W], f.Pix[y*f.W:(y+1)*f.W])
 	}
 	return g
 }

@@ -196,25 +196,6 @@ func IsFlashFrame(p Profile, periodSec float64, i int) bool {
 	return i%flashPeriodFrames(p, periodSec) < FlashFrames
 }
 
-// padded wraps a source, adding the Fig-13 border.
-type padded struct {
-	src    Source
-	border int
-	fill   uint8
-}
-
-// NewPadded wraps src with a border of the given width.
-func NewPadded(src Source, border int, fill uint8) Source {
-	return &padded{src: src, border: border, fill: fill}
-}
-
-func (s *padded) Dims() (int, int) {
-	w, h := s.src.Dims()
-	return w + 2*s.border, h + 2*s.border
-}
-func (s *padded) FPS() int     { return s.src.FPS() }
-func (s *padded) Next() *Frame { return s.src.Next().Pad(s.border, s.fill) }
-
 // NewSource builds a source for a motion class.
 func NewSource(class MotionClass, p Profile, seed int64) Source {
 	if class == LowMotion {

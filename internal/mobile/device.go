@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"github.com/vcabench/vcabench/internal/client"
 	"github.com/vcabench/vcabench/internal/media"
 	"github.com/vcabench/vcabench/internal/platform"
 	"github.com/vcabench/vcabench/internal/stats"
@@ -77,11 +76,37 @@ var (
 // Devices lists the rig in paper order.
 var Devices = []Device{GalaxyS10, GalaxyJ3}
 
+// View is the client's layout setting.
+type View int
+
+const (
+	ViewFullScreen View = iota // one remote stream fills the screen
+	ViewGallery                // up to four equal tiles
+	ViewScreenOff              // screen off, audio only
+)
+
+func (v View) String() string {
+	switch v {
+	case ViewFullScreen:
+		return "fullscreen"
+	case ViewGallery:
+		return "gallery"
+	case ViewScreenOff:
+		return "screen-off"
+	}
+	return fmt.Sprintf("View(%d)", int(v))
+}
+
+// MaxVisibleTiles is how many participant videos any of the three clients
+// renders at once (§5: "show videos for up to four concurrent
+// participants" — the reason resource usage plateaus beyond N=5).
+const MaxVisibleTiles = 4
+
 // Scenario is one mobile experiment condition (Fig 19 labels).
 type Scenario struct {
 	Label    string
 	Feed     media.MotionClass
-	View     client.View
+	View     View
 	CameraOn bool
 	// N is the conference size including the streaming cloud VMs
 	// (Fig 19 uses N=3: one host VM plus the two devices).
@@ -90,11 +115,11 @@ type Scenario struct {
 
 // The five Fig-19 scenarios.
 var (
-	ScenarioLM        = Scenario{Label: "LM", Feed: media.LowMotion, View: client.ViewFullScreen, N: 3}
-	ScenarioHM        = Scenario{Label: "HM", Feed: media.HighMotion, View: client.ViewFullScreen, N: 3}
-	ScenarioLMView    = Scenario{Label: "LM-View", Feed: media.LowMotion, View: client.ViewGallery, N: 3}
-	ScenarioLMVidView = Scenario{Label: "LM-Video-View", Feed: media.LowMotion, View: client.ViewGallery, CameraOn: true, N: 3}
-	ScenarioLMOff     = Scenario{Label: "LM-Off", Feed: media.LowMotion, View: client.ViewScreenOff, N: 3}
+	ScenarioLM        = Scenario{Label: "LM", Feed: media.LowMotion, View: ViewFullScreen, N: 3}
+	ScenarioHM        = Scenario{Label: "HM", Feed: media.HighMotion, View: ViewFullScreen, N: 3}
+	ScenarioLMView    = Scenario{Label: "LM-View", Feed: media.LowMotion, View: ViewGallery, N: 3}
+	ScenarioLMVidView = Scenario{Label: "LM-Video-View", Feed: media.LowMotion, View: ViewGallery, CameraOn: true, N: 3}
+	ScenarioLMOff     = Scenario{Label: "LM-Off", Feed: media.LowMotion, View: ViewScreenOff, N: 3}
 )
 
 // StandardScenarios is the Fig-19 scenario set in presentation order.
@@ -139,7 +164,7 @@ func modelFor(k platform.Kind) clientModel {
 // DataRateMbps returns the client's average download data rate for a
 // scenario — the platform's mobile delivery policy (Fig 19b, Table 4).
 func DataRateMbps(k platform.Kind, d Device, sc Scenario) float64 {
-	if sc.View == client.ViewScreenOff {
+	if sc.View == ViewScreenOff {
 		// Audio only (plus control): 100-200 kbps depending on codec.
 		switch k {
 		case platform.Zoom:
@@ -154,7 +179,7 @@ func DataRateMbps(k platform.Kind, d Device, sc Scenario) float64 {
 	if n < 3 {
 		n = 3
 	}
-	gallery := sc.View == client.ViewGallery
+	gallery := sc.View == ViewGallery
 	low := d.Class == LowEnd
 	var rate float64
 	switch k {
@@ -196,7 +221,7 @@ func DataRateMbps(k platform.Kind, d Device, sc Scenario) float64 {
 	}
 	// Motion: low motion is more compressible for every client, least
 	// so for Zoom (Fig 19b).
-	if sc.Feed == media.LowMotion && sc.View == client.ViewFullScreen {
+	if sc.Feed == media.LowMotion && sc.View == ViewFullScreen {
 		switch k {
 		case platform.Zoom:
 			rate *= 0.95
@@ -228,24 +253,24 @@ func pick(cond bool, a, b float64) float64 {
 func CPUPercent(k platform.Kind, d Device, sc Scenario) float64 {
 	m := modelFor(k)
 	var cpu float64
-	if sc.View == client.ViewScreenOff {
+	if sc.View == ViewScreenOff {
 		cpu = m.audioCPU
 	} else {
 		rate := DataRateMbps(k, d, sc)
 		decode := rate * m.decodePerMbps
-		if sc.View == client.ViewGallery && k == platform.Zoom {
+		if sc.View == ViewGallery && k == platform.Zoom {
 			// Zoom's gallery decodes four small tiles, cheaper per bit.
 			decode *= 0.9
 		}
 		cpu = m.uiBase + decode
-		if sc.View == client.ViewGallery {
+		if sc.View == ViewGallery {
 			cpu += m.galleryExtra
 		}
 		if k == platform.Meet && d.Class == HighEnd {
 			cpu += m.opportunistic
 		}
-		if sc.View == client.ViewFullScreen && sc.N > 3 && m.backgroundBufferCPU > 0 {
-			cpu += m.backgroundBufferCPU * float64(min(sc.N, 3+client.MaxVisibleTiles)-3)
+		if sc.View == ViewFullScreen && sc.N > 3 && m.backgroundBufferCPU > 0 {
+			cpu += m.backgroundBufferCPU * float64(min(sc.N, 3+MaxVisibleTiles)-3)
 		}
 	}
 	if sc.CameraOn {
@@ -301,7 +326,7 @@ func PowerWatts(k platform.Kind, d Device, sc Scenario) float64 {
 	cpu := CPUPercent(k, d, sc) / 100
 	rate := DataRateMbps(k, d, sc)
 	p := pIdle + pCallPath + pPerCore*cpu + pRadioBase + pPerMbps*rate
-	if sc.View != client.ViewScreenOff {
+	if sc.View != ViewScreenOff {
 		p += pScreen
 	}
 	if sc.CameraOn {

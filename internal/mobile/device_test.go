@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"github.com/vcabench/vcabench/internal/client"
 	"github.com/vcabench/vcabench/internal/platform"
 )
 
@@ -150,7 +149,7 @@ func TestScreenOffRate(t *testing.T) {
 // Table 4: resource usage plateaus beyond the 4-tile UI limit.
 func TestConferenceSizePlateau(t *testing.T) {
 	for _, k := range platform.Kinds {
-		for _, view := range []client.View{client.ViewFullScreen, client.ViewGallery} {
+		for _, view := range []View{ViewFullScreen, ViewGallery} {
 			sc6 := Scenario{Label: "N6", Feed: ScenarioHM.Feed, View: view, N: 6}
 			sc11 := Scenario{Label: "N11", Feed: ScenarioHM.Feed, View: view, N: 11}
 			r6 := DataRateMbps(k, GalaxyS10, sc6)
@@ -171,12 +170,12 @@ func TestConferenceSizePlateau(t *testing.T) {
 // gallery; Webex's gallery rate *drops* with more participants.
 func TestTable4GalleryShapes(t *testing.T) {
 	z3 := DataRateMbps(platform.Zoom, GalaxyS10, ScenarioLMView)
-	z6 := DataRateMbps(platform.Zoom, GalaxyS10, Scenario{Feed: ScenarioLMView.Feed, View: client.ViewGallery, N: 6})
+	z6 := DataRateMbps(platform.Zoom, GalaxyS10, Scenario{Feed: ScenarioLMView.Feed, View: ViewGallery, N: 6})
 	if z6 < z3*1.7 {
 		t.Errorf("Zoom gallery rate should ~double with more tiles: %.2f -> %.2f", z3, z6)
 	}
-	w3 := DataRateMbps(platform.Webex, GalaxyS10, Scenario{Feed: ScenarioHM.Feed, View: client.ViewGallery, N: 3})
-	w6 := DataRateMbps(platform.Webex, GalaxyS10, Scenario{Feed: ScenarioHM.Feed, View: client.ViewGallery, N: 6})
+	w3 := DataRateMbps(platform.Webex, GalaxyS10, Scenario{Feed: ScenarioHM.Feed, View: ViewGallery, N: 3})
+	w6 := DataRateMbps(platform.Webex, GalaxyS10, Scenario{Feed: ScenarioHM.Feed, View: ViewGallery, N: 6})
 	if w6 >= w3 {
 		t.Errorf("Webex gallery rate should drop with more tiles: %.2f -> %.2f", w3, w6)
 	}
@@ -259,5 +258,13 @@ func TestStrings(t *testing.T) {
 	}
 	if ScenarioLM.String() != "LM" {
 		t.Error("scenario label")
+	}
+}
+
+func TestViewStrings(t *testing.T) {
+	for _, v := range []View{ViewFullScreen, ViewGallery, ViewScreenOff} {
+		if v.String() == "" {
+			t.Error("empty view string")
+		}
 	}
 }

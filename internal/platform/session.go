@@ -53,10 +53,6 @@ func (a *Attachment) Target() float64 { return a.sess.targetBps }
 // (nil until Start, or for the remote peer in P2P mode).
 func (a *Attachment) Endpoint() *Endpoint { return a.ep }
 
-// SendAddr returns where this participant transmits media (for probing
-// and trace classification).
-func (a *Attachment) SendAddr() simnet.Addr { return a.sendTo }
-
 // Send transmits one media datagram of the given L7 size into the
 // session. payload is opaque application metadata (an *rtp.Packet).
 func (a *Attachment) Send(l7 int, payload any) {

@@ -32,14 +32,14 @@ type Prober struct {
 	node     *simnet.Node
 	nextID   uint64
 	inflight map[uint64]*inflightProbe
-	results  []time.Duration
-	lost     int
 }
 
 type inflightProbe struct {
 	sentAt time.Time
 	timer  *simnet.Event
-	finish func()
+	// resolve reports the probe's outcome to its Run: the RTT and true
+	// on a reply, false on timeout.
+	resolve func(rtt time.Duration, replied bool)
 }
 
 // NewProber binds a prober to a node.
@@ -64,35 +64,37 @@ func (p *Prober) onPacket(pkt *simnet.Packet) {
 	}
 	delete(p.inflight, pong.ID)
 	fl.timer.Cancel()
-	p.results = append(p.results, p.sim.Now().Sub(fl.sentAt))
-	fl.finish()
+	fl.resolve(p.sim.Now().Sub(fl.sentAt), true)
 }
 
 // Run sends count probes to target spaced by interval and invokes done
-// with all collected RTTs once every probe has resolved (reply or
-// timeout).
+// once every probe has resolved (reply or timeout), with the RTTs of
+// this Run's replies in arrival order.
 func (p *Prober) Run(target simnet.Addr, count int, interval time.Duration, done func([]time.Duration)) {
 	if count <= 0 {
 		done(nil)
 		return
 	}
+	var rtts []time.Duration
 	remaining := count
-	finish := func() {
+	resolve := func(rtt time.Duration, replied bool) {
+		if replied {
+			rtts = append(rtts, rtt)
+		}
 		remaining--
 		if remaining == 0 {
-			done(p.results)
+			done(rtts)
 		}
 	}
 	for i := 0; i < count; i++ {
 		p.sim.After(time.Duration(i)*interval, func() {
 			id := p.nextID
 			p.nextID++
-			fl := &inflightProbe{sentAt: p.sim.Now(), finish: finish}
+			fl := &inflightProbe{sentAt: p.sim.Now(), resolve: resolve}
 			fl.timer = p.sim.After(Timeout, func() {
 				if _, ok := p.inflight[id]; ok {
 					delete(p.inflight, id)
-					p.lost++
-					finish()
+					resolve(0, false)
 				}
 			})
 			p.inflight[id] = fl
@@ -105,12 +107,6 @@ func (p *Prober) Run(target simnet.Addr, count int, interval time.Duration, done
 		})
 	}
 }
-
-// Results returns RTTs measured so far.
-func (p *Prober) Results() []time.Duration { return p.results }
-
-// Lost returns the number of probes that timed out.
-func (p *Prober) Lost() int { return p.lost }
 
 // Close unbinds the prober's port.
 func (p *Prober) Close() { p.node.Unbind(ProbePort) }

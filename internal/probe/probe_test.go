@@ -31,8 +31,28 @@ func TestProbeMeasuresRTT(t *testing.T) {
 			t.Errorf("RTT %v vs model %v", r, model)
 		}
 	}
-	if pr.Lost() != 0 {
-		t.Errorf("lost = %d", pr.Lost())
+}
+
+// TestProbeRunReportsOwnReplies runs one prober twice: the second
+// callback must see exactly the second Run's replies, not the first
+// Run's too.
+func TestProbeRunReportsOwnReplies(t *testing.T) {
+	sim, net := testNet(7)
+	a := net.AddNode(simnet.NodeConfig{Name: "client", Region: geo.USWest})
+	b := net.AddNode(simnet.NodeConfig{Name: "server", Region: geo.USEast})
+	Respond(b, 8801, nil)
+	pr := NewProber(sim, a)
+	target := simnet.Addr{Node: "server", Port: 8801}
+	var first, second []time.Duration
+	pr.Run(target, 5, 100*time.Millisecond, func(r []time.Duration) { first = r })
+	sim.Run()
+	pr.Run(target, 3, 100*time.Millisecond, func(r []time.Duration) { second = r })
+	sim.Run()
+	if len(first) != 5 {
+		t.Errorf("first Run got %d RTTs, want 5", len(first))
+	}
+	if len(second) != 3 {
+		t.Errorf("second Run got %d RTTs, want its own 3", len(second))
 	}
 }
 
@@ -42,19 +62,16 @@ func TestProbeTimeoutOnSilentTarget(t *testing.T) {
 	// Target exists but nothing listens on the port (ICMP-blocked style).
 	net.AddNode(simnet.NodeConfig{Name: "server", Region: geo.USEast})
 	pr := NewProber(sim, a)
-	done := false
+	done := 0
 	pr.Run(simnet.Addr{Node: "server", Port: 8801}, 3, 10*time.Millisecond, func(r []time.Duration) {
-		done = true
+		done++
 		if len(r) != 0 {
 			t.Errorf("expected no RTTs, got %d", len(r))
 		}
 	})
 	sim.Run()
-	if !done {
-		t.Fatal("done callback never fired")
-	}
-	if pr.Lost() != 3 {
-		t.Errorf("lost = %d, want 3", pr.Lost())
+	if done != 1 {
+		t.Fatalf("done fired %d times, want once after all 3 timeouts", done)
 	}
 }
 
@@ -65,13 +82,17 @@ func TestProbeUnderLoss(t *testing.T) {
 	Respond(b, 9000, nil)
 	pr := NewProber(sim, a)
 	var got []time.Duration
-	pr.Run(simnet.Addr{Node: "server", Port: 9000}, 50, 50*time.Millisecond, func(r []time.Duration) { got = r })
+	done := 0
+	pr.Run(simnet.Addr{Node: "server", Port: 9000}, 50, 50*time.Millisecond, func(r []time.Duration) {
+		done++
+		got = r
+	})
 	sim.Run()
-	if len(got)+pr.Lost() != 50 {
-		t.Errorf("conservation: %d replies + %d lost != 50", len(got), pr.Lost())
+	if done != 1 {
+		t.Fatalf("done fired %d times, want once", done)
 	}
-	if pr.Lost() == 0 {
-		t.Error("expected some losses at 40% reply loss")
+	if len(got) == 0 || len(got) >= 50 {
+		t.Errorf("%d of 50 replies, want some but not all at 40%% loss", len(got))
 	}
 }
 
@@ -113,10 +134,16 @@ func TestCloseUnbinds(t *testing.T) {
 	Respond(b, 8801, nil)
 	pr := NewProber(sim, a)
 	pr.Close()
-	// A reply to a closed prober is silently dropped (no handler).
-	a.Send(&simnet.Packet{From: simnet.Addr{Port: ProbePort}, To: simnet.Addr{Node: "b", Port: 8801}, Size: ProbeSize, Payload: Ping{ID: 9}})
+	// Replies to a closed prober are silently dropped (no handler), so
+	// every probe times out.
+	var got []time.Duration
+	done := false
+	pr.Run(simnet.Addr{Node: "b", Port: 8801}, 2, 10*time.Millisecond, func(r []time.Duration) {
+		done = true
+		got = r
+	})
 	sim.Run()
-	if len(pr.Results()) != 0 {
-		t.Error("closed prober collected results")
+	if !done || len(got) != 0 {
+		t.Errorf("closed prober: done=%v with %d RTTs, want done with none", done, len(got))
 	}
 }

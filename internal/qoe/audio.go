@@ -182,8 +182,9 @@ func nsim(ref, deg [][]float64) float64 {
 }
 
 // MOSLQO estimates the listening-quality MOS (1..5) of a degraded clip
-// against its reference. Clips should be loudness-normalized and aligned
-// first (see media.AudioClip.Normalize and AlignAudio).
+// against its reference. The clips must be time-aligned; the simulator
+// aligns them by construction, since a client's recording decodes the
+// received audio frame for frame against the sender's reference clip.
 func MOSLQO(ref, deg *media.AudioClip) float64 {
 	sr := spectrogram(ref)
 	sd := spectrogram(deg)

@@ -178,36 +178,6 @@ func TestCompareVideoLengthMismatchPanics(t *testing.T) {
 	})
 }
 
-func TestAlignFramesRecoversShift(t *testing.T) {
-	p := media.QuickProfile
-	src := media.NewSource(media.HighMotion, p, 13)
-	frames := media.Record(src, 40)
-	for _, shift := range []int{0, 3, 7} {
-		rec := frames[shift:]
-		got := AlignFrames(frames, rec, 10)
-		if got != -shift {
-			t.Errorf("shift %d: AlignFrames = %d, want %d", shift, got, -shift)
-		}
-	}
-}
-
-func TestAlignFramesEmpty(t *testing.T) {
-	if got := AlignFrames(nil, nil, 5); got != 0 {
-		t.Errorf("empty align = %d", got)
-	}
-}
-
-func TestAlignAudioRecoversLag(t *testing.T) {
-	ref := media.NewSpeech(3.0, 21)
-	lag := 800 // samples = 50 ms
-	rec := &media.AudioClip{Rate: ref.Rate}
-	rec.Samples = append(make([]float64, lag), ref.Samples...)
-	got := AlignAudio(ref, rec, 3200)
-	if got < lag-160 || got > lag+160 {
-		t.Errorf("AlignAudio = %d, want ~%d", got, lag)
-	}
-}
-
 func TestMOSIdentity(t *testing.T) {
 	c := media.NewSpeech(2.0, 31)
 	mos := MOSLQO(c, c)
@@ -259,7 +229,7 @@ func TestMOSDegradesWithLoss(t *testing.T) {
 
 func TestMOSSilenceVsSpeech(t *testing.T) {
 	c := media.NewSpeech(2.0, 34)
-	dead := media.NewSilence(2.0, c.Rate)
+	dead := &media.AudioClip{Rate: c.Rate, Samples: make([]float64, len(c.Samples))}
 	if mos := MOSLQO(c, dead); mos > 2.5 {
 		t.Errorf("speech vs silence MOS = %v, want low", mos)
 	}

@@ -373,17 +373,10 @@ func (n *Node) Tap(t Tap) { n.taps = append(n.taps, t) }
 // on the node's ingress, mirroring the paper's tc/ifb setup for Fig 17/18.
 func (n *Node) SetDownlinkShaper(tb *TokenBucket) { n.down.shaper = tb }
 
-// SetUplinkShaper installs (or removes, with nil) an egress shaper.
-func (n *Node) SetUplinkShaper(tb *TokenBucket) { n.up.shaper = tb }
-
 // SetDownlinkLoss sets the node's ingress random-loss probability,
 // mirroring a netem loss discipline on the last mile. It replaces any
 // probability configured at AddNode time; 0 disables random loss.
 func (n *Node) SetDownlinkLoss(p float64) { n.down.lossProb = p }
-
-// SetDownlinkExtraDelay holds every downlink delivery for an extra
-// fixed duration after the rate stage (netem-style delay); 0 disables.
-func (n *Node) SetDownlinkExtraDelay(d time.Duration) { n.down.extraDelay = d }
 
 // LinkState is one complete, atomically-applied downlink configuration
 // — the reconfigurable subset of NodeConfig that trace-driven

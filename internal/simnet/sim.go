@@ -106,7 +106,6 @@ type Sim struct {
 	queue  eventQueue
 	seq    uint64
 	seed   int64
-	rng    *rand.Rand
 	nsteps uint64
 	// live counts scheduled events that have neither fired nor been
 	// cancelled — the queue depth the step probe and Pending report.
@@ -134,7 +133,6 @@ func NewSim(seed int64) *Sim {
 	return &Sim{
 		now:  Epoch,
 		seed: seed,
-		rng:  rand.New(rand.NewSource(seed)),
 	}
 }
 
@@ -143,9 +141,6 @@ func (s *Sim) Now() time.Time { return s.now }
 
 // Since returns the virtual time elapsed since Epoch.
 func (s *Sim) Since() time.Duration { return s.now.Sub(Epoch) }
-
-// RNG returns the root random source. Prefer Fork for independent streams.
-func (s *Sim) RNG() *rand.Rand { return s.rng }
 
 // Fork returns an independent deterministic random stream derived from the
 // simulation seed and the given name. Two forks with different names are
