@@ -78,7 +78,7 @@ func TestEndToEndVideoSession(t *testing.T) {
 	}
 	// QoE of the recording is sane.
 	rec := r.Record(h)
-	res := qoe.CompareVideo(rec.Ref, rec.Displayed, 5)
+	res := qoe.NewScorer().CompareVideo(rec.Ref, rec.Displayed, 5)
 	if res.PSNR < 20 || res.PSNR > 50 {
 		t.Errorf("PSNR = %v", res.PSNR)
 	}
@@ -152,7 +152,7 @@ func TestRecordingUnderLoss(t *testing.T) {
 	recv := Config{Name: "ls-recv", Region: geo.USWest, LossProb: 0.08, Seed: 11}
 	_, h, rs := runSession(t, platform.Webex, 5, 10*time.Second, host, []Config{recv})
 	rec := rs[0].Record(h)
-	res := qoe.CompareVideo(rec.Ref, rec.Displayed, 5)
+	res := qoe.NewScorer().CompareVideo(rec.Ref, rec.Displayed, 5)
 	if res.FreezeRatio == 0 {
 		t.Error("8% loss should cause freezes")
 	}
@@ -163,7 +163,7 @@ func TestRecordingUnderLoss(t *testing.T) {
 	}
 	recv2 := Config{Name: "ls-recv2", Region: geo.USWest, Seed: 11}
 	_, h2, rs2 := runSession(t, platform.Webex, 5, 10*time.Second, host2, []Config{recv2})
-	clean := qoe.CompareVideo(rs2[0].Record(h2).Ref, rs2[0].Record(h2).Displayed, 5)
+	clean := qoe.NewScorer().CompareVideo(rs2[0].Record(h2).Ref, rs2[0].Record(h2).Displayed, 5)
 	if res.SSIM >= clean.SSIM {
 		t.Errorf("lossy SSIM %v >= clean SSIM %v", res.SSIM, clean.SSIM)
 	}

@@ -376,6 +376,13 @@ func (c Campaign) resolve() (*resolvedCampaign, error) {
 		if ne.fluctuating() && ne.FluctLoBps > ne.FluctHiBps {
 			return nil, fmt.Errorf("campaign: netem %q fluct_lo_bps > fluct_hi_bps", ne.Name)
 		}
+		// The period must lower onto a schedule trace.Play accepts, or
+		// the run panics when the cell's setup hook plays it.
+		if ne.fluctuating() {
+			if err := fluctTrace(ne).Validate(); err != nil {
+				return nil, fmt.Errorf("campaign: netem %q: %w", ne.Name, err)
+			}
+		}
 		// An active condition must be visible in results: CellResult
 		// only records the condition's name, so an unnamed impairment
 		// would make impaired cells look like clean runs.
@@ -654,7 +661,7 @@ func runCell(stb *Testbed, c campaignCell, sc Scale) *QoEStudyResult {
 					n.SetDownlinkLoss(ne.LossPct / 100)
 				}
 				if ne.fluctuating() {
-					trace.PlayWithProbe(stb.Sim, n, fluctTrace(ne), shaperBurst, stb.traceProbe())
+					trace.Play(stb.Sim, n, fluctTrace(ne), shaperBurst, stb.traceProbe())
 				}
 			}
 		}

@@ -195,6 +195,10 @@ func TestCampaignValidation(t *testing.T) {
 			{Name: "n", DownCapBps: 1000, FluctHiBps: 2000, FluctLoBps: 1000, FluctPeriodSec: 1}}}, "both a steady and a fluctuating"},
 		{"inverted fluct", Campaign{Name: "x", Netem: []Netem{
 			{Name: "n", FluctHiBps: 1000, FluctLoBps: 2000, FluctPeriodSec: 1}}}, "fluct_lo_bps > fluct_hi_bps"},
+		{"fluct period too long", Campaign{Name: "x", Netem: []Netem{
+			{Name: "n", FluctHiBps: 2000, FluctLoBps: 1000, FluctPeriodSec: 2e6}}}, `netem "n": trace "n": repeat_sec`},
+		{"fluct period too short", Campaign{Name: "x", Netem: []Netem{
+			{Name: "n", FluctHiBps: 2000, FluctLoBps: 1000, FluctPeriodSec: 1e-12}}}, `netem "n": trace "n": step 1 at_sec 0 not strictly increasing`},
 	}
 	for _, c := range cases {
 		err := c.spec.Validate()

@@ -86,7 +86,7 @@ func itoa(v int) string {
 }
 
 // traceProbe returns the step observer trace players feed, or nil when
-// diagnostics are off (so PlayWithProbe degrades to Play exactly).
+// diagnostics are off (so players replay exactly as without a probe).
 func (tb *Testbed) traceProbe() trace.StepProbe {
 	if tb.diagRec == nil {
 		return nil

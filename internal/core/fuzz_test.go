@@ -15,6 +15,7 @@ func FuzzParseCampaign(f *testing.F) {
 	f.Add([]byte(`{"name": "g", "geometries": [{"host": "US-East", "receivers": ["FR", "DE"]}], "audio": [true, false]}`))
 	f.Add([]byte(`{"name": "n", "netem": [{"name": "a"}, {"name": "b", "loss_pct": 1.5}]}`))
 	f.Add([]byte(`{"name": "f", "netem": [{"name": "w", "fluct_hi_bps": 1500000, "fluct_lo_bps": 300000, "fluct_period_sec": 4}]}`))
+	f.Add([]byte(`{"name": "f2", "netem": [{"name": "w", "fluct_hi_bps": 1500000, "fluct_lo_bps": 300000, "fluct_period_sec": 2e6}]}`))
 	f.Add([]byte(`{"name": "t", "traces": [{"name": "dip", "square": {"high_bps": 0, "low_bps": 250000, "high_sec": 2, "low_sec": 4, "once": true}}]}`))
 	f.Add([]byte(`{"name": "t2", "traces": [{"name": "st", "steps": [{"at_sec": 0, "down_cap_bps": 1000000}, {"at_sec": 3, "loss_pct": 5}], "repeat_sec": 6}]}`))
 	f.Add([]byte(`{"name": "t3", "traces": [{"name": "sw", "sawtooth": {"top_bps": 1000000, "bottom_bps": 100000, "steps": 4, "period_sec": 8}}, {"name": "sd", "step_down": {"levels_bps": [1000000, 500000], "dwell_sec": 2}}]}`))

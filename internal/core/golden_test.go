@@ -107,6 +107,22 @@ func TestGoldenReplicatedCampaign(t *testing.T) {
 	checkGolden(t, "replicated_campaign.json", buf.Bytes())
 }
 
+// The registry artifacts each checkGoldenArtifacts golden pins, in
+// render order. TestEveryArtifactHasGolden checks that together with
+// TestGoldenTable1 they cover IDs().
+var (
+	goldenLagIDs = []string{
+		"fig2", "fig3", "fig4", "fig8",
+		"ablate-webex-geo", "ablate-meet-single", "ablate-zoom-nolb", "ablate-p2p",
+	}
+	goldenLagScenarioIDs = []string{"fig5", "fig6", "fig7", "fig9", "fig10", "fig11"}
+	goldenQoEIDs         = []string{
+		"fig12", "fig14", "fig15", "fig16", "fig17", "fig18",
+		"ext-lastmile", "ext-scale",
+	}
+	goldenRemainingIDs = []string{"table2", "table3", "table4", "fig13", "fig19"}
+)
+
 // table1 ties the golden layer to a real paper artifact rendered
 // through the experiment registry (campaign engine, memo table,
 // metric summaries and table renderer in one pass).
@@ -143,8 +159,7 @@ func checkGoldenArtifacts(t *testing.T, name string, parallel int, ids ...string
 // endpoint survey, one lag CDF and one RTT table (Figs 2-4, 8), plus
 // every ablation's baseline and counterfactual arms.
 func TestGoldenLagArtifacts(t *testing.T) {
-	checkGoldenArtifacts(t, "lag_artifacts.txt", 0, "fig2", "fig3", "fig4", "fig8",
-		"ablate-webex-geo", "ablate-meet-single", "ablate-zoom-nolb", "ablate-p2p")
+	checkGoldenArtifacts(t, "lag_artifacts.txt", 0, goldenLagIDs...)
 }
 
 // TestGoldenQoEArtifacts locks the scored QoE path: the fig12 sweep,
@@ -153,14 +168,36 @@ func TestGoldenLagArtifacts(t *testing.T) {
 // PSNR/SSIM/VIFp scorer, so a scorer change that moves a single bit
 // shows up in these bytes.
 func TestGoldenQoEArtifacts(t *testing.T) {
-	checkGoldenArtifacts(t, "qoe_artifacts.txt", 2, "fig12", "fig14", "fig15", "fig16", "fig17", "fig18",
-		"ext-lastmile", "ext-scale")
+	checkGoldenArtifacts(t, "qoe_artifacts.txt", 2, goldenQoEIDs...)
 }
 
-// TestGoldenRemainingArtifacts locks the artifacts no other golden
-// covers: the device, vantage-point and mobile tables (Tables 2-4),
-// the bandwidth-drop dip (Fig 13) and the mobile resource survey
-// (Fig 19), whose scenarios read the client layout values.
+// TestGoldenLagScenarios locks the lag and RTT figures of the scenarios
+// the lag golden leaves out: Webex from US-West, Zoom from UK-West and
+// Meet from CH (Figs 5-7) and their proximity views (Figs 9-11).
+func TestGoldenLagScenarios(t *testing.T) {
+	checkGoldenArtifacts(t, "lag_scenarios.txt", 2, goldenLagScenarioIDs...)
+}
+
+// TestGoldenRemainingArtifacts locks the device, vantage-point and
+// mobile tables (Tables 2-4), the bandwidth-drop dip (Fig 13) and the
+// mobile resource survey (Fig 19), whose scenarios read the client
+// layout values.
 func TestGoldenRemainingArtifacts(t *testing.T) {
-	checkGoldenArtifacts(t, "remaining_artifacts.txt", 2, "table2", "table3", "table4", "fig13", "fig19")
+	checkGoldenArtifacts(t, "remaining_artifacts.txt", 2, goldenRemainingIDs...)
+}
+
+// TestEveryArtifactHasGolden fails when a registered artifact is in no
+// golden, so a new experiment cannot land with unpinned bytes.
+func TestEveryArtifactHasGolden(t *testing.T) {
+	pinned := map[string]bool{"table1": true} // TestGoldenTable1
+	for _, ids := range [][]string{goldenLagIDs, goldenLagScenarioIDs, goldenQoEIDs, goldenRemainingIDs} {
+		for _, id := range ids {
+			pinned[id] = true
+		}
+	}
+	for _, id := range IDs() {
+		if !pinned[id] {
+			t.Errorf("artifact %s is in no golden; add it to a golden ID list and regenerate with -update", id)
+		}
+	}
 }

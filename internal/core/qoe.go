@@ -171,7 +171,7 @@ func RunQoEStudyWithSetup(tb *Testbed, kind platform.Kind, host geo.Region, recv
 		var players []*trace.Player
 		if opts.Trace != nil {
 			for _, r := range recvs {
-				players = append(players, trace.PlayWithProbe(tb.Sim, r.Node(), *opts.Trace, shaperBurst, tb.traceProbe()))
+				players = append(players, trace.Play(tb.Sim, r.Node(), *opts.Trace, shaperBurst, tb.traceProbe()))
 			}
 		}
 		tb.Sim.RunFor(sc.QoEDur)

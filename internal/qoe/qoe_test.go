@@ -118,7 +118,7 @@ func TestCompareVideo(t *testing.T) {
 		ref = append(ref, f)
 		disp = append(disp, noisy(f, 6, int64(i)))
 	}
-	res := CompareVideo(ref, disp, 2)
+	res := NewScorer().CompareVideo(ref, disp, 2)
 	if res.Frames != 10 {
 		t.Errorf("scored frames = %d", res.Frames)
 	}
@@ -146,7 +146,7 @@ func TestCompareVideoFreezesAndNil(t *testing.T) {
 			disp = append(disp, frozen) // stale repeat
 		}
 	}
-	res := CompareVideo(ref, disp, 1)
+	res := NewScorer().CompareVideo(ref, disp, 1)
 	// 3 nil slots + 6 repeats; the first stale frame at slot 3 is not
 	// observable as a freeze => 9/10.
 	if res.FreezeRatio != 0.9 {
@@ -169,7 +169,7 @@ func TestCompareVideoLengthMismatchPanics(t *testing.T) {
 		f()
 	}
 	mustPanic("CompareVideo", func() {
-		CompareVideo(make([]*media.Frame, 3), make([]*media.Frame, 4), 1)
+		NewScorer().CompareVideo(make([]*media.Frame, 3), make([]*media.Frame, 4), 1)
 	})
 	// A session panics when any receiver's length differs, not just the first.
 	mustPanic("CompareSession", func() {

@@ -200,19 +200,6 @@ func (r VideoResult) String() string {
 		r.PSNR, r.SSIM, r.VIFP, r.Frames, r.FreezeRatio*100)
 }
 
-// CompareVideo scores a displayed sequence against its reference. Both
-// slices index display slots; displayed[i] == nil means nothing was ever
-// shown for that slot (scored as a black frame, matching how recordings
-// of a dead stream score). stride samples every stride-th slot for speed
-// (1 = every frame).
-//
-// One-shot convenience over a fresh Scorer; studies that score every
-// receiver of a session should call CompareSession once, so frames
-// repeated across receivers and frozen slots hit its caches.
-func CompareVideo(ref, displayed []*media.Frame, stride int) VideoResult {
-	return NewScorer().CompareVideo(ref, displayed, stride)
-}
-
 // CompareVideo is CompareSession with one receiver.
 func (sc *Scorer) CompareVideo(ref, displayed []*media.Frame, stride int) VideoResult {
 	return sc.CompareSession(ref, [][]*media.Frame{displayed}, stride)[0]
@@ -220,7 +207,10 @@ func (sc *Scorer) CompareVideo(ref, displayed []*media.Frame, stride int) VideoR
 
 // CompareSession scores every receiver's displayed sequence against the
 // session's one reference, returning one result per receiver in order.
-// See the package-level CompareVideo for the slot conventions.
+// ref and each displayed[r] index display slots; displayed[r][i] == nil
+// means nothing was ever shown for that slot (scored as a black frame,
+// matching how recordings of a dead stream score). stride samples every
+// stride-th slot for speed (1 = every frame).
 //
 // Scoring is slot-major: at each sampled slot every receiver's pair is
 // scored, and each frame's cached stats are released as soon as the

@@ -319,15 +319,11 @@ type StepProbe func(at time.Time, name string, step Step)
 // AtSec == 0 applies synchronously (no event); later steps schedule
 // through the simnet reconfiguration hook. burst sets the token-bucket
 // depth installed by capped steps (<= 0 selects the simnet default).
-// The trace must be valid (see Validate); playing an invalid trace
-// panics rather than replaying a half-checked schedule.
-func Play(sim *simnet.Sim, node *simnet.Node, tr Trace, burst int) *Player {
-	return PlayWithProbe(sim, node, tr, burst, nil)
-}
-
-// PlayWithProbe is Play with a step observer; a nil probe makes it
-// identical to Play (same events, same instants, same applications).
-func PlayWithProbe(sim *simnet.Sim, node *simnet.Node, tr Trace, burst int, probe StepProbe) *Player {
+// probe, if non-nil, observes every step application; it changes no
+// event, instant or application. The trace must be valid (see
+// Validate); playing an invalid trace panics rather than replaying a
+// half-checked schedule.
+func Play(sim *simnet.Sim, node *simnet.Node, tr Trace, burst int, probe StepProbe) *Player {
 	if err := tr.Validate(); err != nil {
 		panic("trace: Play: " + err.Error())
 	}

@@ -172,7 +172,7 @@ func TestPlayerAppliesSchedule(t *testing.T) {
 
 	// Cap hard (8 kbps, ~2 packets of burst) during [2s, 4s): ~1 s of
 	// serialization per packet once the initial bucket drains.
-	p := Play(sim, recv, DropRecover("dip", 0, 8_000, 2*time.Second, 2*time.Second), 2048)
+	p := Play(sim, recv, DropRecover("dip", 0, 8_000, 2*time.Second, 2*time.Second), 2048, nil)
 	sim.Run()
 	p.Stop()
 
@@ -208,7 +208,7 @@ func TestPlayerAppliesSchedule(t *testing.T) {
 // schedule so the event queue can drain.
 func TestPlayerRepeatAndStop(t *testing.T) {
 	sim, _, recv := testNode(t)
-	p := Play(sim, recv, Square("sq", 1_000_000, 100_000, time.Second, time.Second), 0)
+	p := Play(sim, recv, Square("sq", 1_000_000, 100_000, time.Second, time.Second), 0, nil)
 	// Far beyond several periods, the player still has its next step
 	// armed (a one-shot schedule would have gone quiescent long ago).
 	sim.RunUntil(simnet.Epoch.Add(25 * time.Second))
@@ -244,7 +244,7 @@ func TestPlayerDeterministic(t *testing.T) {
 				send.Send(&simnet.Packet{To: simnet.Addr{Node: "recv", Port: 9}, Size: 1200})
 			})
 		}
-		p := Play(sim, recv, Sawtooth("sw", 200_000, 20_000, 4, 2*time.Second), 0)
+		p := Play(sim, recv, Sawtooth("sw", 200_000, 20_000, 4, 2*time.Second), 0, nil)
 		// A repeating player always keeps an event armed; run to a
 		// horizon past the last send plus drain time, then stop it.
 		sim.RunUntil(simnet.Epoch.Add(30 * time.Second))
@@ -271,7 +271,7 @@ func TestPlayInvalidPanics(t *testing.T) {
 			t.Error("Play of an invalid trace should panic")
 		}
 	}()
-	Play(sim, recv, Trace{Name: "bad"}, 0)
+	Play(sim, recv, Trace{Name: "bad"}, 0, nil)
 }
 
 // An extra-delay step shifts deliveries without throttling them.
@@ -289,7 +289,7 @@ func TestExtraDelayStep(t *testing.T) {
 	Play(sim, recv, Trace{Name: "lag", Steps: []Step{
 		{AtSec: 0},
 		{AtSec: 1, ExtraDelayMs: 500},
-	}}, 0)
+	}}, 0, nil)
 	sim.Run()
 	if len(arrivals) != 2 {
 		t.Fatalf("deliveries = %d, want 2", len(arrivals))
