@@ -360,3 +360,105 @@ func TestFreezeRatioBounds(t *testing.T) {
 		t.Error("freeze ratio of idle decoder")
 	}
 }
+
+// madAlwaysEncoder is a test-local copy of Encode's rate model that
+// computes the motion measure on every frame after the first, as Encode
+// did before it learned to skip the measure on GOP-forced keyframes.
+type madAlwaysEncoder struct {
+	cfg        VideoEncoderConfig
+	prevSource *media.Frame
+	sinceKey   int
+	debtBits   float64
+}
+
+// encode returns the frame's wire bits, quantizer step, and keyframe
+// and skip flags.
+func (e *madAlwaysEncoder) encode(f *media.Frame) (bits int, qstep float64, key, skipped bool) {
+	budget := e.cfg.TargetBps / float64(e.cfg.FPS)
+	key = e.prevSource == nil || e.sinceKey+1 >= e.cfg.GOP
+	var m float64
+	if e.prevSource != nil {
+		m = media.MeanAbsDiff(f, e.prevSource)
+		if m > e.cfg.SceneCutMAD {
+			key = true
+		}
+	}
+	if key {
+		m = f.SpatialDetail() * keyframeCostFactor
+	}
+	m = math.Max(m, minComplexity)
+	e.prevSource = f
+	if e.debtBits > e.cfg.TargetBps*e.cfg.DebtLimitSec {
+		e.sinceKey++
+		e.debtBits = math.Max(e.debtBits-budget, 0)
+		return 0, 0, false, true
+	}
+	want := budget - e.debtBits*0.25
+	if key {
+		want *= 2.5
+	}
+	effWant := want / e.cfg.BitScale
+	scale := 1
+	switch bpp := effWant / float64(f.W*f.H); {
+	case bpp < 0.015:
+		scale = 4
+	case bpp < 0.06:
+		scale = 2
+	}
+	encW, encH := f.W/scale, f.H/scale
+	if encW < 8 || encH < 8 {
+		encW, encH = f.W, f.H
+	}
+	encPix := float64(encW * encH)
+	qstep = solveQStep(m, effWant, encPix)
+	b := rdBitsPerPixel * encPix * math.Log2(1+m/qstep) * e.cfg.BitScale
+	if key {
+		e.sinceKey = 0
+	} else {
+		e.sinceKey++
+	}
+	e.debtBits = math.Max(e.debtBits+(b-budget), 0)
+	return int(b), qstep, key, false
+}
+
+// TestKeyframeSkipsMotionMeasureExactly pins that Encode, which does
+// not compute MeanAbsDiff once the GOP has forced a keyframe, decides
+// exactly as an encoder that always computes it: on a forced keyframe
+// the spatial detail overwrites the motion measure. The GOP does not
+// divide the high-motion feed's 4 s scene-cut period, so the stream has
+// both GOP-forced and scene-cut keyframes, and the 20 kbps target also
+// makes the controller skip frames.
+func TestKeyframeSkipsMotionMeasureExactly(t *testing.T) {
+	p := media.QuickProfile
+	for _, bps := range []float64{2_000_000, 300_000, 20_000} {
+		cfg := VideoEncoderConfig{FPS: p.FPS, GOP: 13, TargetBps: bps, BitScale: BitScaleFor(p), Seed: 3}
+		enc := NewVideoEncoder(cfg)
+		ref := &madAlwaysEncoder{cfg: enc.cfg}
+		src := media.NewHighMotion(p, 9)
+		var forced, cuts, skips int
+		for i := 0; i < 30*p.FPS; i++ {
+			f := src.Next()
+			gopDue := ref.prevSource == nil || ref.sinceKey+1 >= cfg.GOP
+			got := enc.Encode(f)
+			bits, qstep, key, skipped := ref.encode(f)
+			if got.Bits != bits || got.QStep != qstep || got.Keyframe != key || got.Skipped != skipped {
+				t.Fatalf("%.0f bps frame %d: Encode = {bits %d q %v key %v skip %v}, always-MAD reference = {bits %d q %v key %v skip %v}",
+					bps, i, got.Bits, got.QStep, got.Keyframe, got.Skipped, bits, qstep, key, skipped)
+			}
+			switch {
+			case skipped:
+				skips++
+			case key && gopDue:
+				forced++
+			case key:
+				cuts++
+			}
+		}
+		if forced < 3 || cuts < 3 {
+			t.Fatalf("%.0f bps: %d GOP-forced and %d scene-cut keyframes, want >= 3 of each", bps, forced, cuts)
+		}
+		if bps == 20_000 && skips == 0 {
+			t.Fatalf("20 kbps: no skipped frames; the case must reach the stall path")
+		}
+	}
+}

@@ -183,10 +183,12 @@ func (e *VideoEncoder) Encode(f *media.Frame) EncodedFrame {
 
 	// Complexity is measured against the previous *source* frame: it
 	// reflects content motion, independent of how noisy the last
-	// reconstruction happened to be.
+	// reconstruction happened to be. A keyframe's complexity is its
+	// spatial detail instead, so once the GOP forces one the motion
+	// measure is not computed.
 	key := e.prevSource == nil || e.sinceKey+1 >= e.cfg.GOP
 	var m float64
-	if e.prevSource != nil {
+	if !key {
 		m = media.MeanAbsDiff(f, e.prevSource)
 		if m > e.cfg.SceneCutMAD {
 			key = true

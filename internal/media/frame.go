@@ -87,46 +87,25 @@ func MeanAbsDiff(a, b *Frame) float64 {
 	if a.W != b.W || a.H != b.H {
 		panic(fmt.Sprintf("media: frame geometry mismatch %dx%d vs %dx%d", a.W, a.H, b.W, b.H))
 	}
-	var sum int64
-	for i := range a.Pix {
-		d := int64(a.Pix[i]) - int64(b.Pix[i])
-		if d < 0 {
-			d = -d
-		}
-		sum += d
-	}
-	return float64(sum) / float64(len(a.Pix))
+	return float64(sad(a.Pix, b.Pix)) / float64(len(a.Pix))
 }
 
 // SpatialDetail returns the mean absolute horizontal+vertical gradient —
-// a cheap proxy for intra-frame coding complexity.
+// a cheap proxy for intra-frame coding complexity. The horizontal terms
+// are each row against itself shifted by one pixel; the vertical terms
+// are the plane against itself shifted by one row.
 func (f *Frame) SpatialDetail() float64 {
-	var sum int64
-	var n int64
-	for y := 0; y < f.H; y++ {
-		for x := 0; x < f.W; x++ {
-			v := int64(f.At(x, y))
-			if x+1 < f.W {
-				d := v - int64(f.At(x+1, y))
-				if d < 0 {
-					d = -d
-				}
-				sum += d
-				n++
-			}
-			if y+1 < f.H {
-				d := v - int64(f.At(x, y+1))
-				if d < 0 {
-					d = -d
-				}
-				sum += d
-				n++
-			}
-		}
-	}
-	if n == 0 {
+	w, h := f.W, f.H
+	n := h*(w-1) + (h-1)*w
+	if w <= 0 || h <= 0 || n == 0 {
 		return 0
 	}
+	var sum uint64
+	for y := 0; y < h; y++ {
+		row := f.Pix[y*w : (y+1)*w]
+		sum += sad(row[:w-1], row[1:])
+	}
+	sum += sad(f.Pix[:(h-1)*w], f.Pix[w:])
 	return float64(sum) / float64(n)
 }
 

@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"math"
 	"math/big"
 	"testing"
 	"testing/quick"
@@ -150,9 +151,10 @@ func TestTxDurationExactCeil(t *testing.T) {
 }
 
 func TestTxDurationOverflowSaturates(t *testing.T) {
-	// 1 EiB at 1 bit/s does not fit a Duration: the guard must saturate,
-	// not wrap negative.
-	if d := txDuration(1<<60, 1); d != time.Duration(1<<63-1) {
+	// 2 GiB at 1 bit/s needs about 1.7e19 ns, more than a Duration
+	// holds: the guard must saturate, not wrap negative. MaxInt32 keeps
+	// the size an int on 32-bit targets too.
+	if d := txDuration(math.MaxInt32, 1); d != time.Duration(math.MaxInt64) {
 		t.Fatalf("overflowing txDuration = %v, want saturation", d)
 	}
 	if d := txDuration(0, 1000); d != 0 {
@@ -227,7 +229,7 @@ func TestUnconstrainedSendPathAllocFree(t *testing.T) {
 		}
 		s.Run()
 	}
-	// Warm the slab chunk, the free lists and the lastArr map.
+	// Warm the slab chunk and the free lists.
 	for i := 0; i < 512; i++ {
 		send()
 	}

@@ -342,6 +342,8 @@ func (tb *TokenBucket) Admit(now time.Time, bytes int) time.Time {
 type Node struct {
 	net      *Network
 	cfg      NodeConfig
+	idx      int        // dense index in Network.byIndex
+	paths    []pairPath // per-destination path state, by destination idx
 	up, down *pipe
 	handlers map[int]Handler
 	taps     []Tap
@@ -350,6 +352,16 @@ type Node struct {
 	// per-packet path never allocates a closure.
 	upThen   func(*Packet) // after uplink: cross the core
 	downThen func(*Packet) // after downlink: deliver to taps + handler
+}
+
+// pairPath is one (src, dst) entry of the network's path table, held in
+// the source node's paths row.
+type pairPath struct {
+	delay time.Duration // path.OneWay(src, dst): a pure function of the regions
+	// lastArr is the pair's last scheduled arrival (clock key), -1
+	// before the first packet. Every arrival is >= 0, so the sentinel
+	// never clamps.
+	lastArr int64
 }
 
 // Name returns the node's name.
@@ -465,7 +477,7 @@ type Network struct {
 	jitterStd time.Duration
 	distLoss  float64
 	nodes     map[string]*Node
-	lastArr   map[[2]string]time.Time
+	byIndex   []*Node // nodes in AddNode order; Node.idx indexes it
 	jrng      *randSourceN
 	lrng      *randSource
 	distDrops int64
@@ -512,7 +524,6 @@ func NewNetwork(sim *Sim, cfg NetworkConfig) *Network {
 		jitterStd: cfg.JitterStd,
 		distLoss:  cfg.DistLossPer100ms,
 		nodes:     make(map[string]*Node),
-		lastArr:   make(map[[2]string]time.Time),
 		jrng:      &randSourceN{norm: jr.NormFloat64},
 		lrng:      &randSource{f64: lr.Float64},
 	}
@@ -611,7 +622,26 @@ func (n *Network) AddNode(cfg NodeConfig) *Node {
 		n.release(p)
 	}
 	n.nodes[cfg.Name] = node
+	n.addPaths(node)
 	return node
+}
+
+// addPaths gives node the next dense index and grows the path table by
+// its row and column, so the per-packet path needs no lookup by name.
+func (n *Network) addPaths(node *Node) {
+	node.idx = len(n.byIndex)
+	n.byIndex = append(n.byIndex, node)
+	node.paths = make([]pairPath, len(n.byIndex))
+	for _, other := range n.byIndex {
+		node.paths[other.idx] = n.pathBetween(node, other)
+		if other != node {
+			other.paths = append(other.paths, n.pathBetween(other, node))
+		}
+	}
+}
+
+func (n *Network) pathBetween(src, dst *Node) pairPath {
+	return pairPath{delay: n.path.OneWay(src.cfg.Region, dst.cfg.Region), lastArr: -1}
 }
 
 // txTable precomputes txDuration for every wire size below txTabSize;
@@ -632,7 +662,8 @@ func (n *Network) Node(name string) *Node { return n.nodes[name] }
 
 // propagate carries a packet across the core from src to dst.
 func (n *Network) propagate(src, dst *Node, pkt *Packet) {
-	d := n.path.OneWay(src.cfg.Region, dst.cfg.Region)
+	pp := &src.paths[dst.idx]
+	d := pp.delay
 	if n.distLoss > 0 {
 		p := n.distLoss * float64(d) / float64(100*time.Millisecond)
 		if n.lrng.f64() < p {
@@ -645,16 +676,15 @@ func (n *Network) propagate(src, dst *Node, pkt *Packet) {
 		j := time.Duration(math.Abs(n.jrng.norm()) * float64(n.jitterStd))
 		d += j
 	}
-	arr := n.sim.Now().Add(d)
+	arr := later(n.sim.now, d)
 	// Preserve FIFO ordering per (src,dst) node pair: jitter must not
 	// reorder a flow (real reordering is rare and would only add noise).
-	key := [2]string{src.cfg.Name, dst.cfg.Name}
-	if last, ok := n.lastArr[key]; ok && !arr.After(last) {
-		arr = last.Add(time.Nanosecond)
+	if arr <= pp.lastArr {
+		arr = pp.lastArr + 1
 	}
-	n.lastArr[key] = arr
+	pp.lastArr = arr
 	pkt.dst = dst
-	n.sim.AtCall(arr, deliverDown, pkt)
+	n.sim.atCall(arr, deliverDown, pkt)
 }
 
 // deliverDown hands an arriving packet to the destination's downlink

@@ -477,3 +477,88 @@ func TestAddrString(t *testing.T) {
 		t.Error("Direction.String broken")
 	}
 }
+
+// TestPathTableMatchesPathModel: the per-pair table memoizes the path
+// model, so every ordered node pair's entry, self and same-region pairs
+// included, equals OneWay on the two regions, and a packet's one-way
+// time is never below it.
+func TestPathTableMatchesPathModel(t *testing.T) {
+	s, n := newTestNet(2)
+	regions := []geo.Region{geo.USEast, geo.USEast, geo.USWest, geo.CH, geo.USEast2, geo.CH}
+	var nodes []*Node
+	for i, r := range regions {
+		nodes = append(nodes, n.AddNode(NodeConfig{Name: string(rune('a' + i)), Region: r}))
+	}
+	model := n.PathModel()
+	for _, src := range nodes {
+		if len(src.paths) != len(nodes) {
+			t.Fatalf("%s: path row has %d entries, want %d", src.Name(), len(src.paths), len(nodes))
+		}
+		for _, dst := range nodes {
+			if got, want := src.paths[dst.idx].delay, model.OneWay(src.Region(), dst.Region()); got != want {
+				t.Fatalf("%s->%s: table delay %v, OneWay %v", src.Name(), dst.Name(), got, want)
+			}
+		}
+	}
+	var oneWay []time.Duration
+	nodes[1].Bind(5, func(p *Packet) { oneWay = append(oneWay, p.ArrivedAt.Sub(p.SentAt)) })
+	nodes[0].Send(&Packet{To: Addr{"b", 5}, Size: 100})
+	s.Run()
+	if base := model.OneWay(geo.USEast, geo.USEast); len(oneWay) != 1 || oneWay[0] < base {
+		t.Fatalf("same-region one-way times %v, want one at or above %v", oneWay, base)
+	}
+}
+
+// TestFlowFIFOAcrossNodeAdd: adding a node mid-run grows the path table
+// without losing any pair's last arrival, so flows that were already
+// running stay in order, and the new node's flows are in order too.
+// Core jitter far above the send spacing would reorder every flow
+// without the per-pair clamp.
+func TestFlowFIFOAcrossNodeAdd(t *testing.T) {
+	s := NewSim(9)
+	n := NewNetwork(s, NetworkConfig{JitterStd: 20 * time.Millisecond})
+	a := n.AddNode(NodeConfig{Name: "a", Region: geo.USEast})
+	b := n.AddNode(NodeConfig{Name: "b", Region: geo.CH})
+	got := map[string][]int{}
+	bind := func(node *Node) {
+		node.Bind(5, func(p *Packet) {
+			flow := p.From.Node + ">" + node.Name()
+			got[flow] = append(got[flow], p.Payload.(int))
+		})
+	}
+	bind(a)
+	bind(b)
+	sent := map[string]int{}
+	send := func(from *Node, to string) {
+		flow := from.Name() + ">" + to
+		from.Send(&Packet{To: Addr{to, 5}, Size: 200, Payload: sent[flow]})
+		sent[flow]++
+	}
+	var c *Node
+	for i := 0; i < 300; i++ {
+		s.RunFor(100 * time.Microsecond)
+		send(a, "b")
+		send(b, "a")
+		if i == 150 {
+			// Packets of a>b and b>a are still in flight here.
+			c = n.AddNode(NodeConfig{Name: "c", Region: geo.USWest})
+			bind(c)
+		}
+		if c != nil {
+			send(a, "c")
+			send(c, "b")
+		}
+	}
+	s.Run()
+	for _, flow := range []string{"a>b", "b>a", "a>c", "c>b"} {
+		seqs := got[flow]
+		if len(seqs) != sent[flow] || len(seqs) < 100 {
+			t.Fatalf("%s: delivered %d of %d", flow, len(seqs), sent[flow])
+		}
+		for i, v := range seqs {
+			if v != i {
+				t.Fatalf("%s reordered at %d: got %d", flow, i, v)
+			}
+		}
+	}
+}

@@ -13,8 +13,8 @@
 package simnet
 
 import (
-	"container/heap"
 	"hash/fnv"
+	"math"
 	"math/rand"
 	"time"
 )
@@ -32,7 +32,7 @@ var Epoch = time.Date(2021, time.April, 1, 0, 0, 0, 0, time.UTC)
 // (pcall) are recycled through a free-list instead — those are never
 // exposed, so no stale handle to them can exist.
 type Event struct {
-	at  time.Time
+	at  int64 // nanoseconds since Epoch: the heap key, with seq
 	seq uint64
 	fn  func()
 	// Payload-call form: pcall(parg) with a package-level function and a
@@ -64,35 +64,66 @@ func (e *Event) Cancel() {
 // handle from Every this is the next scheduled tick; after the handle is
 // cancelled (or, for one-shot events, after firing) it reports the last
 // scheduled time.
-func (e *Event) When() time.Time { return e.at }
+func (e *Event) When() time.Time { return Epoch.Add(time.Duration(e.at)) }
 
+// before is the queue order: time, then scheduling order. The pair is
+// unique per event, so the order is total and firing order does not
+// depend on the heap's layout.
+func (e *Event) before(f *Event) bool {
+	return e.at < f.at || (e.at == f.at && e.seq < f.seq)
+}
+
+// eventQueue is a binary min-heap on (at, seq). Every queued event
+// records its slot in index; pop sets it to -1, which is how Cancel
+// tells a queued event from a fired one.
 type eventQueue []*Event
 
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if !q[i].at.Equal(q[j].at) {
-		return q[i].at.Before(q[j].at)
+func (q *eventQueue) push(e *Event) {
+	h := append(*q, e)
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		up := h[p]
+		if !e.before(up) {
+			break
+		}
+		h[i], up.index = up, i
+		i = p
 	}
-	return q[i].seq < q[j].seq
+	h[i], e.index = e, i
+	*q = h
 }
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
-}
-func (q *eventQueue) Push(x any) {
-	e := x.(*Event)
-	e.index = len(*q)
-	*q = append(*q, e)
-}
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.index = -1
-	*q = old[:n-1]
-	return e
+
+// pop removes and returns the earliest event. The queue must not be
+// empty.
+func (q *eventQueue) pop() *Event {
+	h := *q
+	top := h[0]
+	n := len(h) - 1
+	last := h[n]
+	h[n] = nil
+	h = h[:n]
+	if n > 0 {
+		i := 0
+		for {
+			c := 2*i + 1
+			if c >= n {
+				break
+			}
+			if r := c + 1; r < n && h[r].before(h[c]) {
+				c = r
+			}
+			if !h[c].before(last) {
+				break
+			}
+			h[i], h[c].index = h[c], i
+			i = c
+		}
+		h[i], last.index = last, i
+	}
+	top.index = -1
+	*q = h
+	return top
 }
 
 // eventChunkSize is the slab granularity: one allocation serves this many
@@ -102,14 +133,17 @@ const eventChunkSize = 256
 
 // Sim is the discrete-event engine: a virtual clock plus an event queue.
 type Sim struct {
-	now    time.Time
+	// now is the clock in nanoseconds since Epoch; nowT is the same
+	// instant as a time.Time, kept for Now.
+	now    int64
+	nowT   time.Time
 	queue  eventQueue
 	seq    uint64
 	seed   int64
 	nsteps uint64
 	// live counts scheduled events that have neither fired nor been
 	// cancelled — the queue depth the step probe and Pending report.
-	// (queue.Len() would overcount: cancelled events are discarded
+	// (len(queue) would overcount: cancelled events are discarded
 	// lazily when they reach the front.)
 	live int
 	// chunk is the current event slab (see eventChunkSize); free is the
@@ -131,16 +165,47 @@ func (s *Sim) SetStepProbe(p func(at time.Time, depth int)) { s.stepProbe = p }
 // the simulation derives from seed.
 func NewSim(seed int64) *Sim {
 	return &Sim{
-		now:  Epoch,
+		nowT: Epoch,
 		seed: seed,
 	}
 }
 
 // Now returns the current virtual time.
-func (s *Sim) Now() time.Time { return s.now }
+func (s *Sim) Now() time.Time { return s.nowT }
 
 // Since returns the virtual time elapsed since Epoch.
-func (s *Sim) Since() time.Duration { return s.now.Sub(Epoch) }
+func (s *Sim) Since() time.Duration { return time.Duration(s.now) }
+
+// setNow moves the clock to at nanoseconds since Epoch.
+func (s *Sim) setNow(at int64) {
+	s.now = at
+	s.nowT = Epoch.Add(time.Duration(at))
+}
+
+// errHorizon is the panic for an event time whose offset from Epoch
+// does not fit int64 nanoseconds (about 292 years).
+const errHorizon = "simnet: event time beyond the int64-nanosecond horizon"
+
+// keyOf converts an absolute time to nanoseconds since Epoch. It panics
+// on a time past the horizon; a time before Epoch saturates low and is
+// then rejected by schedule as a time in the past.
+func keyOf(t time.Time) int64 {
+	d := t.Sub(Epoch) // saturates on overflow
+	if d == math.MaxInt64 && !Epoch.Add(d).Equal(t) {
+		panic(errHorizon)
+	}
+	return int64(d)
+}
+
+// later returns the clock key d after at; d must be >= 0. It panics
+// past the horizon.
+func later(at int64, d time.Duration) int64 {
+	k := at + int64(d)
+	if k < at {
+		panic(errHorizon)
+	}
+	return k
+}
 
 // Fork returns an independent deterministic random stream derived from the
 // simulation seed and the given name. Two forks with different names are
@@ -160,25 +225,28 @@ func (s *Sim) alloc() *Event {
 	return &s.chunk[len(s.chunk)-1]
 }
 
-// schedule assigns the next sequence number and queues e at t. Scheduling
-// in the past is a programming error and panics.
-func (s *Sim) schedule(e *Event, t time.Time) {
-	if t.Before(s.now) {
+// schedule assigns the next sequence number and queues e at clock key
+// at. Scheduling in the past is a programming error and panics.
+func (s *Sim) schedule(e *Event, at int64) {
+	if at < s.now {
 		panic("simnet: scheduling event in the past")
 	}
 	s.seq++
-	e.at = t
+	e.at = at
 	e.seq = s.seq
-	heap.Push(&s.queue, e)
+	s.queue.push(e)
 	s.live++
 }
 
-// At schedules fn at absolute virtual time t. Scheduling in the past is a
-// programming error and panics.
-func (s *Sim) At(t time.Time, fn func()) *Event {
+// At schedules fn at absolute virtual time t. Scheduling in the past, or
+// past the int64-nanosecond horizon, is a programming error and panics.
+func (s *Sim) At(t time.Time, fn func()) *Event { return s.at(keyOf(t), fn) }
+
+// at is At at clock key at.
+func (s *Sim) at(at int64, fn func()) *Event {
 	e := s.alloc()
 	e.fn = fn
-	s.schedule(e, t)
+	s.schedule(e, at)
 	return e
 }
 
@@ -188,7 +256,10 @@ func (s *Sim) At(t time.Time, fn func()) *Event {
 // event costs a heap allocation (the event is recycled after firing).
 // No handle is returned — AtCall work cannot be cancelled, which is
 // exactly what makes recycling the event safe.
-func (s *Sim) AtCall(t time.Time, fn func(any), arg any) {
+func (s *Sim) AtCall(t time.Time, fn func(any), arg any) { s.atCall(keyOf(t), fn, arg) }
+
+// atCall is AtCall at clock key at.
+func (s *Sim) atCall(at int64, fn func(any), arg any) {
 	var e *Event
 	if n := len(s.free); n > 0 {
 		e = s.free[n-1]
@@ -199,7 +270,7 @@ func (s *Sim) AtCall(t time.Time, fn func(any), arg any) {
 	}
 	e.pcall = fn
 	e.parg = arg
-	s.schedule(e, t)
+	s.schedule(e, at)
 }
 
 // After schedules fn after virtual duration d (d < 0 is treated as 0).
@@ -207,7 +278,7 @@ func (s *Sim) After(d time.Duration, fn func()) *Event {
 	if d < 0 {
 		d = 0
 	}
-	return s.At(s.now.Add(d), fn)
+	return s.at(later(s.now, d), fn)
 }
 
 // Every schedules fn every period, starting after the first period, until
@@ -227,26 +298,26 @@ func (s *Sim) Every(period time.Duration, fn func()) *Event {
 	ctl.fn = func() {
 		fn()
 		if !ctl.cancelled {
-			s.schedule(ctl, s.now.Add(period))
+			s.schedule(ctl, later(s.now, period))
 		}
 	}
-	s.schedule(ctl, s.now.Add(period))
+	s.schedule(ctl, later(s.now, period))
 	return ctl
 }
 
 // Step executes the single earliest pending event. It reports whether an
 // event was executed.
 func (s *Sim) Step() bool {
-	for s.queue.Len() > 0 {
-		e := heap.Pop(&s.queue).(*Event)
+	for len(s.queue) > 0 {
+		e := s.queue.pop()
 		if e.cancelled {
 			continue
 		}
-		s.now = e.at
+		s.setNow(e.at)
 		s.nsteps++
 		s.live--
 		if s.stepProbe != nil {
-			s.stepProbe(e.at, s.live)
+			s.stepProbe(s.nowT, s.live)
 		}
 		if e.pcall != nil {
 			fn, arg := e.pcall, e.parg
@@ -272,27 +343,30 @@ func (s *Sim) Run() {
 }
 
 // RunUntil executes events up to and including time t, then advances the
-// clock to exactly t. Events scheduled after t remain pending.
+// clock to exactly t. Events scheduled after t remain pending. A t past
+// the int64-nanosecond horizon runs every pending event and leaves the
+// clock at the horizon.
 func (s *Sim) RunUntil(t time.Time) {
-	for s.queue.Len() > 0 {
+	limit := int64(t.Sub(Epoch)) // saturates on overflow
+	for len(s.queue) > 0 {
 		// Peek.
 		next := s.queue[0]
 		if next.cancelled {
-			heap.Pop(&s.queue)
+			s.queue.pop()
 			continue
 		}
-		if next.at.After(t) {
+		if next.at > limit {
 			break
 		}
 		s.Step()
 	}
-	if s.now.Before(t) {
-		s.now = t
+	if s.now < limit {
+		s.setNow(limit)
 	}
 }
 
 // RunFor executes events for virtual duration d from the current time.
-func (s *Sim) RunFor(d time.Duration) { s.RunUntil(s.now.Add(d)) }
+func (s *Sim) RunFor(d time.Duration) { s.RunUntil(s.nowT.Add(d)) }
 
 // Steps returns the number of events executed so far (for diagnostics and
 // benchmarks).
