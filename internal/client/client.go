@@ -268,6 +268,10 @@ func (c *Client) ReceivedVideo() map[int]*codec.EncodedFrame { return c.gotVid }
 func (c *Client) Trace() *capture.Trace { return c.Monitor.Trace() }
 
 // Recording is the desktop-recorder output for one received stream.
+// Displayed holds decoder handles, one per display slot, so a freeze
+// shows the identical *media.Frame again. A handle has pixels only if
+// some receiver of the session shows it at a scored slot (see
+// RecordSession); the others keep nil Pix and serve identity checks.
 type Recording struct {
 	Ref       []*media.Frame // injected source frames (per display slot)
 	Displayed []*media.Frame // what the viewer saw (nil = nothing yet)
@@ -275,26 +279,56 @@ type Recording struct {
 	RefAudio  *media.AudioClip
 }
 
-// Record builds the recording against the sender's ground-truth logs:
-// per display slot, the viewer sees the decoded frame if it arrived
-// complete, a freeze if the encoder skipped, or a loss-freeze otherwise.
-func (c *Client) Record(sender *Client) Recording {
-	var rec Recording
-	dec := codec.NewVideoDecoder()
+// RecordSession builds every receiver's recording of sender's stream
+// against the sender's ground-truth logs, for a scorer that reads every
+// stride-th display slot (qoe.Scorer.CompareSession with the same
+// stride). Per display slot, a viewer sees the decoded frame if it
+// arrived complete, a freeze if the encoder skipped, or a loss-freeze
+// otherwise. Pixels are built, in encode order, only for the frames
+// some receiver shows at a scored slot; every other coded frame is
+// released. The set covers every receiver before any frame is built or
+// released: a frame one receiver shows only at unscored slots may stay
+// on another's screen until a scored one, and a released frame cannot
+// be built later.
+func RecordSession(sender *Client, receivers []*Client, stride int) []Recording {
+	if stride < 1 {
+		stride = 1
+	}
 	sent := sender.SentVideo()
+	ref := make([]*media.Frame, len(sent))
+	for i := range sent {
+		ref[i] = sent[i].Source
+	}
+	recs := make([]Recording, len(receivers))
+	keep := make(map[*media.Frame]bool)
+	for r, c := range receivers {
+		recs[r] = c.record(sender, ref)
+		for i := 0; i < len(sent); i += stride {
+			if f := recs[r].Displayed[i]; f != nil {
+				keep[f] = true
+			}
+		}
+	}
+	codec.Materialize(sent, keep)
+	return recs
+}
+
+// record replays c's arrivals of sender's stream through a decoder,
+// keeping the shown handles, and decodes c's audio.
+func (c *Client) record(sender *Client, ref []*media.Frame) Recording {
+	sent := sender.SentVideo()
+	rec := Recording{Ref: ref, Displayed: make([]*media.Frame, len(sent))}
+	dec := codec.NewVideoDecoder()
 	for i := range sent {
 		ef := &sent[i]
-		rec.Ref = append(rec.Ref, ef.Source)
-		var out *media.Frame
 		switch {
 		case ef.Skipped:
-			out = dec.Decode(ef) // sender stalled: freeze, chain intact
+			rec.Displayed[i] = dec.Show(ef) // sender stalled: freeze, chain intact
 		case c.gotVid[ef.Seq] != nil:
-			out = dec.Decode(c.gotVid[ef.Seq])
+			rec.Displayed[i] = dec.Show(c.gotVid[ef.Seq])
 		default:
-			out = dec.Decode(nil) // network loss
+			rec.Displayed[i] = dec.Show(nil) // network loss
 		}
-		rec.Displayed = append(rec.Displayed, out)
 	}
 	if len(sender.sentAu) > 0 {
 		ptrs := make([]*codec.AudioFrame, len(sender.sentAu))

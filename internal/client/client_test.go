@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"github.com/vcabench/vcabench/internal/capture"
+	"github.com/vcabench/vcabench/internal/codec"
 	"github.com/vcabench/vcabench/internal/geo"
 	"github.com/vcabench/vcabench/internal/media"
 	"github.com/vcabench/vcabench/internal/platform"
@@ -77,7 +78,7 @@ func TestEndToEndVideoSession(t *testing.T) {
 		t.Errorf("receiver download rate = %.0f", down)
 	}
 	// QoE of the recording is sane.
-	rec := r.Record(h)
+	rec := RecordSession(h, []*Client{r}, 5)[0]
 	res := qoe.NewScorer().CompareVideo(rec.Ref, rec.Displayed, 5)
 	if res.PSNR < 20 || res.PSNR > 50 {
 		t.Errorf("PSNR = %v", res.PSNR)
@@ -95,7 +96,7 @@ func TestEndToEndAudio(t *testing.T) {
 	}
 	recv := Config{Name: "au-recv", Region: geo.USCentral, Seed: 4}
 	_, h, rs := runSession(t, platform.Zoom, 2, 10*time.Second, host, []Config{recv})
-	rec := rs[0].Record(h)
+	rec := RecordSession(h, rs, 1)[0]
 	if rec.Audio == nil {
 		t.Fatal("no audio recording")
 	}
@@ -151,7 +152,7 @@ func TestRecordingUnderLoss(t *testing.T) {
 	}
 	recv := Config{Name: "ls-recv", Region: geo.USWest, LossProb: 0.08, Seed: 11}
 	_, h, rs := runSession(t, platform.Webex, 5, 10*time.Second, host, []Config{recv})
-	rec := rs[0].Record(h)
+	rec := RecordSession(h, rs, 5)[0]
 	res := qoe.NewScorer().CompareVideo(rec.Ref, rec.Displayed, 5)
 	if res.FreezeRatio == 0 {
 		t.Error("8% loss should cause freezes")
@@ -163,9 +164,109 @@ func TestRecordingUnderLoss(t *testing.T) {
 	}
 	recv2 := Config{Name: "ls-recv2", Region: geo.USWest, Seed: 11}
 	_, h2, rs2 := runSession(t, platform.Webex, 5, 10*time.Second, host2, []Config{recv2})
-	clean := qoe.NewScorer().CompareVideo(rs2[0].Record(h2).Ref, rs2[0].Record(h2).Displayed, 5)
+	rec2 := RecordSession(h2, rs2, 5)[0]
+	clean := qoe.NewScorer().CompareVideo(rec2.Ref, rec2.Displayed, 5)
 	if res.SSIM >= clean.SSIM {
 		t.Errorf("lossy SSIM %v >= clean SSIM %v", res.SSIM, clean.SSIM)
+	}
+}
+
+// recordDecoded is the eager recording oracle: it decodes, and so
+// builds, every frame c shows of sender's stream.
+func recordDecoded(c, sender *Client) []*media.Frame {
+	dec := codec.NewVideoDecoder()
+	sent := sender.SentVideo()
+	shown := make([]*media.Frame, len(sent))
+	for i := range sent {
+		ef := &sent[i]
+		switch {
+		case ef.Skipped:
+			shown[i] = dec.Decode(ef)
+		case c.ReceivedVideo()[ef.Seq] != nil:
+			shown[i] = dec.Decode(c.ReceivedVideo()[ef.Seq])
+		default:
+			shown[i] = dec.Decode(nil)
+		}
+	}
+	return shown
+}
+
+// TestRecordSessionMatchesDecode records a session with a lossy and a
+// capped receiver both ways: RecordSession, which builds only frames
+// shown at scored slots, and decoding every frame. The scores must be
+// bit-identical, and the case that needs the union over receivers and
+// slots must occur: a frame first shown at an unscored slot and still
+// on screen at a later scored one.
+func TestRecordSessionMatchesDecode(t *testing.T) {
+	const stride = 5
+	run := func() (*Client, []*Client) {
+		host := Config{
+			Name: "rs-host", Region: geo.USEast,
+			SendVideo: true, VideoClass: media.HighMotion, Seed: 21,
+		}
+		recvs := []Config{
+			{Name: "rs-lossy", Region: geo.USWest, LossProb: 0.03, Seed: 22},
+			{Name: "rs-capped", Region: geo.USCentral, DownlinkBps: 250_000, QueueBytes: 32 * 1024, Seed: 23},
+			{Name: "rs-clean", Region: geo.USEast2, Seed: 24},
+		}
+		_, h, rs := runSession(t, platform.Meet, 9, 15*time.Second, host, recvs)
+		return h, rs
+	}
+
+	h, rs := run()
+	recs := RecordSession(h, rs, stride)
+	h2, rs2 := run()
+	ref := make([]*media.Frame, len(h2.SentVideo()))
+	for i, ef := range h2.SentVideo() {
+		ref[i] = ef.Source
+	}
+	eager := make([][]*media.Frame, len(rs2))
+	for r, c := range rs2 {
+		eager[r] = recordDecoded(c, h2)
+	}
+
+	shown := make([][]*media.Frame, len(recs))
+	carried, unbuilt := 0, 0
+	for r, rec := range recs {
+		shown[r] = rec.Displayed
+		firstAt := map[*media.Frame]int{}
+		for i, f := range rec.Displayed {
+			if (f == nil) != (eager[r][i] == nil) {
+				t.Fatalf("receiver %d slot %d: shown nil = %v, decoded nil = %v", r, i, f == nil, eager[r][i] == nil)
+			}
+			if f == nil {
+				continue
+			}
+			if _, ok := firstAt[f]; !ok {
+				firstAt[f] = i
+			}
+			if f.Pix == nil {
+				unbuilt++
+			}
+			if i%stride != 0 {
+				continue
+			}
+			if !bytes.Equal(f.Pix, eager[r][i].Pix) {
+				t.Fatalf("receiver %d slot %d: scored frame differs from the decoded one", r, i)
+			}
+			if firstAt[f]%stride != 0 {
+				carried++
+			}
+		}
+	}
+	if carried == 0 {
+		t.Error("no frame first shown at an unscored slot is on screen at a scored slot")
+	}
+	if unbuilt == 0 {
+		t.Error("RecordSession built every shown frame")
+	}
+
+	got := qoe.NewScorer().CompareSession(recs[0].Ref, shown, stride)
+	want := qoe.NewScorer().CompareSession(ref, eager, stride)
+	for r := range got {
+		if got[r] != want[r] {
+			t.Errorf("receiver %d: RecordSession scores %v, decoded scores %v", r, got[r], want[r])
+		}
 	}
 }
 

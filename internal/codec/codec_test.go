@@ -260,18 +260,24 @@ func TestDecoderFreezeOnLoss(t *testing.T) {
 			}
 		}
 	}
-	if dec.FreezeRatio() == 0 {
-		t.Error("freeze ratio should be > 0")
-	}
 }
 
 func TestDecoderNothingYet(t *testing.T) {
+	p := media.QuickProfile
+	src := media.NewSource(media.LowMotion, p, 5)
+	enc := NewVideoEncoder(VideoEncoderConfig{FPS: p.FPS, TargetBps: 1_000_000, BitScale: BitScaleFor(p), Seed: 4})
+	key, inter := enc.Encode(src.Next()), enc.Encode(src.Next())
+	if !key.Keyframe || inter.Keyframe || inter.Skipped {
+		t.Fatalf("want a keyframe then an inter frame, got keyframe flags %v, %v (inter skipped %v)",
+			key.Keyframe, inter.Keyframe, inter.Skipped)
+	}
 	dec := NewVideoDecoder()
 	if out := dec.Decode(nil); out != nil {
 		t.Error("decoder produced a frame before any input")
 	}
-	if dec.FreezeRatio() != 1 {
-		t.Errorf("freeze ratio = %v", dec.FreezeRatio())
+	// The keyframe was lost, so the inter frame has no reference.
+	if out := dec.Decode(&inter); out != nil {
+		t.Error("decoder showed an inter frame without a reference")
 	}
 }
 
@@ -351,13 +357,6 @@ func TestAudioEncoderDefaults(t *testing.T) {
 	}
 	if out := e.Encode(&media.AudioClip{Rate: 0, Samples: nil}); out != nil {
 		t.Errorf("encoding empty clip = %v", out)
-	}
-}
-
-func TestFreezeRatioBounds(t *testing.T) {
-	d := NewVideoDecoder()
-	if d.FreezeRatio() != 0 {
-		t.Error("freeze ratio of idle decoder")
 	}
 }
 

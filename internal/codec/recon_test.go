@@ -2,8 +2,10 @@ package codec
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"github.com/vcabench/vcabench/internal/media"
 )
@@ -91,10 +93,40 @@ func eagerRecons(frames []EncodedFrame) (out []*media.Frame, scales []int) {
 	return out, scales
 }
 
+// releaseSet picks the coded frames of one case to release: the first
+// and the last coded frame and a seeded random half of the others.
+func releaseSet(want []*media.Frame, seed int64) map[int]bool {
+	rng := rand.New(rand.NewSource(seed))
+	first, last := -1, -1
+	set := map[int]bool{}
+	for i, w := range want {
+		if w == nil {
+			continue
+		}
+		if first < 0 {
+			first = i
+		}
+		last = i
+		if rng.Intn(2) == 0 {
+			set[i] = true
+		}
+	}
+	set[first], set[last] = true, true
+	return set
+}
+
+// panics reports whether f panics.
+func panics(f func()) (panicked bool) {
+	defer func() { panicked = recover() != nil }()
+	f()
+	return false
+}
+
 func TestDeferredReconBitIdentical(t *testing.T) {
 	seenScale := map[int]bool{}
+	releasedScale := map[int]bool{}
 	skipped := 0
-	for _, c := range reconCases() {
+	for ci, c := range reconCases() {
 		want, scales := eagerRecons(encodeCase(c))
 		for _, s := range scales {
 			seenScale[s] = true
@@ -104,19 +136,26 @@ func TestDeferredReconBitIdentical(t *testing.T) {
 				skipped++
 			}
 		}
+		released := releaseSet(want, int64(ci))
+		for i := range released {
+			releasedScale[scales[i]] = true
+		}
 
+		// Each order builds the frames it does not release; released
+		// entries of got stay nil.
 		orders := []struct {
-			name  string
-			build func(frames []EncodedFrame) []*media.Frame
+			name    string
+			release bool
+			build   func(frames []EncodedFrame) []*media.Frame
 		}{
-			{"encode-order", func(frames []EncodedFrame) []*media.Frame {
+			{"encode-order", false, func(frames []EncodedFrame) []*media.Frame {
 				got := make([]*media.Frame, len(frames))
 				for i := range frames {
 					got[i] = frames[i].Recon()
 				}
 				return got
 			}},
-			{"reverse-order", func(frames []EncodedFrame) []*media.Frame {
+			{"reverse-order", false, func(frames []EncodedFrame) []*media.Frame {
 				got := make([]*media.Frame, len(frames))
 				for i := len(frames) - 1; i >= 0; i-- {
 					got[i] = frames[i].Recon()
@@ -125,7 +164,7 @@ func TestDeferredReconBitIdentical(t *testing.T) {
 			}},
 			// Every other frame is built through a by-value copy; the
 			// originals and a second copy must then share its result.
-			{"copies", func(frames []EncodedFrame) []*media.Frame {
+			{"copies", false, func(frames []EncodedFrame) []*media.Frame {
 				copies := append([]EncodedFrame(nil), frames...)
 				got := make([]*media.Frame, len(frames))
 				for i := range frames {
@@ -143,11 +182,49 @@ func TestDeferredReconBitIdentical(t *testing.T) {
 				}
 				return got
 			}},
+			// Materialize builds the kept frames in encode order.
+			{"release-encode-order", true, func(frames []EncodedFrame) []*media.Frame {
+				keep := map[*media.Frame]bool{}
+				for i := range frames {
+					if frames[i].recon != nil && !released[i] {
+						keep[frames[i].recon.handle()] = true
+					}
+				}
+				Materialize(frames, keep)
+				got := make([]*media.Frame, len(frames))
+				for i := range frames {
+					if !released[i] {
+						got[i] = frames[i].Recon()
+					}
+				}
+				return got
+			}},
+			{"release-reverse-order", true, func(frames []EncodedFrame) []*media.Frame {
+				for i := range released {
+					frames[i].recon.release()
+				}
+				got := make([]*media.Frame, len(frames))
+				for i := len(frames) - 1; i >= 0; i-- {
+					if !released[i] {
+						got[i] = frames[i].Recon()
+					}
+				}
+				return got
+			}},
 		}
 		for _, o := range orders {
 			frames := encodeCase(c)
 			got := o.build(frames)
 			for i := range frames {
+				if o.release && released[i] {
+					if r := frames[i].recon; r.frame != nil && r.frame.Pix != nil {
+						t.Fatalf("%s@%.0f %s: released frame %d has pixels", c.name, c.target, o.name, i)
+					}
+					if !panics(func() { frames[i].Recon() }) {
+						t.Fatalf("%s@%.0f %s: Recon of released frame %d did not panic", c.name, c.target, o.name, i)
+					}
+					continue
+				}
 				if (got[i] == nil) != (want[i] == nil) {
 					t.Fatalf("%s@%.0f %s: frame %d: recon nil = %v, want %v",
 						c.name, c.target, o.name, i, got[i] == nil, want[i] == nil)
@@ -169,9 +246,111 @@ func TestDeferredReconBitIdentical(t *testing.T) {
 		if !seenScale[s] {
 			t.Errorf("no frame coded at ladder scale %d", s)
 		}
+		if !releasedScale[s] {
+			t.Errorf("no frame released at ladder scale %d", s)
+		}
 	}
 	if skipped == 0 {
 		t.Error("no skipped frame")
+	}
+}
+
+// seqSource is a rand.Source that replays vals cyclically and counts
+// the draws taken.
+type seqSource struct {
+	vals  []int64
+	draws int
+}
+
+func (s *seqSource) Int63() int64 {
+	v := s.vals[s.draws%len(s.vals)]
+	s.draws++
+	return v
+}
+
+func (s *seqSource) Seed(int64) {}
+
+// TestSkipFloat64sMatchesFloat64 pins the draw-only advance against
+// Float64 at the values around its redraw threshold. A real generator
+// reaches the redraw with probability 2^-54 per draw, so no stream of a
+// fixed seed covers it.
+func TestSkipFloat64sMatchesFloat64(t *testing.T) {
+	const edge = 1<<63 - 512
+	if f := float64(int64(edge-1)) / (1 << 63); f >= 1 {
+		t.Fatalf("2^63-513 rounds to %v, want below 1", f)
+	}
+	if f := float64(int64(edge)) / (1 << 63); f != 1 {
+		t.Fatalf("2^63-512 rounds to %v, want 1", f)
+	}
+	patterns := [][]int64{
+		{edge - 1, edge, math.MaxInt64, 0},
+		{edge, edge, 7, edge - 1},
+		{math.MaxInt64, edge - 1, edge, 1 << 62},
+		{0, 1, 2},
+	}
+	for pi, vals := range patterns {
+		for n := 0; n <= 2*len(vals)+1; n++ {
+			ref := &seqSource{vals: vals}
+			rr := rand.New(ref)
+			for i := 0; i < n; i++ {
+				if rr.Float64() >= 1 {
+					t.Fatal("Float64 returned 1")
+				}
+			}
+			got := &seqSource{vals: vals}
+			skipFloat64s(rand.New(got), n)
+			if got.draws != ref.draws {
+				t.Errorf("pattern %d, n=%d: skipFloat64s took %d draws, Float64 took %d",
+					pi, n, got.draws, ref.draws)
+			}
+		}
+	}
+	// On a real generator the two leave the same state behind.
+	a, b := rand.New(rand.NewSource(9)), rand.New(rand.NewSource(9))
+	for i := 0; i < 10_000; i++ {
+		a.Float64()
+	}
+	skipFloat64s(b, 10_000)
+	if a.Int63() != b.Int63() {
+		t.Error("skipFloat64s left the generator in a different state than Float64")
+	}
+}
+
+// TestShowThenDecodeShareHandles runs a Show-only decoder over a log,
+// then a decoding one over a copy. Show builds nothing, and both return
+// the same handle at every slot.
+func TestShowThenDecodeShareHandles(t *testing.T) {
+	sent := encodeCase(reconCase{"high-motion", func() media.Source {
+		return media.NewHighMotion(media.QuickProfile, 4)
+	}, 300_000})
+	lost := func(i int) bool { return i >= 10 && i < 20 }
+	show := NewVideoDecoder()
+	handles := make([]*media.Frame, len(sent))
+	for i := range sent {
+		if lost(i) {
+			handles[i] = show.Show(nil)
+		} else {
+			handles[i] = show.Show(&sent[i])
+		}
+		if handles[i] == nil || handles[i].Pix != nil {
+			t.Fatalf("slot %d: Show returned %v, want an unbuilt handle", i, handles[i])
+		}
+	}
+	recv := append([]EncodedFrame(nil), sent...)
+	dec := NewVideoDecoder()
+	for i := range recv {
+		var out *media.Frame
+		if lost(i) {
+			out = dec.Decode(nil)
+		} else {
+			out = dec.Decode(&recv[i])
+		}
+		if out != handles[i] {
+			t.Fatalf("slot %d: Decode and Show return different frames", i)
+		}
+		if len(out.Pix) != out.W*out.H {
+			t.Fatalf("slot %d: Decode returned an unbuilt frame", i)
+		}
 	}
 }
 
@@ -213,5 +392,14 @@ func TestDecodersShareReconstructions(t *testing.T) {
 		} else if outB[i] != outA[9] {
 			t.Errorf("slot %d: receiver B not frozen on A's frame 9", i)
 		}
+	}
+}
+
+// TestReconFitsItsSizeClass guards the lag path's allocations: Encode
+// allocates a recon for every coded frame, decoded or not, and one more
+// field would move it from the 48-byte size class to 64.
+func TestReconFitsItsSizeClass(t *testing.T) {
+	if n := unsafe.Sizeof(recon{}); n > 48 {
+		t.Errorf("recon is %d bytes, want at most 48", n)
 	}
 }

@@ -43,14 +43,43 @@ type EncodedFrame struct {
 }
 
 // recon is one coded frame's deferred reconstruction: what Encode would
-// have quantized, recorded until a decoder first asks for it.
+// have quantized, recorded until the frame is built or released. Encode
+// allocates one per coded frame, lag studies included, so a release is
+// marked by a nil enc rather than a field that would grow it past 48
+// bytes.
 type recon struct {
-	enc        *VideoEncoder // nil once built
+	enc        *VideoEncoder // nil once built or released
 	src        *media.Frame
 	qstep      float64
 	encW, encH int // resolution-ladder size the frame was coded at
-	frame      *media.Frame
+	// frame is the handle every decoder shows for this coded frame,
+	// allocated on first show; its Pix is filled when the frame is built.
+	frame *media.Frame
 }
+
+// handle returns the frame decoders show for r, without building it.
+func (r *recon) handle() *media.Frame {
+	if r.frame == nil {
+		r.frame = &media.Frame{W: r.src.W, H: r.src.H}
+	}
+	return r.frame
+}
+
+// build fills r's handle with its pixels, first building or skipping
+// past every earlier frame of its encoder still pending.
+func (r *recon) build() *media.Frame {
+	if r.enc != nil {
+		r.enc.develop(r)
+	} else if r.frame == nil || r.frame.Pix == nil {
+		panic("codec: pixels asked of a released reconstruction")
+	}
+	return r.frame
+}
+
+// release gives up a pending reconstruction: its pixels are never
+// built, and building a later frame of the encoder only draws past it.
+// A released frame stays on its encoder's pending queue with a nil enc.
+func (r *recon) release() { r.enc = nil }
 
 // Recon returns what a decoder reconstructs from ef (nil for a skipped
 // frame). The frame is built on the first call and cached, so every copy
@@ -58,16 +87,32 @@ type recon struct {
 // earlier frame of its encoder still pending, in encode order, so the
 // quantization noise draws are the same whichever frame is asked for
 // first. Recon changes its encoder's state: call it only from the
-// encoder's goroutine.
+// encoder's goroutine. It panics on a frame Materialize released.
 func (ef *EncodedFrame) Recon() *media.Frame {
-	r := ef.recon
-	if r == nil {
+	if ef.recon == nil {
 		return nil
 	}
-	if r.enc != nil {
-		r.enc.develop(r)
+	return ef.recon.build()
+}
+
+// Materialize settles the reconstruction of every frame in sent, one
+// encoder's frames in encode order: it builds each frame whose decoder
+// handle is in keep and releases every other frame still pending. A
+// released frame costs its encoder only the generator draws its
+// pixels would have used, and only when a later frame is built; its
+// handle keeps nil pixels. Frames already built stay built.
+func Materialize(sent []EncodedFrame, keep map[*media.Frame]bool) {
+	for i := range sent {
+		r := sent[i].recon
+		switch {
+		case r == nil || r.enc == nil:
+			// Skipped by the encoder, or settled already.
+		case r.frame != nil && keep[r.frame]:
+			r.build()
+		default:
+			r.release()
+		}
 	}
-	return r.frame
 }
 
 // VideoEncoderConfig tunes the encoder model.
@@ -262,11 +307,15 @@ func (e *VideoEncoder) Encode(f *media.Frame) EncodedFrame {
 }
 
 // develop builds every pending reconstruction in encode order, up to
-// and including r. Skipping one would shift the noise draws of every
-// frame after it.
+// and including r, drawing past the released ones. Skipping a frame's
+// draws would shift the noise draws of every frame after it.
 func (e *VideoEncoder) develop(r *recon) {
 	for i, p := range e.pending {
-		p.frame = e.reconstruct(p)
+		if p.enc == nil { // released
+			skipFloat64s(e.rng, p.encW*p.encH)
+		} else {
+			e.reconstruct(p)
+		}
 		p.enc = nil
 		e.pending[i] = nil
 		if p == r {
@@ -277,23 +326,33 @@ func (e *VideoEncoder) develop(r *recon) {
 	panic("codec: reconstruction not pending on its encoder")
 }
 
-// reconstruct quantizes p's source at its qstep, coding it at the
-// ladder size and scaling the result back up when the ladder stepped
-// down.
-func (e *VideoEncoder) reconstruct(p *recon) *media.Frame {
-	f := p.src
+// skipFloat64s advances rng past n Float64 calls without computing
+// them. Float64 divides one Int63 by 2^63 and draws again when that
+// rounds to 1.0, which happens exactly for Int63 >= 2^63-512: float64
+// spacing below 2^63 is 1024, and the tie at 2^63-512 rounds to even.
+func skipFloat64s(rng *rand.Rand, n int) {
+	for i := 0; i < n; i++ {
+		for rng.Int63() >= 1<<63-512 {
+		}
+	}
+}
+
+// reconstruct quantizes p's source at its qstep into p's handle, coding
+// it at the ladder size and scaling the result back up when the ladder
+// stepped down.
+func (e *VideoEncoder) reconstruct(p *recon) {
+	f, r := p.src, p.handle()
 	if p.encW == f.W && p.encH == f.H {
-		r := media.NewFrame(f.W, f.H)
+		r.Pix = make([]uint8, f.W*f.H)
 		e.quantizeTo(r, f, p.qstep)
-		return r
+		return
 	}
 	small := f.ResizePooled(e.pool, p.encW, p.encH)
 	qsmall := e.pool.Get(p.encW, p.encH)
 	e.quantizeTo(qsmall, small, p.qstep)
-	r := qsmall.Resize(f.W, f.H)
+	r.Pix = qsmall.Resize(f.W, f.H).Pix
 	e.pool.Put(small)
 	e.pool.Put(qsmall)
-	return r
 }
 
 // solveQStep inverts the rate model for a bit budget, clamped to the
@@ -337,57 +396,45 @@ func (e *VideoEncoder) quantizeTo(r, f *media.Frame, qstep float64) {
 // VideoDecoder reconstructs the viewer-visible frame sequence, freezing
 // on loss until the next keyframe arrives.
 type VideoDecoder struct {
-	last       *media.Frame
-	needKey    bool
-	frozen     int // consecutive frozen outputs
-	totalOut   int
-	totalFroze int
+	last    *recon
+	needKey bool
 }
 
 // NewVideoDecoder returns a decoder with no reference frame.
 func NewVideoDecoder() *VideoDecoder { return &VideoDecoder{needKey: true} }
 
-// Decode consumes the next frame slot. ef == nil means the frame never
-// arrived (lost or still missing at playout deadline); a Skipped frame
-// means the encoder stalled. The return is what the viewer sees for this
-// slot: possibly a repeat of the last good frame, or nil if nothing has
-// ever been decodable.
-func (d *VideoDecoder) Decode(ef *EncodedFrame) *media.Frame {
-	d.totalOut++
+// Show consumes the next frame slot as Decode does and returns the
+// handle of the frame the viewer sees, without building its pixels.
+// Every decoder shows the same handle for one coded frame, so freezes
+// and shared frames compare by pointer.
+func (d *VideoDecoder) Show(ef *EncodedFrame) *media.Frame {
 	switch {
-	case ef == nil, ef.Skipped:
-		// Freeze.
-		if ef == nil {
-			d.needKey = true // reference chain broken
-		}
+	case ef == nil:
+		d.needKey = true // reference chain broken: freeze
+	case ef.Skipped:
+		// Encoder stalled: freeze, chain intact.
 	case ef.Keyframe:
 		d.needKey = false
-		d.last = ef.Recon()
+		d.last = ef.recon
 	case !d.needKey:
-		d.last = ef.Recon()
+		d.last = ef.recon
 	default:
 		// Inter frame without a valid reference: keep freezing.
 	}
 	if d.last == nil {
-		d.totalFroze++
 		return nil
 	}
-	if ef == nil || ef.Skipped || (d.needKey && !safeKey(ef)) {
-		d.frozen++
-		d.totalFroze++
-	} else {
-		d.frozen = 0
-	}
-	return d.last
+	return d.last.handle()
 }
 
-func safeKey(ef *EncodedFrame) bool { return ef != nil && ef.Keyframe }
-
-// FreezeRatio returns the fraction of output slots that repeated a stale
-// frame — the paper's "video frequently stalls" observable.
-func (d *VideoDecoder) FreezeRatio() float64 {
-	if d.totalOut == 0 {
-		return 0
+// Decode consumes the next frame slot. ef == nil means the frame never
+// arrived (lost or still missing at playout deadline); a Skipped frame
+// means the encoder stalled. The return is what the viewer sees for this
+// slot, built: possibly a repeat of the last good frame, or nil if
+// nothing has ever been decodable.
+func (d *VideoDecoder) Decode(ef *EncodedFrame) *media.Frame {
+	if d.Show(ef) == nil {
+		return nil
 	}
-	return float64(d.totalFroze) / float64(d.totalOut)
+	return d.last.build()
 }

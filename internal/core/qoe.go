@@ -190,10 +190,9 @@ func RunQoEStudyWithSetup(tb *Testbed, kind platform.Kind, host geo.Region, recv
 		// Score this session.
 		hostWin := hostClient.Trace().Between(from, to)
 		res.UpMbps.Add(hostWin.Rate(capture.Out) / 1e6)
-		recs := make([]client.Recording, len(recvs))
+		recs := client.RecordSession(hostClient, recvs, sc.QoEStride)
 		shown := make([][]*media.Frame, len(recvs))
 		for i, r := range recvs {
-			recs[i] = r.Record(hostClient)
 			tb.recordFreezes(recs[i], r.Name(), from, sc.Profile.FPS)
 			shown[i] = recs[i].Displayed
 		}

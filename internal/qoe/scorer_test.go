@@ -1,7 +1,9 @@
 package qoe
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"github.com/vcabench/vcabench/internal/media"
@@ -159,5 +161,32 @@ func TestCompareSessionRecyclesPool(t *testing.T) {
 	}
 	if n := pooledBuffers(sc.pool); n != first {
 		t.Errorf("second session allocated %d new float buffers; want every one from the pool", n-first)
+	}
+}
+
+// TestCompareSessionPanicsOnUnbuiltFrame scores a frame without pixels,
+// as a decoder handle whose reconstruction was never built has. The
+// scorer must refuse it, on either side of a pair, instead of reading a
+// short image.
+func TestCompareSessionPanicsOnUnbuiltFrame(t *testing.T) {
+	ref := media.NewHighMotion(media.QuickProfile, 3).Next()
+	for _, c := range []struct {
+		name string
+		pix  []uint8
+	}{
+		{"nil", nil},
+		{"short", make([]uint8, len(ref.Pix)/2)},
+	} {
+		unbuilt := &media.Frame{W: ref.W, H: ref.H, Pix: c.pix}
+		for _, pair := range [][2]*media.Frame{{ref, unbuilt}, {unbuilt, ref}} {
+			msg := func() (msg string) {
+				defer func() { msg = fmt.Sprint(recover()) }()
+				NewScorer().CompareSession([]*media.Frame{pair[0]}, [][]*media.Frame{{pair[1]}}, 1)
+				return ""
+			}()
+			if !strings.Contains(msg, "never built") {
+				t.Errorf("%s pixels: CompareSession panic = %q, want one naming an unbuilt frame", c.name, msg)
+			}
+		}
 	}
 }

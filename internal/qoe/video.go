@@ -297,8 +297,18 @@ func (sc *Scorer) CompareSession(ref []*media.Frame, displayed [][]*media.Frame,
 	return res
 }
 
+// mustMatch panics unless a and b are scorable against each other: the
+// same geometry, and every pixel present. A decoder handle whose
+// reconstruction was never built has nil Pix; scoring it would read a
+// short image.
 func mustMatch(a, b *media.Frame) {
 	if a.W != b.W || a.H != b.H {
 		panic(fmt.Sprintf("qoe: frame geometry mismatch %dx%d vs %dx%d", a.W, a.H, b.W, b.H))
+	}
+	for _, f := range [2]*media.Frame{a, b} {
+		if len(f.Pix) != f.W*f.H {
+			panic(fmt.Sprintf("qoe: %dx%d frame has %d of %d pixels: it was never built",
+				f.W, f.H, len(f.Pix), f.W*f.H))
+		}
 	}
 }
