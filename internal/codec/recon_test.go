@@ -403,3 +403,31 @@ func TestReconFitsItsSizeClass(t *testing.T) {
 		t.Errorf("recon is %d bytes, want at most 48", n)
 	}
 }
+
+// clonedSource hands out a deep copy of every frame of its source, so
+// no two ticks share a frame.
+type clonedSource struct{ media.Source }
+
+func (s clonedSource) Next() *media.Frame { return s.Source.Next().Clone() }
+
+// TestSharedFlashFramesEncodeLikeCopies feeds one encoder the flash
+// feed's two shared frames and another a fresh copy of every frame. The
+// rate model's decisions and every reconstruction must agree, at rates
+// from full size down to the stalling encoder.
+func TestSharedFlashFramesEncodeLikeCopies(t *testing.T) {
+	p := media.QuickProfile
+	for _, bps := range []float64{2_500_000, 300_000, 60_000, 20_000} {
+		shared := encodeCase(reconCase{"flash", func() media.Source { return media.NewFlash(p, 2.0) }, bps})
+		copied := encodeCase(reconCase{"flash-copies", func() media.Source { return clonedSource{media.NewFlash(p, 2.0)} }, bps})
+		for i := range shared {
+			s, c := &shared[i], &copied[i]
+			if s.Seq != c.Seq || s.Keyframe != c.Keyframe || s.Skipped != c.Skipped ||
+				s.Bits != c.Bits || math.Float64bits(s.QStep) != math.Float64bits(c.QStep) {
+				t.Fatalf("%g bps, frame %d: shared feed coded %+v, copies %+v", bps, i, *s, *c)
+			}
+			if rs, rc := s.Recon(), c.Recon(); (rs == nil) != (rc == nil) || rs != nil && !bytes.Equal(rs.Pix, rc.Pix) {
+				t.Fatalf("%g bps, frame %d: reconstructions differ", bps, i)
+			}
+		}
+	}
+}

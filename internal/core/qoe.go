@@ -145,8 +145,9 @@ func RunQoEStudyWithSetup(tb *Testbed, kind platform.Kind, host geo.Region, recv
 	// identity-keyed caches collapse that repeated work, and lets each
 	// frame's stats go back to the scorer's buffer pool right after its
 	// last slot. No output bit changes. The scorer lives and dies with
-	// this call, on this goroutine — fork-safe by construction.
-	scorer := qoe.NewScorer()
+	// this call, on this goroutine; its float buffers are the running
+	// worker's (see Testbed.qoeBufs).
+	scorer := qoe.NewScorerOn(tb.qoeBufs)
 
 	// A trace-driven cell bins every receiver's downlink bytes over
 	// session time; bins average across sessions × receivers at the end.

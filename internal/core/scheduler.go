@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 
 	"github.com/vcabench/vcabench/internal/obs"
+	"github.com/vcabench/vcabench/internal/qoe"
 )
 
 // This file is the campaign scheduler: the paper's evaluation is a set
@@ -93,14 +94,26 @@ type Scheduler struct {
 
 // Run executes every unit and waits for completion. A panicking unit is
 // re-panicked on the caller's goroutine after the pool drains.
+//
+// Each worker (and the serial loop) owns one qoe.Buffers and lends it to
+// every fork it runs, one fork at a time, so the scorer's float buffers
+// pass from cell to cell without crossing goroutines. Buffers come back
+// dirty and every producer overwrites them before reading, so which
+// cells ran earlier on a worker never reaches a result.
 func (s *Scheduler) Run(units []Unit) {
 	workers := s.TB.Parallelism()
 	if workers > len(units) {
 		workers = len(units)
 	}
+	fork := func(u Unit, bufs *qoe.Buffers) *Testbed {
+		stb := s.TB.Fork(u.Key)
+		stb.qoeBufs = bufs
+		return stb
+	}
 	if workers <= 1 {
+		bufs := qoe.NewBuffers()
 		for _, u := range units {
-			u.Run(s.TB.Fork(u.Key))
+			u.Run(fork(u, bufs))
 		}
 		return
 	}
@@ -114,6 +127,7 @@ func (s *Scheduler) Run(units []Unit) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			bufs := qoe.NewBuffers()
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= len(units) {
@@ -132,7 +146,7 @@ func (s *Scheduler) Run(units []Unit) {
 							next.Store(int64(len(units)))
 						}
 					}()
-					units[i].Run(s.TB.Fork(units[i].Key))
+					units[i].Run(fork(units[i], bufs))
 				}()
 			}
 		}()

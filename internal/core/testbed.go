@@ -21,6 +21,7 @@ import (
 	"github.com/vcabench/vcabench/internal/media"
 	"github.com/vcabench/vcabench/internal/obs"
 	"github.com/vcabench/vcabench/internal/platform"
+	"github.com/vcabench/vcabench/internal/qoe"
 	"github.com/vcabench/vcabench/internal/simnet"
 )
 
@@ -71,6 +72,13 @@ type Testbed struct {
 	diag     bool
 	diagRec  *diag.Recorder
 	diagDocs map[string]*diag.CellDiag
+
+	// qoeBufs is the QoE scorer's float-buffer pool. Scheduler.Run sets
+	// it on each fork to the pool of the worker running that fork, so
+	// buffers pass from cell to cell on one goroutine; Fork does not
+	// copy it, and nil (any testbed that is not a scheduler fork) means
+	// each study scores on a private pool.
+	qoeBufs *qoe.Buffers
 }
 
 // registerCampaign records (or re-checks) the fingerprint of a named

@@ -37,13 +37,15 @@ func (f *Frame) Clone() *Frame {
 // FramePool recycles frame buffers by exact pixel count, for transient
 // frames whose lifetime the caller fully controls (codec resize-ladder
 // intermediates, for example). It is deliberately not a sync.Pool: a
-// FramePool belongs to one owner on one goroutine, so reuse order is
-// deterministic and never crosses forked testbeds. Buffers come back
-// dirty — Get's caller must overwrite every pixel before reading any.
+// FramePool has one owner on one goroutine at a time, so reuse order is
+// deterministic. Buffers come back dirty — Get's caller must overwrite
+// every pixel before reading any.
 //
 // Frames that escape into long-lived structures (encoder reconstructions,
-// recordings, anything a QoE scorer may see) must NOT come from a pool:
-// downstream caches key on frame identity, which reuse would corrupt.
+// recordings, source frames, anything a QoE scorer may see) must NOT
+// come from a pool: downstream caches key on frame identity, which reuse
+// would corrupt. A source may return the same immutable frame twice
+// (see Source); that is one frame seen twice, not a recycled buffer.
 type FramePool struct {
 	free map[int][]*Frame
 }
@@ -82,10 +84,14 @@ func (f *Frame) Set(x, y int, v uint8) { f.Pix[y*f.W+x] = v }
 
 // MeanAbsDiff returns the mean absolute pixel difference between two
 // frames of identical geometry — the simulator's motion/complexity
-// measure. It panics on geometry mismatch.
+// measure. It panics on geometry mismatch. A frame against itself is 0
+// without a pass over its pixels, as a source repeating a frame gives.
 func MeanAbsDiff(a, b *Frame) float64 {
 	if a.W != b.W || a.H != b.H {
 		panic(fmt.Sprintf("media: frame geometry mismatch %dx%d vs %dx%d", a.W, a.H, b.W, b.H))
+	}
+	if a == b {
+		return 0
 	}
 	return float64(sad(a.Pix, b.Pix)) / float64(len(a.Pix))
 }

@@ -336,3 +336,70 @@ func TestFramePoolRecyclesByPixelCount(t *testing.T) {
 		t.Fatalf("recycled frame not retagged: %dx%d, want 12x16", h.W, h.H)
 	}
 }
+
+// TestMeanAbsDiffSelfShortCircuit pins the same-pointer short-circuit to
+// the kernel: a frame against itself must give exactly what the SAD pass
+// gives against a deep copy.
+func TestMeanAbsDiffSelfShortCircuit(t *testing.T) {
+	for _, f := range []*Frame{
+		NewFrame(7, 5),
+		NewHighMotion(QuickProfile, 3).Next(),
+		NewFlash(Profile{W: 33, H: 17, FPS: 10}, 1).Next(),
+	} {
+		got, want := MeanAbsDiff(f, f), MeanAbsDiff(f, f.Clone())
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("%dx%d: MeanAbsDiff(f, f) = %v, against a clone %v", f.W, f.H, got, want)
+		}
+	}
+}
+
+// flashReference builds the flash feed's checkerboard independently of
+// the source: 4x4 cells, bright (235) where the cell coordinates sum to
+// an even number, black elsewhere.
+func flashReference(w, h int) *Frame {
+	f := NewFrame(w, h)
+	for y := 0; y < h; y++ {
+		for x := 0; x < w; x++ {
+			if (x/4+y/4)%2 == 0 {
+				f.Pix[y*w+x] = 235
+			}
+		}
+	}
+	return f
+}
+
+// TestFlashFeedReturnsTwoFrames pins the shared-frame flash feed: over
+// several periods, Next returns exactly two distinct frames, the blank
+// one all black and the flash one the reference checkerboard, each on
+// the ticks IsFlashFrame names.
+func TestFlashFeedReturnsTwoFrames(t *testing.T) {
+	p := Profile{W: 30, H: 22, FPS: 10}
+	const period = 0.5
+	src := NewFlash(p, period)
+	blank, flash := NewFrame(p.W, p.H), flashReference(p.W, p.H)
+	seen := make(map[*Frame]bool)
+	for i := 0; i < 3*flashPeriodFrames(p, period); i++ {
+		f := src.Next()
+		seen[f] = true
+		want := blank
+		if IsFlashFrame(p, period, i) {
+			want = flash
+		}
+		if f.W != p.W || f.H != p.H || string(f.Pix) != string(want.Pix) {
+			t.Fatalf("tick %d (flash=%v): frame differs from the reference", i, IsFlashFrame(p, period, i))
+		}
+	}
+	if len(seen) != 2 {
+		t.Errorf("feed returned %d distinct frames over three periods, want 2", len(seen))
+	}
+}
+
+// TestFlashNextAllocFree: once the first Next has built the feed's two
+// frames, every later tick allocates nothing.
+func TestFlashNextAllocFree(t *testing.T) {
+	src := NewFlash(QuickProfile, 2)
+	src.Next()
+	if avg := testing.AllocsPerRun(100, func() { src.Next() }); avg != 0 {
+		t.Errorf("flash Next allocates %.2f objects/op after the first call, want 0", avg)
+	}
+}

@@ -7,8 +7,9 @@ import (
 
 // Source produces a deterministic stream of frames at a fixed rate.
 type Source interface {
-	// Next returns the next frame. The returned frame is owned by the
-	// caller (sources never reuse the buffer).
+	// Next returns the next frame. A returned frame is immutable: no
+	// one writes to it again, and a source may return the same frame
+	// more than once (the flash feed returns two frames in turn).
 	Next() *Frame
 	// Dims returns the frame geometry.
 	Dims() (w, h int)
@@ -150,10 +151,13 @@ const FlashFrames = 2
 
 // flashSource is the lag-probe feed: blank frames with a bright image for
 // FlashFrames frames once per period (paper: two-second periodicity).
+// The feed has only two distinct images, so it builds each once, on the
+// first Next, and returns one of the two on every tick.
 type flashSource struct {
-	p        Profile
-	t        int
-	periodFr int
+	p            Profile
+	t            int
+	periodFr     int
+	blank, flash *Frame
 }
 
 // NewFlash creates the Fig-2 feed. period is in seconds of content time.
@@ -175,16 +179,21 @@ func (s *flashSource) Dims() (int, int) { return s.p.W, s.p.H }
 func (s *flashSource) FPS() int         { return s.p.FPS }
 
 func (s *flashSource) Next() *Frame {
-	f := NewFrame(s.p.W, s.p.H)
-	if s.t%s.periodFr < FlashFrames {
+	if s.blank == nil {
+		s.blank = NewFrame(s.p.W, s.p.H)
 		// A high-detail flash image: checkerboard (incompressible burst).
+		s.flash = NewFrame(s.p.W, s.p.H)
 		for y := 0; y < s.p.H; y++ {
 			for x := 0; x < s.p.W; x++ {
 				if (x/4+y/4)%2 == 0 {
-					f.Set(x, y, 235)
+					s.flash.Set(x, y, 235)
 				}
 			}
 		}
+	}
+	f := s.blank
+	if s.t%s.periodFr < FlashFrames {
+		f = s.flash
 	}
 	s.t++
 	return f

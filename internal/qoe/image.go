@@ -19,19 +19,23 @@ type fimg struct {
 
 func newFimg(w, h int) *fimg { return &fimg{w: w, h: h, v: make([]float64, w*h)} }
 
-// fimgPool recycles float-image buffers by exact pixel count. The metric
-// pipelines churn through large intermediates (the dominant allocation
-// source of a cold campaign cell); pooling them per Scorer keeps reuse
-// single-goroutine and deterministic. Buffers come back dirty — every
-// producer below writes each output element before it is read, so no
-// zeroing pass is needed.
-type fimgPool struct {
+// Buffers recycles the scorer's float-image buffers by exact pixel
+// count. The metric pipelines churn through large intermediates (the
+// dominant allocation source of a cold campaign cell). A Buffers has one
+// owner on one goroutine at a time, so reuse order is deterministic; it
+// may outlive a Scorer and pass to the next one on the same goroutine
+// (NewScorerOn), as a scheduler worker does from cell to cell. It is not
+// safe for concurrent use. Buffers come back dirty — every producer
+// below writes each output element before it is read, so no zeroing
+// pass is needed, and a buffer's history cannot reach a result.
+type Buffers struct {
 	free map[int][]*fimg
 }
 
-func newFimgPool() *fimgPool { return &fimgPool{free: make(map[int][]*fimg)} }
+// NewBuffers returns an empty buffer pool.
+func NewBuffers() *Buffers { return &Buffers{free: make(map[int][]*fimg)} }
 
-func (p *fimgPool) get(w, h int) *fimg {
+func (p *Buffers) get(w, h int) *fimg {
 	n := w * h
 	if bucket := p.free[n]; len(bucket) > 0 {
 		im := bucket[len(bucket)-1]
@@ -42,7 +46,7 @@ func (p *fimgPool) get(w, h int) *fimg {
 	return &fimg{w: w, h: h, v: make([]float64, n)}
 }
 
-func (p *fimgPool) put(im *fimg) {
+func (p *Buffers) put(im *fimg) {
 	if im == nil || len(im.v) == 0 {
 		return
 	}
@@ -50,7 +54,7 @@ func (p *fimgPool) put(im *fimg) {
 	p.free[n] = append(p.free[n], im)
 }
 
-func fromFrame(p *fimgPool, f *media.Frame) *fimg {
+func fromFrame(p *Buffers, f *media.Frame) *fimg {
 	im := p.get(f.W, f.H)
 	for i, px := range f.Pix {
 		im.v[i] = float64(px)
@@ -88,7 +92,7 @@ func gaussianKernel(n int, sigma float64) []float64 {
 // both streaming memory sequentially and writing each output exactly
 // once. The kernels are elementwise with separate multiply and add
 // (never FMA), preserving bit identity at any SIMD width.
-func convValid(p *fimgPool, im *fimg, k []float64) *fimg {
+func convValid(p *Buffers, im *fimg, k []float64) *fimg {
 	n := len(k)
 	outW := im.w - n + 1
 	outH := im.h - n + 1
@@ -110,14 +114,14 @@ func convValid(p *fimgPool, im *fimg, k []float64) *fimg {
 }
 
 // mul returns the element-wise product of two same-sized images.
-func mul(p *fimgPool, a, b *fimg) *fimg {
+func mul(p *Buffers, a, b *fimg) *fimg {
 	out := p.get(a.w, a.h)
 	mulVec(out.v, a.v, b.v)
 	return out
 }
 
 // downsample2 halves the image by 2x2 averaging.
-func downsample2(p *fimgPool, im *fimg) *fimg {
+func downsample2(p *Buffers, im *fimg) *fimg {
 	w, h := im.w/2, im.h/2
 	if w == 0 || h == 0 {
 		return newFimg(0, 0)

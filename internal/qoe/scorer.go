@@ -22,13 +22,15 @@ import (
 // to the float-image pool right after the last slot that uses it, so the
 // working set is the few frames live at one slot and the pool's buffers
 // recycle from slot to slot and session to session; between calls the
-// scorer holds only the pool and the kernels.
+// scorer holds only the pool and the kernels. A scorer built with
+// NewScorerOn draws on its caller's Buffers, so the buffers also recycle
+// from one scorer to the next on the same goroutine.
 //
 // Frames must not be mutated while they are scored (sources and codecs
 // never do). A Scorer is single-goroutine, like the testbed that owns
-// it; independent forks get independent Scorers.
+// it; scorers running at the same time never share a Buffers.
 type Scorer struct {
-	pool  *fimgPool
+	pool  *Buffers
 	stats map[*media.Frame]*imgStats // frames live in the current session
 	kssim []float64
 	kvif  [4][]float64
@@ -56,11 +58,20 @@ type imgStats struct {
 	denLog [4]*fimg
 }
 
-// NewScorer creates an empty scorer. Kernels are fixed by the metric
-// definitions, so they are built once here.
-func NewScorer() *Scorer {
+// NewScorer creates an empty scorer with a private buffer pool.
+func NewScorer() *Scorer { return NewScorerOn(nil) }
+
+// NewScorerOn creates an empty scorer that takes and returns its float
+// buffers through b; nil means a private pool. Scorers may share b only
+// on one goroutine: b must not reach another goroutine while this scorer
+// may still run. Kernels are fixed by the metric definitions, so they
+// are built once here.
+func NewScorerOn(b *Buffers) *Scorer {
+	if b == nil {
+		b = NewBuffers()
+	}
 	sc := &Scorer{
-		pool:  newFimgPool(),
+		pool:  b,
 		stats: make(map[*media.Frame]*imgStats),
 		kssim: gaussianKernel(ssimWindow, ssimSigma),
 	}

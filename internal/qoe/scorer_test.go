@@ -3,6 +3,7 @@ package qoe
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -131,7 +132,7 @@ func TestCompareSessionBitIdentical(t *testing.T) {
 }
 
 // pooledBuffers counts the float-image buffers parked in the pool.
-func pooledBuffers(p *fimgPool) int {
+func pooledBuffers(p *Buffers) int {
 	n := 0
 	for _, bucket := range p.free {
 		n += len(bucket)
@@ -188,5 +189,95 @@ func TestCompareSessionPanicsOnUnbuiltFrame(t *testing.T) {
 				t.Errorf("%s pixels: CompareSession panic = %q, want one naming an unbuilt frame", c.name, msg)
 			}
 		}
+	}
+}
+
+// poolBytes sums the float-image bytes parked in the pool.
+func poolBytes(p *Buffers) int {
+	n := 0
+	for _, bucket := range p.free {
+		for _, im := range bucket {
+			n += 8 * cap(im.v)
+		}
+	}
+	return n
+}
+
+// unrelatedSession is a session of mixed geometry: a few QuickProfile
+// slots of other content, then 64x48 slots, then one 10x8 slot, under
+// the SSIM window, which falls back to global SSIM and builds no VIF
+// pyramid.
+func unrelatedSession() (ref []*media.Frame, displayed [][]*media.Frame) {
+	ref, displayed = sessionFixture(9, 6)
+	small := media.NewSource(media.LowMotion, media.Profile{W: 64, H: 48, FPS: 10}, 9)
+	for i := 0; i < 4; i++ {
+		ref = append(ref, small.Next())
+	}
+	tiny := media.NewSource(media.HighMotion, media.Profile{W: 10, H: 8, FPS: 10}, 9)
+	ref = append(ref, tiny.Next())
+	for r := range displayed {
+		for i := len(displayed[r]); i < len(ref); i++ {
+			displayed[r] = append(displayed[r], noisy(ref[i], 9, int64(100*r+i)))
+		}
+	}
+	return ref, displayed
+}
+
+// TestReusedBuffersCannotChangeResults pins the contract buffer reuse
+// across scorers rests on: every producer writes each element before
+// reading it. Session A is scored on a fresh scorer; then, on one shared
+// Buffers, an unrelated session of other geometries is scored, every
+// parked buffer is filled with NaN, and A is scored again by a new
+// scorer on those buffers. A NaN read anywhere would poison a sum.
+func TestReusedBuffersCannotChangeResults(t *testing.T) {
+	ref, displayed := sessionFixture(3, 13)
+	want := NewScorer().CompareSession(ref, displayed, 2)
+
+	b := NewBuffers()
+	bref, bshown := unrelatedSession()
+	NewScorerOn(b).CompareSession(bref, bshown, 1)
+	n := 0
+	for _, bucket := range b.free {
+		for _, im := range bucket {
+			for i := range im.v {
+				im.v[i] = math.NaN()
+			}
+			n++
+		}
+	}
+	if len(b.free[ref[0].W*ref[0].H]) == 0 {
+		t.Fatalf("no %dx%d buffers parked after the unrelated session; the rerun would not reuse any", ref[0].W, ref[0].H)
+	}
+	got := NewScorerOn(b).CompareSession(ref, displayed, 2)
+	for r := range want {
+		if !sameBits(got[r], want[r]) {
+			t.Errorf("receiver %d after reusing %d NaN-filled buffers:\n got %+v\nwant %+v", r, n, got[r], want[r])
+		}
+	}
+}
+
+// TestWarmBuffersAllocateLittle is the cell-to-cell handoff a scheduler
+// worker makes: a second scorer of the same geometry on warm Buffers
+// must allocate under a tenth of the float-buffer bytes the first
+// scorer allocated, and park no new buffers.
+func TestWarmBuffersAllocateLittle(t *testing.T) {
+	b := NewBuffers()
+	ref, displayed := sessionFixture(3, 13)
+	NewScorerOn(b).CompareSession(ref, displayed, 1)
+	first := poolBytes(b)
+	if first == 0 {
+		t.Fatal("first scorer returned no buffers")
+	}
+	ref, displayed = sessionFixture(4, 13)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	NewScorerOn(b).CompareSession(ref, displayed, 1)
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= uint64(first/10) {
+		t.Errorf("second scorer allocated %d bytes on warm buffers, want under %d (a tenth of the first's %d float-buffer bytes)",
+			got, first/10, first)
+	}
+	if n := poolBytes(b); n != first {
+		t.Errorf("pool grew from %d to %d bytes on the second scorer", first, n)
 	}
 }
