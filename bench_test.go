@@ -88,7 +88,7 @@ func BenchmarkFig12SweepColdDiag(b *testing.B) {
 // Distributed counterpart to BenchmarkFig12SweepCold: the same 30 cells
 // sharded across two loopback vcabenchd workers through the cluster
 // pool. On one machine this mostly measures the dispatch overhead
-// (HTTP + gob round trips); across real machines the fleet adds their
+// (HTTP + cell-encoding round trips); across real machines the fleet adds their
 // cores.
 // Bytes are identical in every variant.
 func BenchmarkFig12SweepDistributed(b *testing.B) {

@@ -10,7 +10,7 @@
 //
 // The merge back into a CampaignResult happens in core's scheduler
 // seam (see internal/core/dispatch.go): the pool only moves the cell
-// store's canonical gob encoding over the wire. Because every cell's
+// store's canonical cell encoding over the wire. Because every cell's
 // seed derives from its unit key, placement cannot leak into results —
 // the merged document is byte-identical to a single-machine run for
 // any fleet size, worker mix or failure pattern, including total fleet

@@ -1,9 +1,7 @@
 package core
 
 import (
-	"bytes"
 	"crypto/sha256"
-	"encoding/gob"
 	"encoding/hex"
 	"fmt"
 )
@@ -28,9 +26,10 @@ type CellStore interface {
 	Put(key string, data []byte) error
 }
 
-// cellSchemaVersion names the gob encoding of persisted unit results.
+// cellSchemaVersion names the encoding of persisted unit results.
 // Bump it whenever QoEStudyResult, LagStudyResult or any type they
-// embed changes shape: old entries then miss instead of mis-decoding.
+// embed changes shape, or the encoding itself changes: old entries then
+// miss instead of mis-decoding.
 // v2: QoEStudyResult gained the RateOverTime/RateBin series.
 // v3: the replication refactor — campaign salts cover the Repeats
 // axis and replicated campaigns store per-replica "<cellKey>/rep=K"
@@ -39,14 +38,8 @@ type CellStore interface {
 // document and keys gained a bare/diag mode segment (see cellKey).
 // v5: platform variants are named kinds inside unit keys and campaign
 // specs, so keys lost the platform-overrides segment.
-const cellSchemaVersion = 5
-
-func init() {
-	// Unit results are persisted as a gob interface value so one codec
-	// covers both study types.
-	gob.Register(&QoEStudyResult{})
-	gob.Register(&LagStudyResult{})
-}
+// v6: cells are the tagged binary encoding of cellcodec.go, not gob.
+const cellSchemaVersion = 6
 
 // WithStore attaches a persistent cell store and returns tb for
 // chaining. With a store attached, memoized campaign units are looked
@@ -76,19 +69,22 @@ func fingerprint(s string) string {
 
 // scaleFingerprint names a scale in store keys. The name alone is not
 // enough: a caller may run a tweaked Scale that reuses a preset's name
-// (benchmarks do), and those cells must not be shared.
+// (benchmarks do), and those cells must not be shared. It formats and
+// hashes the whole Scale, so callers compute it once per batch of units
+// and pass the result to cellKey, storeGet and storePut.
 func scaleFingerprint(sc Scale) string {
 	return sc.Name + "-" + fingerprint(fmt.Sprintf("%+v", sc))
 }
 
-// cellKey composes the full persisted-cell key. salt carries campaign
+// cellKey composes the full persisted-cell key. scaleFP is
+// scaleFingerprint of the unit's scale. salt carries campaign
 // context the unit key omits (single-valued axes never make it into
 // keys — see Campaign); "" means the key is already self-contained,
 // as lag-study keys are. The mode segment splits diagnostics-armed
 // cells from bare ones: their stored values differ (Diag document
 // attached or not), so a cache warmed one way must never satisfy the
 // other.
-func (tb *Testbed) cellKey(sc Scale, salt, unitKey string) string {
+func (tb *Testbed) cellKey(scaleFP, salt, unitKey string) string {
 	if salt == "" {
 		salt = "-"
 	}
@@ -97,35 +93,15 @@ func (tb *Testbed) cellKey(sc Scale, salt, unitKey string) string {
 		mode = "diag"
 	}
 	return fmt.Sprintf("v%d/%s/seed%d/%s/%s/%s",
-		cellSchemaVersion, mode, tb.seed, scaleFingerprint(sc), salt, unitKey)
-}
-
-// encodeCell serializes one unit result. Encoding happens immediately
-// after the unit computes, before any renderer sorts the result's
-// samples in place: the stored observation order must match what a
-// cold run's renderer sees, or warm reruns drift in the last ulp.
-func encodeCell(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&v); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-func decodeCell(data []byte) (any, error) {
-	var v any
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&v); err != nil {
-		return nil, err
-	}
-	return v, nil
+		cellSchemaVersion, mode, tb.seed, scaleFP, salt, unitKey)
 }
 
 // storeGet fetches and decodes one unit result; any failure is a miss.
-func (tb *Testbed) storeGet(sc Scale, salt, unitKey string) (any, bool) {
+func (tb *Testbed) storeGet(scaleFP, salt, unitKey string) (any, bool) {
 	if tb.store == nil {
 		return nil, false
 	}
-	data, ok := tb.store.Get(tb.cellKey(sc, salt, unitKey))
+	data, ok := tb.store.Get(tb.cellKey(scaleFP, salt, unitKey))
 	if !ok {
 		return nil, false
 	}
@@ -141,13 +117,13 @@ func (tb *Testbed) storeGet(sc Scale, salt, unitKey string) (any, bool) {
 
 // storePut persists one freshly computed unit result, recording (not
 // raising) the first failure.
-func (tb *Testbed) storePut(sc Scale, salt, unitKey string, v any) {
+func (tb *Testbed) storePut(scaleFP, salt, unitKey string, v any) {
 	if tb.store == nil {
 		return
 	}
 	data, err := encodeCell(v)
 	if err == nil {
-		err = tb.store.Put(tb.cellKey(sc, salt, unitKey), data)
+		err = tb.store.Put(tb.cellKey(scaleFP, salt, unitKey), data)
 	}
 	if err != nil {
 		tb.memoMu.Lock()

@@ -68,8 +68,8 @@ func TestDiagIdenticalAcrossParallelism(t *testing.T) {
 }
 
 // TestDiagIdenticalAcrossCacheTemperature runs cold then warm against
-// one store: warm cells decode their Diag document from gob instead of
-// recording anew, and the artifact bytes must not change.
+// one store: warm cells decode their Diag document from the store
+// instead of recording anew, and the artifact bytes must not change.
 func TestDiagIdenticalAcrossCacheTemperature(t *testing.T) {
 	st := &mapStore{m: make(map[string][]byte)}
 	cold := runDiagFig13(t, 4, st)

@@ -147,9 +147,11 @@ func RunCampaignUnit(tb *Testbed, spec Campaign, sc Scale, key string) ([]byte, 
 		return nil, fmt.Errorf("core: campaign %q has no cell %q", rc.name, key)
 	}
 	salt := rc.salt()
-	if v, ok := tb.storeGet(sc, salt, key); ok {
-		// Gob encoding is deterministic, so re-encoding the decoded
-		// value reproduces the stored bytes exactly.
+	scaleFP := scaleFingerprint(sc)
+	if v, ok := tb.storeGet(scaleFP, salt, key); ok {
+		// The cell encoding is canonical (decodeCell accepts only bytes
+		// that encodeCell reproduces), so re-encoding the decoded value
+		// returns the stored bytes exactly.
 		return encodeCell(v)
 	}
 	var v any = runCell(tb.Fork(key), *cell, sc)
@@ -157,6 +159,6 @@ func RunCampaignUnit(tb *Testbed, spec Campaign, sc Scale, key string) ([]byte, 
 	if err != nil {
 		return nil, fmt.Errorf("core: encode cell %q: %w", key, err)
 	}
-	tb.storePut(sc, salt, key, v)
+	tb.storePut(scaleFP, salt, key, v)
 	return data, nil
 }

@@ -162,7 +162,7 @@ func TestRunCampaignUnitMatchesLocalStoreBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, cell := range rc.cells() {
-		want, ok := st.m[tb.cellKey(TinyScale, rc.salt(), cell.key)]
+		want, ok := st.m[tb.cellKey(scaleFingerprint(TinyScale), rc.salt(), cell.key)]
 		if !ok {
 			t.Fatalf("local run did not persist %q", cell.key)
 		}

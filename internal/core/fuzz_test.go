@@ -1,7 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"encoding/json"
+	"runtime/metrics"
 	"testing"
 )
 
@@ -65,6 +67,52 @@ func FuzzParseCampaign(f *testing.F) {
 			if keys[i] != keys2[i] {
 				t.Fatalf("key %d drifted across re-parse: %q vs %q", i, keys[i], keys2[i])
 			}
+		}
+	})
+}
+
+// FuzzDecodeCell feeds arbitrary bytes to the cell decoder, which reads
+// the store and the fleet's responses. It must never panic; any input
+// either fails or decodes to a value that re-encodes to exactly the
+// same bytes; and decoding never allocates far beyond what the input
+// could hold, because every length is checked before it is allocated.
+func FuzzDecodeCell(f *testing.F) {
+	for _, c := range realCells(f) {
+		f.Add(c.data)
+	}
+	for _, v := range []any{edgeQoE(), edgeLag()} {
+		data, err := encodeCell(v)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Add([]byte{})
+	f.Add([]byte{cellTagQoE})
+	f.Add([]byte{cellTagLag, 0xff, 0xff, 0xff, 0xff, 0x0f})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		allocs := []metrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
+		metrics.Read(allocs)
+		before := allocs[0].Value.Uint64()
+		v, err := decodeCell(data)
+		metrics.Read(allocs)
+		// A decoded element takes at least one input byte, and the
+		// largest decoded form per input byte is a map entry, well
+		// under 64 bytes. The constant absorbs the runtime's batched
+		// accounting of small allocations and the fuzzing engine's own.
+		if got, limit := allocs[0].Value.Uint64()-before, uint64(64*len(data)+4<<20); got > limit {
+			t.Fatalf("decoding %d bytes allocated %d bytes (limit %d)", len(data), got, limit)
+		}
+		if err != nil {
+			return
+		}
+		back, err := encodeCell(v)
+		if err != nil {
+			t.Fatalf("decoded %T does not re-encode: %v", v, err)
+		}
+		if !bytes.Equal(back, data) {
+			t.Fatalf("decoded %T re-encodes to different bytes:\n in: %x\nout: %x", v, data, back)
 		}
 	})
 }

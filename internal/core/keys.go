@@ -3,7 +3,7 @@ package core
 import "fmt"
 
 // serveCellSchemaVersion versions the daemon's rendered cell-JSON
-// framing, independent of cellSchemaVersion (the gob framing of
+// framing, independent of cellSchemaVersion (the encoding of
 // core's own cells). Bump it whenever the rendered cell shape
 // changes.
 // v2: CellResult gained the trace label and rate_over_time series.
@@ -17,7 +17,7 @@ const serveCellSchemaVersion = 4
 // ServeCellKey names a rendered cell-JSON document in the persistent
 // store, so a daemon's /cells lookups survive restarts and MaxJobs
 // eviction. The "servecell" prefix keeps these documents disjoint
-// from core's gob-encoded cells ("v<N>/seed..."). This is the one
+// from core's own cells ("v<N>/<mode>/seed..."). This is the one
 // canonical constructor for that namespace; assembling "servecell/"
 // keys anywhere else is a vcalint storekey violation.
 func ServeCellKey(scaleName string, seed int64, unitKey string) string {

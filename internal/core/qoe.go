@@ -60,7 +60,7 @@ type QoEStudyResult struct {
 
 	// Diag is the cell's flight-recorder document; nil unless the
 	// testbed was armed with WithDiagnostics. It rides the result
-	// through the memo, the CellStore gob and the Dispatcher, so every
+	// through the memo, the cell encoding and the Dispatcher, so every
 	// resolution tier yields the same bytes.
 	Diag *diag.CellDiag
 }

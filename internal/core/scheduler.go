@@ -189,6 +189,10 @@ func (tb *Testbed) runMemoized(sc Scale, salt string, keys []string, parents map
 	if tr != nil {
 		uspans = make([]obs.SpanID, len(keys))
 	}
+	var scaleFP string
+	if tb.store != nil {
+		scaleFP = scaleFingerprint(sc)
+	}
 	var missing []int
 	for i, k := range keys {
 		starts[i] = tb.now()
@@ -205,7 +209,7 @@ func (tb *Testbed) runMemoized(sc Scale, salt string, keys []string, parents map
 			continue
 		}
 		ss := tr.Start(us, obs.TierStore, k)
-		v, ok = tb.storeGet(sc, salt, k)
+		v, ok = tb.storeGet(scaleFP, salt, k)
 		tr.End(ss)
 		if ok {
 			out[i] = v
@@ -216,7 +220,7 @@ func (tb *Testbed) runMemoized(sc Scale, salt string, keys []string, parents map
 		missing = append(missing, i)
 	}
 	if remote != nil && len(missing) > 0 {
-		missing = tb.dispatchRemote(sc, salt, keys, out, missing, remote, uspans, starts)
+		missing = tb.dispatchRemote(scaleFP, salt, keys, out, missing, remote, uspans, starts)
 	}
 	if len(missing) == 0 {
 		return out
@@ -243,7 +247,7 @@ func (tb *Testbed) runMemoized(sc Scale, salt string, keys []string, parents map
 		// Persist before returning: renderers sort samples in place,
 		// and the stored observation order must be the pre-render one
 		// a cold run would also see.
-		tb.storePut(sc, salt, keys[i], out[i])
+		tb.storePut(scaleFP, salt, keys[i], out[i])
 	}
 	return out
 }
@@ -251,11 +255,11 @@ func (tb *Testbed) runMemoized(sc Scale, salt string, keys []string, parents map
 // dispatchRemote fans the missing units across the dispatcher, all at
 // once — the fleet bounds its own per-worker concurrency — filling
 // out[i] for each unit a worker served. Served units are memoized and
-// persisted exactly like locally computed ones (re-encoding a decoded
-// gob value reproduces the worker's bytes, so the coordinator's store
-// matches a single-machine run's). It returns the indices the caller
+// persisted exactly like locally computed ones (the cell encoding is
+// canonical, so re-encoding a decoded value reproduces the worker's
+// bytes and the coordinator's store matches a single-machine run's). It returns the indices the caller
 // must compute locally, in input order.
-func (tb *Testbed) dispatchRemote(sc Scale, salt string, keys []string, out []any, missing []int, remote func(key string) (any, bool), uspans []obs.SpanID, starts []int64) []int {
+func (tb *Testbed) dispatchRemote(scaleFP, salt string, keys []string, out []any, missing []int, remote func(key string) (any, bool), uspans []obs.SpanID, starts []int64) []int {
 	tr := tb.tracer()
 	var (
 		wg    sync.WaitGroup
@@ -295,7 +299,7 @@ func (tb *Testbed) dispatchRemote(sc Scale, salt string, keys []string, out []an
 	for _, i := range missing {
 		if !fellBack[i] {
 			tb.memoPut(keys[i], out[i])
-			tb.storePut(sc, salt, keys[i], out[i])
+			tb.storePut(scaleFP, salt, keys[i], out[i])
 		}
 	}
 	return local

@@ -57,7 +57,7 @@ func TestStoreWarmCampaignByteIdentical(t *testing.T) {
 }
 
 // Lag studies persist too: a full figure render (CDF plots drawn from
-// LagStudyResult maps of samples) survives the gob round trip.
+// LagStudyResult maps of samples) survives the store round trip.
 func TestStoreWarmLagFigureByteIdentical(t *testing.T) {
 	dir := t.TempDir()
 	render := func() (string, store.Stats) {
@@ -135,18 +135,19 @@ func mustKeys(t *testing.T, c Campaign) []string {
 // single-valued axes leave out of unit keys.
 func TestCellKeyScoping(t *testing.T) {
 	base := NewTestbed(42)
-	if a, b := base.cellKey(TinyScale, "", "k"), NewTestbed(43).cellKey(TinyScale, "", "k"); a == b {
+	tiny := scaleFingerprint(TinyScale)
+	if a, b := base.cellKey(tiny, "", "k"), NewTestbed(43).cellKey(tiny, "", "k"); a == b {
 		t.Error("different seeds share a cell key")
 	}
-	if a, b := base.cellKey(TinyScale, "", "k"), base.cellKey(QuickScale, "", "k"); a == b {
+	if a, b := base.cellKey(tiny, "", "k"), base.cellKey(scaleFingerprint(QuickScale), "", "k"); a == b {
 		t.Error("different scales share a cell key")
 	}
 	tweaked := TinyScale
 	tweaked.QoEDur *= 2
-	if a, b := base.cellKey(TinyScale, "", "k"), base.cellKey(tweaked, "", "k"); a == b {
+	if a, b := base.cellKey(tiny, "", "k"), base.cellKey(scaleFingerprint(tweaked), "", "k"); a == b {
 		t.Error("a tweaked scale reusing the preset name shares a cell key")
 	}
-	if a, b := base.cellKey(TinyScale, "ctx1", "k"), base.cellKey(TinyScale, "ctx2", "k"); a == b {
+	if a, b := base.cellKey(tiny, "ctx1", "k"), base.cellKey(tiny, "ctx2", "k"); a == b {
 		t.Error("different campaign salts share a cell key")
 	}
 	// And two same-named campaigns differing only in a single-valued

@@ -29,7 +29,7 @@
 //	                             -diag-out` writes for the same cell.
 //	POST /units                {"spec": {...}, "scale": "tiny", "seed": 42,
 //	                            "key": "grid/zoom"} → the cell's canonical
-//	                             gob encoding (application/octet-stream).
+//	                             binary encoding (application/octet-stream).
 //	                             This is the worker half of distributed
 //	                             execution: a cluster.Pool coordinator
 //	                             shards a campaign's unit keys across a
@@ -627,7 +627,7 @@ type unitRequest struct {
 }
 
 // handleUnit runs one campaign cell through the engine and returns its
-// canonical gob encoding. Unit executions share the campaign
+// canonical cell encoding. Unit executions share the campaign
 // semaphore, so a fleet coordinator cannot oversubscribe a worker that
 // is also serving whole campaigns; the per-request testbed shares the
 // persistent store, so repeated cells (any coordinator, any campaign,

@@ -175,12 +175,18 @@ func (s *Sample) CI95() float64 {
 // every summary statistic bit-for-bit (NaN and ±Inf included), which
 // the persistent result store's byte-identical warm reruns rely on.
 func (s *Sample) GobEncode() ([]byte, error) {
-	buf := make([]byte, 8*(len(s.xs)+1))
-	binary.LittleEndian.PutUint64(buf, uint64(len(s.xs)))
-	for i, x := range s.xs {
-		binary.LittleEndian.PutUint64(buf[8*(i+1):], math.Float64bits(x))
+	return s.AppendBits(make([]byte, 0, 8*(len(s.xs)+1))), nil
+}
+
+// AppendBits appends the GobEncode layout to b: the observation count
+// as a little-endian uint64, then each observation's raw bits in
+// insertion order. GobDecode reads it back.
+func (s *Sample) AppendBits(b []byte) []byte {
+	b = binary.LittleEndian.AppendUint64(b, uint64(len(s.xs)))
+	for _, x := range s.xs {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(x))
 	}
-	return buf, nil
+	return b
 }
 
 // GobDecode implements gob.GobDecoder.

@@ -132,7 +132,7 @@ func TestRunDistributedFacade(t *testing.T) {
 
 // A trace-bearing campaign crosses a vcabenchd worker byte-identically:
 // the Traces axis survives the HTTP spec round trip, the rate-over-time
-// series survives the gob round trip, and the merged JSON matches a
+// series survives the cell-encoding round trip, and the merged JSON matches a
 // purely local run.
 func TestRunDistributedTraceCampaign(t *testing.T) {
 	w := httptest.NewServer(serve.New(serve.Config{}).Handler())
