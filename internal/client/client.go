@@ -31,6 +31,14 @@ type Config struct {
 	SendAudio   bool
 	AudioClip   *media.AudioClip // required when SendAudio
 	Seed        int64
+	// Frames, when set, lends the client's video its pixel storage:
+	// the frames of its own motion source (not an explicit VideoSource)
+	// and its encoder's reconstructions and resize-ladder transients
+	// come from it. Reset hands every one back and sets its Pix to nil,
+	// so every frame of the session must be settled (RecordSession)
+	// and read before then. The pool stays with the client's goroutine
+	// while the client lives. nil allocates each frame.
+	Frames *media.FramePool
 	// Resolve maps remote node names to IPs for the traffic monitor.
 	Resolve Resolver
 	// Probe, when set, observes media-pipeline events in sim time — the
@@ -126,14 +134,14 @@ func (c *Client) Start() {
 	if c.cfg.SendVideo {
 		c.src = c.cfg.VideoSource
 		if c.src == nil {
-			c.src = media.NewSource(c.cfg.VideoClass, c.cfg.Profile, c.cfg.Seed)
+			c.src = media.NewSourceOn(c.cfg.VideoClass, c.cfg.Profile, c.cfg.Seed, c.cfg.Frames)
 		}
-		c.enc = codec.NewVideoEncoder(codec.VideoEncoderConfig{
+		c.enc = codec.NewVideoEncoderOn(codec.VideoEncoderConfig{
 			FPS:       c.src.FPS(),
 			TargetBps: c.att.Target(),
 			BitScale:  codec.BitScaleFor(c.cfg.Profile),
 			Seed:      c.cfg.Seed + 1,
-		})
+		}, c.cfg.Frames)
 		c.att.OnTarget(func(bps float64) { c.enc.SetTargetBps(bps) })
 		c.pktzr = rtp.NewPacketizer(uint32(c.cfg.Seed)+1000, rtp.DefaultMTU, c.src.FPS())
 		interval := time.Second / time.Duration(c.src.FPS())
@@ -241,9 +249,22 @@ func (c *Client) Stop() {
 // Reset clears per-session media state so the client (and its node, with
 // the accumulated capture) can join the next session, as the paper's VMs
 // do across their 20-session campaigns. The traffic trace is preserved.
+// A client on a lent pool (Config.Frames) hands back the storage of the
+// session's reconstructions, then of its source frames, leaving every
+// one without pixels; it panics if a frame is still pending.
 func (c *Client) Reset() {
 	if c.running {
 		panic("client: Reset while running")
+	}
+	if p := c.cfg.Frames; p != nil && c.enc != nil {
+		// Reconstructions first: Recycle panics on a pending frame,
+		// whose build would still read its source.
+		c.enc.Recycle(c.sent)
+		if c.cfg.VideoSource == nil {
+			for i := range c.sent {
+				p.Put(c.sent[i].Source)
+			}
+		}
 	}
 	c.reasm = rtp.NewReassembler(5)
 	c.gotVid = make(map[int]*codec.EncodedFrame)

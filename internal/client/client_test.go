@@ -323,3 +323,111 @@ func TestPcapExportOfSessionTrace(t *testing.T) {
 		t.Errorf("pcap round trip %d != %d", back.Len(), tr.Len())
 	}
 }
+
+// panics reports whether f panics.
+func panics(f func()) (panicked bool) {
+	defer func() { panicked = recover() != nil }()
+	f()
+	return false
+}
+
+// pooledSession runs and records one session whose host draws its
+// frames from pool (nil allocates) and scores it; it returns the host,
+// the indices of the sent frames whose reconstructions were built, and
+// the scores.
+func pooledSession(t *testing.T, src media.Source, pool *media.FramePool) (*Client, []int, []qoe.VideoResult) {
+	const stride = 5
+	host := Config{
+		Name: "rc-host", Region: geo.USEast,
+		SendVideo: true, VideoSource: src, VideoClass: media.HighMotion, Seed: 31, Frames: pool,
+	}
+	recvs := []Config{
+		{Name: "rc-lossy", Region: geo.USWest, LossProb: 0.03, Seed: 32},
+		{Name: "rc-capped", Region: geo.USCentral, DownlinkBps: 300_000, QueueBytes: 32 * 1024, Seed: 33},
+	}
+	_, h, rs := runSession(t, platform.Webex, 7, 10*time.Second, host, recvs)
+	recs := RecordSession(h, rs, stride)
+	shown := make([][]*media.Frame, len(recs))
+	for r := range recs {
+		shown[r] = recs[r].Displayed
+	}
+	scores := qoe.NewScorer().CompareSession(recs[0].Ref, shown, stride)
+	var built []int
+	sent := h.SentVideo()
+	for i := range sent {
+		if !sent[i].Skipped && !panics(func() { sent[i].Recon() }) {
+			built = append(built, i)
+		}
+	}
+	return h, built, scores
+}
+
+// TestResetReturnsSessionStorage resets a host whose frames came from a
+// lent pool, after its session was recorded and scored. The scores must
+// equal an unpooled host's; every source frame and every built
+// reconstruction must be back in the pool without pixels; and reading
+// one must panic rather than show another frame's pixels.
+func TestResetReturnsSessionStorage(t *testing.T) {
+	_, _, want := pooledSession(t, nil, nil)
+	pool := media.NewFramePool()
+	h, built, got := pooledSession(t, nil, pool)
+	for r := range want {
+		if got[r] != want[r] {
+			t.Errorf("receiver %d: pooled host scores %v, unpooled %v", r, got[r], want[r])
+		}
+	}
+	sent := h.SentVideo()
+	if len(built) == 0 {
+		t.Fatal("no reconstruction was built")
+	}
+	full := sent[0].Source.W * sent[0].Source.H
+	if n := pool.Parked()[full]; n != 0 {
+		t.Fatalf("%d full-size buffers parked while the session's frames are live", n)
+	}
+
+	recon := sent[built[0]].Recon()
+	h.Reset()
+	if n, want := pool.Parked()[full], len(sent)+len(built); n != want {
+		t.Errorf("Reset parked %d full-size buffers, want %d sources + %d reconstructions", n, len(sent), len(built))
+	}
+	for i := range sent {
+		if sent[i].Source.Pix != nil {
+			t.Fatalf("source frame %d kept its pixels after Reset", i)
+		}
+	}
+	src, k := sent[built[0]].Source, built[0]
+	for _, c := range []struct {
+		name string
+		read func()
+	}{
+		{"pixel of a returned source", func() { src.At(0, 0) }},
+		{"score of a returned source", func() { qoe.PSNR(src, src) }},
+		{"score of a returned reconstruction", func() { qoe.PSNR(recon, recon) }},
+		{"Recon of a returned frame", func() { sent[k].Recon() }},
+		{"returning the sources twice", func() { h.sent = sent; h.Reset() }},
+	} {
+		if !panics(c.read) {
+			t.Errorf("%s: no panic", c.name)
+		}
+	}
+}
+
+// TestResetKeepsExplicitSourceFrames runs a pooled host on an explicit
+// source, the flash feed, whose two frames live as long as the source:
+// Reset must return only the built reconstructions and leave the
+// source's frames their pixels.
+func TestResetKeepsExplicitSourceFrames(t *testing.T) {
+	pool := media.NewFramePool()
+	h, built, _ := pooledSession(t, media.NewFlash(media.QuickProfile, 2.0), pool)
+	sent := h.SentVideo()
+	h.Reset()
+	full := sent[0].Source.W * sent[0].Source.H
+	if n := pool.Parked()[full]; n != len(built) {
+		t.Errorf("Reset parked %d full-size buffers, want the %d built reconstructions", n, len(built))
+	}
+	for i := range sent {
+		if len(sent[i].Source.Pix) != full {
+			t.Fatalf("flash frame %d lost its pixels", i)
+		}
+	}
+}

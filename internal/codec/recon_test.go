@@ -42,16 +42,23 @@ const reconSeed = 5
 
 // encodeCase encodes four seconds of c's feed with a fresh encoder.
 func encodeCase(c reconCase) []EncodedFrame {
+	frames, _ := encodeCaseOn(c, nil)
+	return frames
+}
+
+// encodeCaseOn is encodeCase on an encoder whose reconstructions draw
+// on pool.
+func encodeCaseOn(c reconCase, pool *media.FramePool) ([]EncodedFrame, *VideoEncoder) {
 	p := media.QuickProfile
 	src := c.feed()
-	enc := NewVideoEncoder(VideoEncoderConfig{
+	enc := NewVideoEncoderOn(VideoEncoderConfig{
 		FPS: p.FPS, TargetBps: c.target, BitScale: BitScaleFor(p), Seed: reconSeed,
-	})
+	}, pool)
 	frames := make([]EncodedFrame, 4*p.FPS)
 	for i := range frames {
 		frames[i] = enc.Encode(src.Next())
 	}
-	return frames
+	return frames, enc
 }
 
 // eagerRecons quantizes every coded frame in encode order on its own
@@ -428,6 +435,68 @@ func TestSharedFlashFramesEncodeLikeCopies(t *testing.T) {
 			if rs, rc := s.Recon(), c.Recon(); (rs == nil) != (rc == nil) || rs != nil && !bytes.Equal(rs.Pix, rc.Pix) {
 				t.Fatalf("%g bps, frame %d: reconstructions differ", bps, i)
 			}
+		}
+	}
+}
+
+// TestPooledReconsMatchUnpooled builds every case's reconstructions on
+// an encoder whose pool already parks 0xA5-filled storage of every
+// ladder size, and compares them bit for bit with an unpooled encoder's:
+// reconstruct and the ladder must write every pixel before reading it.
+// Recycle must panic while a frame is pending, and once every frame is
+// settled it must return exactly the built reconstructions' storage.
+func TestPooledReconsMatchUnpooled(t *testing.T) {
+	p := media.QuickProfile
+	const dirty = 3 // parked buffers per ladder size
+	for _, c := range reconCases() {
+		want := encodeCase(c)
+		pool := media.NewFramePool()
+		for _, scale := range []int{1, 2, 4} {
+			var fs []*media.Frame
+			for i := 0; i < dirty; i++ {
+				f := pool.Get(p.W/scale, p.H/scale)
+				for j := range f.Pix {
+					f.Pix[j] = 0xA5
+				}
+				fs = append(fs, f)
+			}
+			for _, f := range fs {
+				pool.Put(f)
+			}
+		}
+		got, enc := encodeCaseOn(c, pool)
+		if !panics(func() { enc.Recycle(got) }) {
+			t.Fatalf("%s@%.0f: Recycle of pending frames did not panic", c.name, c.target)
+		}
+		// Build the first half, release the rest.
+		keep := map[*media.Frame]bool{}
+		for i := range got[:len(got)/2] {
+			if got[i].recon != nil {
+				keep[got[i].recon.handle()] = true
+			}
+		}
+		Materialize(got, keep)
+		var built []*media.Frame
+		for i := range got {
+			if got[i].recon == nil || !keep[got[i].recon.handle()] {
+				continue
+			}
+			g, w := got[i].Recon(), want[i].Recon()
+			if !bytes.Equal(g.Pix, w.Pix) {
+				t.Fatalf("%s@%.0f: frame %d: reconstruction on dirty storage differs from unpooled", c.name, c.target, i)
+			}
+			built = append(built, g)
+		}
+		enc.Recycle(got)
+		for _, f := range built {
+			if f.Pix != nil {
+				t.Fatalf("%s@%.0f: Recycle left a reconstruction its pixels", c.name, c.target)
+			}
+		}
+		// The first builds took the dirty buffers; every buffer is back.
+		if n, want := pool.Parked()[p.W*p.H], max(dirty, len(built)); len(built) < dirty || n != want {
+			t.Errorf("%s@%.0f: %d full-size buffers parked after Recycle of %d built, want %d",
+				c.name, c.target, n, len(built), want)
 		}
 	}
 }

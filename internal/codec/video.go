@@ -171,15 +171,25 @@ type VideoEncoder struct {
 	// pending holds the coded frames whose reconstructions are not
 	// built yet, in encode order (see EncodedFrame.Recon).
 	pending []*recon
-	// pool recycles the resize ladder's transient frames (the
-	// down-scaled source and its quantized form). Reconstructions are
-	// never pooled: they outlive the build and downstream QoE caches
-	// key on their identity.
-	pool *media.FramePool
+	// frames holds the storage of the reconstructions the encoder
+	// builds: a lent pool, or nil to allocate each one (see
+	// NewVideoEncoderOn). ladder recycles the resize ladder's transient
+	// frames (the down-scaled source and its quantized form), which
+	// return as soon as they are consumed: frames when it is set, else
+	// a private pool.
+	frames, ladder *media.FramePool
 }
 
 // NewVideoEncoder creates an encoder. Config zero-values are defaulted.
 func NewVideoEncoder(cfg VideoEncoderConfig) *VideoEncoder {
+	return NewVideoEncoderOn(cfg, nil)
+}
+
+// NewVideoEncoderOn is NewVideoEncoder with reconstructions built on
+// storage from frames; nil allocates each one. Hand the storage back
+// with Recycle. The pool must stay on the encoder's goroutine while the
+// encoder may build.
+func NewVideoEncoderOn(cfg VideoEncoderConfig, frames *media.FramePool) *VideoEncoder {
 	if cfg.FPS <= 0 {
 		cfg.FPS = media.PaperProfile.FPS
 	}
@@ -198,11 +208,16 @@ func NewVideoEncoder(cfg VideoEncoderConfig) *VideoEncoder {
 	if cfg.TargetBps <= 0 {
 		cfg.TargetBps = 1e6
 	}
+	ladder := frames
+	if ladder == nil {
+		ladder = media.NewFramePool()
+	}
 	return &VideoEncoder{
 		cfg:       cfg,
 		rng:       rand.New(rand.NewSource(cfg.Seed)),
 		targetBps: cfg.TargetBps,
-		pool:      media.NewFramePool(),
+		frames:    frames,
+		ladder:    ladder,
 	}
 }
 
@@ -342,17 +357,39 @@ func skipFloat64s(rng *rand.Rand, n int) {
 // stepped down.
 func (e *VideoEncoder) reconstruct(p *recon) {
 	f, r := p.src, p.handle()
+	e.frames.Alloc(r)
 	if p.encW == f.W && p.encH == f.H {
-		r.Pix = make([]uint8, f.W*f.H)
 		e.quantizeTo(r, f, p.qstep)
 		return
 	}
-	small := f.ResizePooled(e.pool, p.encW, p.encH)
-	qsmall := e.pool.Get(p.encW, p.encH)
-	e.quantizeTo(qsmall, small, p.qstep)
-	r.Pix = qsmall.Resize(f.W, f.H).Pix
-	e.pool.Put(small)
-	e.pool.Put(qsmall)
+	small := media.Frame{W: p.encW, H: p.encH}
+	e.ladder.Alloc(&small)
+	f.ResizeInto(&small)
+	qsmall := media.Frame{W: p.encW, H: p.encH}
+	e.ladder.Alloc(&qsmall)
+	e.quantizeTo(&qsmall, &small, p.qstep)
+	qsmall.ResizeInto(r)
+	e.ladder.Put(&small)
+	e.ladder.Put(&qsmall)
+}
+
+// Recycle hands back the storage of every reconstruction built for
+// sent, the frames this encoder coded, to the encoder's pool, and sets
+// each one's Pix to nil; an encoder without a pool keeps them. Call it
+// once nothing reads the session's frames. Every frame of sent must be
+// settled (built, released or skipped; see Materialize): Recycle
+// panics on a pending one, whose build would still read its source.
+func (e *VideoEncoder) Recycle(sent []EncodedFrame) {
+	for i := range sent {
+		switch r := sent[i].recon; {
+		case r == nil:
+			// Skipped: nothing was built.
+		case r.enc != nil:
+			panic("codec: Recycle of a frame whose reconstruction is pending")
+		case r.frame != nil && r.frame.Pix != nil:
+			e.frames.Put(r.frame)
+		}
+	}
 }
 
 // solveQStep inverts the rate model for a bit budget, clamped to the

@@ -20,12 +20,11 @@ import (
 // surface the same pointer under two fork keys (and, independently, as
 // a data race under -race, since each fork's pool is unsynchronized by
 // design — single-owner determinism is the whole point of not using
-// sync.Pool). The encoder-side media.FramePool needs no cross-fork
-// check beyond this: it is owned by one encoder, which is owned by one
-// client, which lives inside exactly one fork. The QoE scorer's buffers
-// are the one pool that does pass between forks, one fork at a time on
-// one scheduler worker; TestSchedulerWorkerBuffersNeverShared checks
-// that.
+// sync.Pool). Two pools do pass between forks, one fork at a time on
+// one scheduler worker: the QoE scorer's buffers and the media.FramePool
+// that holds the QoE host's frame pixel storage (an encoder's private
+// resize-ladder pool never leaves its encoder).
+// TestSchedulerWorkerBuffersNeverShared checks those two.
 func TestForkedTestbedPoolIsolation(t *testing.T) {
 	tb := NewTestbed(42)
 	var (
@@ -69,10 +68,11 @@ func TestForkedTestbedPoolIsolation(t *testing.T) {
 
 // TestSchedulerWorkerBuffersNeverShared runs QoE units on three
 // scheduler workers and marks, under a mutex, each fork's entry and exit
-// on the qoe.Buffers its worker lent it: no Buffers may be held by two
-// forks at once (under -race, a shared one would also race), the
-// workers must reuse their Buffers from cell to cell, and every result
-// must equal the same unit's result on a fork with a private pool.
+// on the qoe.Buffers and the media.FramePool its worker lent it: no
+// Buffers and no FramePool may be held by two forks at once (under
+// -race, a shared one would also race), the workers must reuse both
+// from cell to cell, and every result must equal the same unit's
+// result on a fork with private pools.
 func TestSchedulerWorkerBuffersNeverShared(t *testing.T) {
 	const workers = 3
 	tb := NewTestbed(42).SetParallelism(workers)
@@ -83,50 +83,166 @@ func TestSchedulerWorkerBuffersNeverShared(t *testing.T) {
 	}
 	var (
 		mu     sync.Mutex
-		holder = make(map[*qoe.Buffers]string)
-		served = make(map[*qoe.Buffers]int)
+		holder = make(map[any]string)
+		served = make(map[any]int)
 	)
 	units := make([]Unit, 9)
 	got := make([]*QoEStudyResult, len(units))
 	for i := range units {
 		i, key := i, fmt.Sprintf("bufs-iso/%d", i)
 		units[i] = Unit{Key: key, Run: func(stb *Testbed) {
-			b := stb.qoeBufs
+			lent := []any{stb.qoeBufs, stb.frames}
 			mu.Lock()
-			if b == nil {
-				t.Errorf("fork %s has no worker buffers", key)
-			} else if prev, ok := holder[b]; ok {
-				t.Errorf("buffers %p held by fork %s and fork %s at once", b, prev, key)
+			if stb.qoeBufs == nil || stb.frames == nil {
+				t.Errorf("fork %s lacks worker pools: buffers %p, frames %p", key, stb.qoeBufs, stb.frames)
 			}
-			holder[b] = key
-			served[b]++
+			for _, b := range lent {
+				if prev, ok := holder[b]; ok {
+					t.Errorf("pool %p held by fork %s and fork %s at once", b, prev, key)
+				}
+				holder[b] = key
+				served[b]++
+			}
 			mu.Unlock()
 
 			got[i] = study(stb, i)
 
 			mu.Lock()
-			delete(holder, b)
+			for _, b := range lent {
+				delete(holder, b)
+			}
 			mu.Unlock()
 		}}
 	}
 	(&Scheduler{TB: tb}).Run(units)
 
-	if len(served) > workers {
-		t.Errorf("%d Buffers for %d workers, want one per worker", len(served), workers)
+	for _, kind := range []string{"Buffers", "FramePool"} {
+		n, reused := 0, false
+		for b, cells := range served {
+			if _, isBufs := b.(*qoe.Buffers); isBufs == (kind == "Buffers") {
+				n++
+				reused = reused || cells > 1
+			}
+		}
+		if n > workers {
+			t.Errorf("%d %s for %d workers, want one per worker", n, kind, workers)
+		}
+		if !reused {
+			t.Errorf("no worker reused its %s for a second cell", kind)
+		}
 	}
-	reused := false
-	for _, n := range served {
-		reused = reused || n > 1
-	}
-	if !reused {
-		t.Error("no worker reused its Buffers for a second cell")
-	}
-	if tb.qoeBufs != nil || tb.Fork("x").qoeBufs != nil {
-		t.Error("a testbed that is not a scheduler fork has worker buffers")
+	if fork := tb.Fork("x"); tb.qoeBufs != nil || fork.qoeBufs != nil || tb.frames != nil || fork.frames != nil {
+		t.Error("a testbed that is not a scheduler fork has worker pools")
 	}
 	for i, u := range units {
 		if want := study(tb.Fork(u.Key), i); !reflect.DeepEqual(got[i], want) {
-			t.Errorf("unit %s: result on worker buffers differs from a private pool's", u.Key)
+			t.Errorf("unit %s: result on worker pools differs from private pools'", u.Key)
 		}
+	}
+}
+
+// twoSessionScale runs two QoE sessions per cell, so the host's second
+// session draws on the storage its first returned.
+func twoSessionScale() Scale {
+	sc := TinyScale
+	sc.QoESessions = 2
+	return sc
+}
+
+// TestReusedFrameStorageCannotChangeResults is the frame-storage twin
+// of qoe's TestReusedBuffersCannotChangeResults, and pins the contract
+// storage reuse rests on: every producer of a frame writes each pixel
+// before any is read. For each motion class, a two-session study runs
+// on a worker pool that already holds the storage of an unrelated study
+// (another platform, motion class and meeting size) with every parked
+// buffer filled with 0xA5, and must equal the same study on a private
+// pool bit for bit.
+func TestReusedFrameStorageCannotChangeResults(t *testing.T) {
+	sc := twoSessionScale()
+	tb := NewTestbed(42)
+	for motion, unrelated := range map[media.MotionClass]media.MotionClass{
+		media.LowMotion:  media.HighMotion,
+		media.HighMotion: media.LowMotion,
+	} {
+		study := func(stb *Testbed) *QoEStudyResult {
+			return RunQoEStudy(stb, platform.Webex, geo.USEast, QoEReceiverRegions(geo.ZoneUS, 2), motion, sc, QoEOpts{})
+		}
+		want := study(tb.Fork("frames/study"))
+
+		pool := media.NewFramePool()
+		other := tb.Fork("frames/other")
+		other.frames = pool
+		RunQoEStudy(other, platform.Zoom, geo.USEast, QoEReceiverRegions(geo.ZoneUS, 1), unrelated, TinyScale, QoEOpts{})
+		parked := pool.Parked()
+		if full := sc.Profile.W * sc.Profile.H; parked[full] == 0 {
+			t.Fatalf("no %d-pixel storage parked after the unrelated study; the rerun would reuse none", full)
+		}
+		for pix, count := range parked {
+			dirty := make([]*media.Frame, count)
+			for i := range dirty {
+				dirty[i] = pool.Get(pix, 1)
+				for j := range dirty[i].Pix {
+					dirty[i].Pix[j] = 0xA5
+				}
+			}
+			for _, f := range dirty {
+				pool.Put(f)
+			}
+		}
+
+		stb := tb.Fork("frames/study")
+		stb.frames = pool
+		if got := study(stb); !reflect.DeepEqual(got, want) {
+			t.Errorf("%v study on reused 0xA5-filled storage differs from the same study on a private pool:\n got %+v\nwant %+v",
+				motion, got, want)
+		}
+	}
+}
+
+// TestWarmFramePoolAddsNoStorage reruns one QoE cell on the pool it
+// warmed: the rerun needs exactly the storage the first run returned,
+// so the pool must park the same buffers after it as before.
+func TestWarmFramePoolAddsNoStorage(t *testing.T) {
+	tb := NewTestbed(42)
+	pool := media.NewFramePool()
+	run := func() map[int]int {
+		stb := tb.Fork("frames/warm")
+		stb.frames = pool
+		RunQoEStudy(stb, platform.Meet, geo.USEast, QoEReceiverRegions(geo.ZoneUS, 2), media.HighMotion, twoSessionScale(), QoEOpts{})
+		return pool.Parked()
+	}
+	cold := run()
+	if len(cold) == 0 {
+		t.Fatal("the first study returned no storage")
+	}
+	if warm := run(); !reflect.DeepEqual(warm, cold) {
+		t.Errorf("rerun on a warm pool parks %v, want the %v it started with", warm, cold)
+	}
+}
+
+// TestLagStudyLeavesLentFramePoolAlone runs a lag study on a fork with
+// a lent frame pool. The flash feed is an explicit source whose two
+// frames live across sessions and no lag study builds a
+// reconstruction, so nothing may reach the pool, and the result must
+// equal a private fork's: a flash frame stripped of its pixels after
+// the first session would break the second.
+func TestLagStudyLeavesLentFramePoolAlone(t *testing.T) {
+	tb := NewTestbed(42)
+	study := func(stb *Testbed) *LagStudyResult {
+		return RunLagStudy(stb, platform.Zoom, geo.USEast, []geo.Region{geo.USWest, geo.USCentral}, TinyScale)
+	}
+	if TinyScale.LagSessions < 2 {
+		t.Fatal("TinyScale runs one lag session; the flash frames would not outlive a session")
+	}
+	want := study(tb.Fork("frames/lag"))
+	pool := media.NewFramePool()
+	stb := tb.Fork("frames/lag")
+	stb.frames = pool
+	got := study(stb)
+	if parked := pool.Parked(); len(parked) != 0 {
+		t.Errorf("lag study returned storage to the lent pool: %v", parked)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Error("lag study on a lent frame pool differs from a private fork's")
 	}
 }

@@ -98,6 +98,13 @@ func RunQoEStudyWithSetup(tb *Testbed, kind platform.Kind, host geo.Region, recv
 	if opts.WithAudio {
 		clip = media.NewSpeech(sc.QoEDur.Seconds(), tb.seed+11)
 	}
+	// The host's frames live on the running worker's pixel storage (see
+	// Testbed.frames), or on a private pool that recycles from session
+	// to session; the host's Reset hands each session's storage back.
+	frames := tb.frames
+	if frames == nil {
+		frames = media.NewFramePool()
+	}
 	hostClient := client.New(tb.Net, client.Config{
 		Name:       tb.uniqueName("qoe-" + string(pf.Kind()) + "-host"),
 		Region:     host,
@@ -108,6 +115,7 @@ func RunQoEStudyWithSetup(tb *Testbed, kind platform.Kind, host geo.Region, recv
 		AudioClip:  clip,
 		Seed:       tb.seed + 300,
 		Resolve:    resolve,
+		Frames:     frames,
 	})
 	recvs := make([]*client.Client, len(recvRegions))
 	for i, r := range recvRegions {
@@ -222,6 +230,8 @@ func RunQoEStudyWithSetup(tb *Testbed, kind platform.Kind, host geo.Region, recv
 				binBytes[b] += win.Between(bs, be).Bytes(capture.In)
 			}
 		}
+		// Scoring and the freeze diagnostics are done with this
+		// session's frames: the host's Reset returns their storage.
 		for _, c := range all {
 			c.Reset()
 		}

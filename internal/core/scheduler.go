@@ -9,6 +9,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"github.com/vcabench/vcabench/internal/media"
 	"github.com/vcabench/vcabench/internal/obs"
 	"github.com/vcabench/vcabench/internal/qoe"
 )
@@ -95,25 +96,31 @@ type Scheduler struct {
 // Run executes every unit and waits for completion. A panicking unit is
 // re-panicked on the caller's goroutine after the pool drains.
 //
-// Each worker (and the serial loop) owns one qoe.Buffers and lends it to
-// every fork it runs, one fork at a time, so the scorer's float buffers
-// pass from cell to cell without crossing goroutines. Buffers come back
-// dirty and every producer overwrites them before reading, so which
-// cells ran earlier on a worker never reaches a result.
+// Each worker (and the serial loop) owns one qoe.Buffers and one
+// media.FramePool and lends both to every fork it runs, one fork at a
+// time, so the scorer's float buffers and the QoE host's frame pixel
+// storage pass from cell to cell without crossing goroutines. Storage
+// comes back dirty and every producer overwrites it before reading, so
+// which cells ran earlier on a worker never reaches a result.
 func (s *Scheduler) Run(units []Unit) {
 	workers := s.TB.Parallelism()
 	if workers > len(units) {
 		workers = len(units)
 	}
-	fork := func(u Unit, bufs *qoe.Buffers) *Testbed {
+	type pools struct {
+		bufs   *qoe.Buffers
+		frames *media.FramePool
+	}
+	newPools := func() pools { return pools{qoe.NewBuffers(), media.NewFramePool()} }
+	fork := func(u Unit, p pools) *Testbed {
 		stb := s.TB.Fork(u.Key)
-		stb.qoeBufs = bufs
+		stb.qoeBufs, stb.frames = p.bufs, p.frames
 		return stb
 	}
 	if workers <= 1 {
-		bufs := qoe.NewBuffers()
+		p := newPools()
 		for _, u := range units {
-			u.Run(fork(u, bufs))
+			u.Run(fork(u, p))
 		}
 		return
 	}
@@ -127,7 +134,7 @@ func (s *Scheduler) Run(units []Unit) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			bufs := qoe.NewBuffers()
+			p := newPools()
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= len(units) {
@@ -146,7 +153,7 @@ func (s *Scheduler) Run(units []Unit) {
 							next.Store(int64(len(units)))
 						}
 					}()
-					units[i].Run(fork(units[i], bufs))
+					units[i].Run(fork(units[i], p))
 				}()
 			}
 		}()

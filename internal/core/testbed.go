@@ -73,12 +73,14 @@ type Testbed struct {
 	diagRec  *diag.Recorder
 	diagDocs map[string]*diag.CellDiag
 
-	// qoeBufs is the QoE scorer's float-buffer pool. Scheduler.Run sets
-	// it on each fork to the pool of the worker running that fork, so
-	// buffers pass from cell to cell on one goroutine; Fork does not
-	// copy it, and nil (any testbed that is not a scheduler fork) means
-	// each study scores on a private pool.
+	// qoeBufs is the QoE scorer's float-buffer pool and frames the QoE
+	// host's frame pixel storage. Scheduler.Run sets both on each fork
+	// to the pools of the worker running that fork, so buffers pass
+	// from cell to cell on one goroutine; Fork does not copy them, and
+	// nil (any testbed that is not a scheduler fork) means each study
+	// runs on private pools.
 	qoeBufs *qoe.Buffers
+	frames  *media.FramePool
 }
 
 // registerCampaign records (or re-checks) the fingerprint of a named

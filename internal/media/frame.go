@@ -34,46 +34,99 @@ func (f *Frame) Clone() *Frame {
 	return g
 }
 
-// FramePool recycles frame buffers by exact pixel count, for transient
-// frames whose lifetime the caller fully controls (codec resize-ladder
-// intermediates, for example). It is deliberately not a sync.Pool: a
-// FramePool has one owner on one goroutine at a time, so reuse order is
-// deterministic. Buffers come back dirty — Get's caller must overwrite
-// every pixel before reading any.
+// FramePool recycles frame pixel storage by exact pixel count. It is
+// deliberately not a sync.Pool: a FramePool has one owner on one
+// goroutine at a time, so reuse order is deterministic. Storage comes
+// back dirty — whoever takes it must overwrite every pixel before
+// reading any.
 //
-// Frames that escape into long-lived structures (encoder reconstructions,
-// recordings, source frames, anything a QoE scorer may see) must NOT
-// come from a pool: downstream caches key on frame identity, which reuse
-// would corrupt. A source may return the same immutable frame twice
-// (see Source); that is one frame seen twice, not a recycled buffer.
+// The pool recycles storage, never frames: every Get wraps its storage
+// in a new *Frame, and Put sets the returned frame's Pix to nil. So an
+// identity-keyed cache (the QoE scorer's, an encoder's previous source)
+// never sees one *Frame with two contents, and a frame read after its
+// storage went back panics instead of showing another frame's pixels.
+// Put takes back only storage this pool handed out and has not taken
+// back since. A QoE session's source frames and reconstructions come
+// from its scheduler worker's pool and return at session end (see
+// client.Config.Frames); an encoder's resize-ladder transients return
+// as soon as they are consumed. A source may return the same immutable
+// frame twice (see Source); that is one frame seen twice, not recycled
+// storage.
+//
+// A nil *FramePool does not pool: Get and Alloc allocate zeroed
+// storage, and Put does nothing.
 type FramePool struct {
-	free map[int][]*Frame
+	free map[int][][]uint8
+	out  map[*uint8]struct{} // storage handed out and not taken back
 }
 
 // NewFramePool returns an empty pool.
-func NewFramePool() *FramePool { return &FramePool{free: make(map[int][]*Frame)} }
-
-// Get returns a w×h frame with undefined pixel contents.
-func (p *FramePool) Get(w, h int) *Frame {
-	n := w * h
-	if bucket := p.free[n]; len(bucket) > 0 {
-		f := bucket[len(bucket)-1]
-		p.free[n] = bucket[:len(bucket)-1]
-		f.W, f.H = w, h
-		return f
-	}
-	if w <= 0 || h <= 0 {
-		panic("media: non-positive frame dimensions")
-	}
-	return &Frame{W: w, H: h, Pix: make([]uint8, n)}
+func NewFramePool() *FramePool {
+	return &FramePool{free: make(map[int][][]uint8), out: make(map[*uint8]struct{})}
 }
 
-// Put returns a frame to the pool. The caller must not touch it again.
-func (p *FramePool) Put(f *Frame) {
-	if f == nil || len(f.Pix) == 0 {
+// Get returns a new w×h frame on storage from p, with undefined pixel
+// contents.
+func (p *FramePool) Get(w, h int) *Frame {
+	f := &Frame{W: w, H: h}
+	p.Alloc(f)
+	return f
+}
+
+// Alloc gives f, a frame with nil Pix, W×H storage from p with
+// undefined contents.
+func (p *FramePool) Alloc(f *Frame) {
+	if f.W <= 0 || f.H <= 0 {
+		panic("media: non-positive frame dimensions")
+	}
+	if f.Pix != nil {
+		panic("media: Alloc of a frame that has pixels")
+	}
+	n := f.W * f.H
+	if p == nil {
+		f.Pix = make([]uint8, n)
 		return
 	}
-	p.free[len(f.Pix)] = append(p.free[len(f.Pix)], f)
+	if bucket := p.free[n]; len(bucket) > 0 {
+		f.Pix = bucket[len(bucket)-1]
+		p.free[n] = bucket[:len(bucket)-1]
+	} else {
+		f.Pix = make([]uint8, n)
+	}
+	p.out[&f.Pix[0]] = struct{}{}
+}
+
+// Put returns f's storage to p and sets f.Pix to nil, so a later read
+// of f's pixels panics. It panics unless p handed that storage out and
+// has not taken it back since: a frame returned twice, one never built,
+// or one whose pixels came from elsewhere.
+func (p *FramePool) Put(f *Frame) {
+	if p == nil {
+		return
+	}
+	if len(f.Pix) == 0 {
+		panic("media: Put of a frame without pixels (returned already, or never built)")
+	}
+	key := &f.Pix[0]
+	if _, ok := p.out[key]; !ok {
+		panic("media: Put of storage the pool did not hand out")
+	}
+	delete(p.out, key)
+	n := len(f.Pix)
+	p.free[n] = append(p.free[n], f.Pix)
+	f.Pix = nil
+}
+
+// Parked reports the storage p holds for reuse: the number of buffers
+// parked per pixel count.
+func (p *FramePool) Parked() map[int]int {
+	m := make(map[int]int, len(p.free))
+	for n, bucket := range p.free {
+		if len(bucket) > 0 {
+			m[n] = len(bucket)
+		}
+	}
+	return m
 }
 
 // At returns the pixel at (x, y).
@@ -115,16 +168,16 @@ func (f *Frame) SpatialDetail() float64 {
 	return float64(sum) / float64(n)
 }
 
-// Crop returns a copy of the rectangle [x0,x0+w) x [y0,y0+h).
-func (f *Frame) Crop(x0, y0, w, h int) *Frame {
+// cropInto writes the copy of the g.W×g.H rectangle of f at (x0, y0)
+// into every pixel of g.
+func (f *Frame) cropInto(g *Frame, x0, y0 int) {
+	w, h := g.W, g.H
 	if x0 < 0 || y0 < 0 || x0+w > f.W || y0+h > f.H {
 		panic("media: crop out of bounds")
 	}
-	g := NewFrame(w, h)
 	for y := 0; y < h; y++ {
 		copy(g.Pix[y*w:(y+1)*w], f.Pix[(y0+y)*f.W+x0:(y0+y)*f.W+x0+w])
 	}
-	return g
 }
 
 // Resize scales the frame to w×h with bilinear interpolation (the
@@ -134,22 +187,14 @@ func (f *Frame) Resize(w, h int) *Frame {
 	if w == f.W && h == f.H {
 		return f.Clone()
 	}
-	return f.resizeTo(NewFrame(w, h))
+	g := NewFrame(w, h)
+	f.ResizeInto(g)
+	return g
 }
 
-// ResizePooled is Resize into a buffer from p; the result must go back
-// via p.Put once consumed. The interpolation is identical to Resize.
-func (f *Frame) ResizePooled(p *FramePool, w, h int) *Frame {
-	if w == f.W && h == f.H {
-		g := p.Get(w, h)
-		copy(g.Pix, f.Pix)
-		return g
-	}
-	return f.resizeTo(p.Get(w, h))
-}
-
-// resizeTo writes the bilinear rescale of f into g (every pixel).
-func (f *Frame) resizeTo(g *Frame) *Frame {
+// ResizeInto writes the bilinear rescale of f to g's geometry into
+// every pixel of g. The interpolation is Resize's.
+func (f *Frame) ResizeInto(g *Frame) {
 	w, h := g.W, g.H
 	xr := float64(f.W-1) / float64(maxInt(w-1, 1))
 	yr := float64(f.H-1) / float64(maxInt(h-1, 1))
@@ -176,7 +221,6 @@ func (f *Frame) resizeTo(g *Frame) *Frame {
 			g.Set(x, y, uint8(math.Round(v)))
 		}
 	}
-	return g
 }
 
 func maxInt(a, b int) int {

@@ -1,6 +1,7 @@
 package media
 
 import (
+	"bytes"
 	"math"
 	"testing"
 	"testing/quick"
@@ -59,7 +60,7 @@ func TestCropOutOfBoundsPanics(t *testing.T) {
 			t.Error("expected panic")
 		}
 	}()
-	NewFrame(4, 4).Crop(2, 2, 4, 4)
+	NewFrame(4, 4).cropInto(NewFrame(4, 4), 2, 2)
 }
 
 func TestResizeIdentityAndScale(t *testing.T) {
@@ -224,7 +225,7 @@ func TestToneAndSlice(t *testing.T) {
 	}
 }
 
-// Property: Crop copies exactly the requested rectangle for arbitrary
+// Property: cropInto copies exactly the requested rectangle for arbitrary
 // in-bounds geometry.
 func TestCropProperty(t *testing.T) {
 	f := func(w8, h8, x8, y8, cw8, ch8 uint8) bool {
@@ -238,7 +239,8 @@ func TestCropProperty(t *testing.T) {
 		for i := range fr.Pix {
 			fr.Pix[i] = uint8(i)
 		}
-		g := fr.Crop(x0, y0, cw, ch)
+		g := NewFrame(cw, ch)
+		fr.cropInto(g, x0, y0)
 		if g.W != cw || g.H != ch {
 			return false
 		}
@@ -304,11 +306,14 @@ func TestFramePoolCycleAllocFree(t *testing.T) {
 		src.Pix[i] = uint8(i * 31)
 	}
 	cycle := func() {
-		small := src.ResizePooled(p, 32, 24)
-		scratch := p.Get(32, 24)
+		small := Frame{W: 32, H: 24}
+		p.Alloc(&small)
+		src.ResizeInto(&small)
+		scratch := Frame{W: 32, H: 24}
+		p.Alloc(&scratch)
 		copy(scratch.Pix, small.Pix)
-		p.Put(small)
-		p.Put(scratch)
+		p.Put(&small)
+		p.Put(&scratch)
 	}
 	cycle() // warm: seed the 32x24 bucket
 	if avg := testing.AllocsPerRun(200, cycle); avg > 0.05 {
@@ -316,24 +321,108 @@ func TestFramePoolCycleAllocFree(t *testing.T) {
 	}
 }
 
-// TestFramePoolRecyclesByPixelCount pins the bucket contract: a frame
+// TestFramePoolRecyclesByPixelCount pins the bucket contract: storage
 // returned to the pool comes back from the next Get with the same pixel
-// count — including across geometries, which Get retags.
+// count — including across geometries, which Get retags — and always
+// in a new frame, while the returned frame is left without pixels.
 func TestFramePoolRecyclesByPixelCount(t *testing.T) {
 	p := NewFramePool()
 	f := p.Get(16, 12)
+	storage := &f.Pix[0]
 	p.Put(f)
+	if f.Pix != nil {
+		t.Fatal("Put left the returned frame its pixels")
+	}
 	g := p.Get(16, 12)
-	if g != f {
-		t.Fatal("same-size Get did not recycle the returned frame")
+	if g == f {
+		t.Fatal("Get returned a returned frame: frame identities must never be reused")
+	}
+	if &g.Pix[0] != storage {
+		t.Fatal("same-size Get did not recycle the returned storage")
 	}
 	p.Put(g)
 	h := p.Get(12, 16) // 192 pixels too: same bucket, new geometry
-	if h != f {
-		t.Fatal("equal-pixel-count Get did not recycle the returned frame")
+	if &h.Pix[0] != storage {
+		t.Fatal("equal-pixel-count Get did not recycle the returned storage")
 	}
-	if h.W != 12 || h.H != 16 {
-		t.Fatalf("recycled frame not retagged: %dx%d, want 12x16", h.W, h.H)
+	if h.W != 12 || h.H != 16 || len(h.Pix) != 192 {
+		t.Fatalf("recycled storage not retagged: %dx%d with %d pixels, want 12x16", h.W, h.H, len(h.Pix))
+	}
+	if got := p.Parked(); len(got) != 0 {
+		t.Errorf("pool parks %v while its one buffer is out", got)
+	}
+	p.Put(h)
+	if got := p.Parked(); len(got) != 1 || got[192] != 1 {
+		t.Errorf("pool parks %v, want one 192-pixel buffer", got)
+	}
+}
+
+// TestFramePoolPutRejectsForeignAndRepeat pins that a pool takes back
+// only storage it handed out and has not taken back since.
+func TestFramePoolPutRejectsForeignAndRepeat(t *testing.T) {
+	p := NewFramePool()
+	mustPanic := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s: no panic", name)
+			}
+		}()
+		f()
+	}
+	f := p.Get(4, 4)
+	p.Put(f)
+	mustPanic("returned twice", func() { p.Put(f) })
+	mustPanic("foreign storage", func() { p.Put(NewFrame(4, 4)) })
+	mustPanic("another pool's storage", func() { p.Put(NewFramePool().Get(4, 4)) })
+	mustPanic("Alloc over pixels", func() { p.Alloc(NewFrame(4, 4)) })
+}
+
+// TestNilFramePoolAllocates pins the unpooled path: a nil pool's Get
+// allocates zeroed frames and its Put does nothing.
+func TestNilFramePoolAllocates(t *testing.T) {
+	var p *FramePool
+	f := p.Get(3, 2)
+	if f.W != 3 || f.H != 2 || len(f.Pix) != 6 {
+		t.Fatalf("nil pool Get: %dx%d with %d pixels", f.W, f.H, len(f.Pix))
+	}
+	for _, v := range f.Pix {
+		if v != 0 {
+			t.Fatal("nil pool Get returned dirty pixels")
+		}
+	}
+	p.Put(f)
+	if f.Pix == nil {
+		t.Error("nil pool Put took the frame's pixels")
+	}
+}
+
+// TestPooledSourcesMatchUnpooled pins NewSourceOn: both motion feeds
+// give the same pixels on a pool, dirty storage included, as they do
+// unpooled, and every frame is new.
+func TestPooledSourcesMatchUnpooled(t *testing.T) {
+	p := QuickProfile
+	for _, class := range []MotionClass{LowMotion, HighMotion} {
+		want := Record(NewSource(class, p, 5), 50)
+		pool := NewFramePool()
+		src := NewSourceOn(class, p, 5, pool)
+		var prev *Frame
+		for i := range want {
+			got := src.Next()
+			if got == prev {
+				t.Fatalf("%v frame %d: pooled source repeated a frame", class, i)
+			}
+			if !bytes.Equal(got.Pix, want[i].Pix) {
+				t.Fatalf("%v frame %d: pooled pixels differ from unpooled", class, i)
+			}
+			if prev != nil {
+				for j := range prev.Pix {
+					prev.Pix[j] = 0xA5
+				}
+				pool.Put(prev)
+			}
+			prev = got
+		}
 	}
 }
 

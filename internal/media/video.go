@@ -9,7 +9,10 @@ import (
 type Source interface {
 	// Next returns the next frame. A returned frame is immutable: no
 	// one writes to it again, and a source may return the same frame
-	// more than once (the flash feed returns two frames in turn).
+	// more than once (the flash feed returns two frames in turn). A
+	// motion source built on a pool (NewSourceOn) returns a new frame
+	// on the pool's storage every time; its caller owns that storage
+	// and may hand it back with Put once nothing reads the frame.
 	Next() *Frame
 	// Dims returns the frame geometry.
 	Dims() (w, h int)
@@ -51,15 +54,18 @@ func (m MotionClass) String() string {
 // head-and-shoulders blob and occasional hand gestures: mostly static
 // background, small localized motion — highly compressible.
 type lowMotionSource struct {
-	p   Profile
-	t   int
-	rng *rand.Rand
-	bg  *Frame
+	p    Profile
+	t    int
+	rng  *rand.Rand
+	bg   *Frame
+	pool *FramePool // storage of the frames Next returns; nil allocates
 }
 
 // NewLowMotion creates the talking-head feed.
-func NewLowMotion(p Profile, seed int64) Source {
-	s := &lowMotionSource{p: p, rng: rand.New(rand.NewSource(seed))}
+func NewLowMotion(p Profile, seed int64) Source { return newLowMotion(p, seed, nil) }
+
+func newLowMotion(p Profile, seed int64, pool *FramePool) Source {
+	s := &lowMotionSource{p: p, rng: rand.New(rand.NewSource(seed)), pool: pool}
 	s.bg = textured(p.W, p.H, 96, 40, s.rng) // mid-gray room with texture
 	return s
 }
@@ -68,8 +74,9 @@ func (s *lowMotionSource) Dims() (int, int) { return s.p.W, s.p.H }
 func (s *lowMotionSource) FPS() int         { return s.p.FPS }
 
 func (s *lowMotionSource) Next() *Frame {
-	f := s.bg.Clone()
 	w, h := s.p.W, s.p.H
+	f := s.pool.Get(w, h)
+	copy(f.Pix, s.bg.Pix)
 	tSec := float64(s.t) / float64(s.p.FPS)
 	// Head: ellipse around center, bobbing a little (~1% of height).
 	cx := float64(w) / 2
@@ -102,15 +109,19 @@ type highMotionSource struct {
 	rng      *rand.Rand
 	world    *Frame // wide panorama we pan across
 	scene    int
-	cutEvery int // frames between scene cuts
+	cutEvery int        // frames between scene cuts
+	pool     *FramePool // storage of the frames Next returns; nil allocates
 }
 
 // NewHighMotion creates the tour-guide feed.
-func NewHighMotion(p Profile, seed int64) Source {
+func NewHighMotion(p Profile, seed int64) Source { return newHighMotion(p, seed, nil) }
+
+func newHighMotion(p Profile, seed int64, pool *FramePool) Source {
 	s := &highMotionSource{
 		p:        p,
 		rng:      rand.New(rand.NewSource(seed)),
 		cutEvery: p.FPS * 4,
+		pool:     pool,
 	}
 	s.newScene()
 	return s
@@ -134,7 +145,8 @@ func (s *highMotionSource) Next() *Frame {
 	span := s.world.W - w
 	within := s.t % s.cutEvery
 	off := within * span / s.cutEvery
-	f := s.world.Crop(off, 0, w, h)
+	f := s.pool.Get(w, h)
+	s.world.cropInto(f, off, 0)
 	// A foreground "guide" walking: high-contrast blob moving against pan.
 	tSec := float64(s.t) / float64(s.p.FPS)
 	gx := float64(w) * (0.2 + 0.6*math.Abs(math.Sin(tSec*0.7)))
@@ -207,10 +219,17 @@ func IsFlashFrame(p Profile, periodSec float64, i int) bool {
 
 // NewSource builds a source for a motion class.
 func NewSource(class MotionClass, p Profile, seed int64) Source {
+	return NewSourceOn(class, p, seed, nil)
+}
+
+// NewSourceOn is NewSource with every frame Next returns drawn from
+// pool; nil allocates each one. The frames' pixels are the same either
+// way.
+func NewSourceOn(class MotionClass, p Profile, seed int64, pool *FramePool) Source {
 	if class == LowMotion {
-		return NewLowMotion(p, seed)
+		return newLowMotion(p, seed, pool)
 	}
-	return NewHighMotion(p, seed)
+	return newHighMotion(p, seed, pool)
 }
 
 // Record captures n frames from a source into a slice (test/QoE helper).

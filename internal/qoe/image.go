@@ -64,18 +64,40 @@ func fromFrame(p *Buffers, f *media.Frame) *fimg {
 
 func (im *fimg) at(x, y int) float64 { return im.v[y*im.w+x] }
 
-// gaussianKernel returns a normalized 1-D Gaussian of the given length.
-func gaussianKernel(n int, sigma float64) []float64 {
-	k := make([]float64, n)
-	mid := float64(n-1) / 2
-	var sum float64
-	for i := range k {
-		d := float64(i) - mid
-		k[i] = math.Exp(-d * d / (2 * sigma * sigma))
-		sum += k[i]
+// ssimKernel and vifKernels are the metrics' normalized 1-D Gaussian
+// windows: SSIM's 11 taps at sigma 1.5, and VIF's n taps at sigma n/5
+// for n = 17, 9, 5, 3 (scales 1 to 4). Each tap is pinned to the
+// IEEE-754 bits amd64 computes for gaussianKernel(n, sigma) (see the
+// tests), because math.Exp has a different form on every architecture:
+// 386's pure-Go Exp puts SSIM taps 1 and 9 one ULP below amd64's, which
+// moved SSIM results. The tables are shared and never written.
+var (
+	ssimKernel = kernelBits(
+		0x3f50d956b52a1d70, 0x3f7f1fe01ae5a5b9, 0x3fa26eb175d83f67, 0x3fbbff0fe8e98418,
+		0x3fcb43c3f52b19f2, 0x3fd106560aa892c0, 0x3fcb43c3f52b19f2, 0x3fbbff0fe8e98418,
+		0x3fa26eb175d83f67, 0x3f7f1fe01ae5a5b9, 0x3f50d956b52a1d70)
+	vifKernels = [4][]float64{
+		kernelBits(
+			0x3f7e8a76f14c14a8, 0x3f8d373b107d5119, 0x3f99a1cf6439f192, 0x3fa49fd9d6934fef,
+			0x3fae7092ed89903a, 0x3fb49a0435d9c376, 0x3fb99350e000ae4e, 0x3fbd1e76a1a46853,
+			0x3fbe67f6787f9c0f, 0x3fbd1e76a1a46853, 0x3fb99350e000ae4e, 0x3fb49a0435d9c376,
+			0x3fae7092ed89903a, 0x3fa49fd9d6934fef, 0x3f99a1cf6439f192, 0x3f8d373b107d5119,
+			0x3f7e8a76f14c14a8),
+		kernelBits(
+			0x3f936efd9edf1ab6, 0x3fac9eaf7f1d2a0e, 0x3fbef4ac287de82e, 0x3fc897423f6a4719,
+			0x3fccb1b831672df2, 0x3fc897423f6a4719, 0x3fbef4ac287de82e, 0x3fac9eaf7f1d2a0e,
+			0x3f936efd9edf1ab6),
+		kernelBits(
+			0x3fabe5f0dc491a0e, 0x3fcf41fd54c58785, 0x3fd9c486742831f6, 0x3fcf41fd54c58785,
+			0x3fabe5f0dc491a0e),
+		kernelBits(0x3fc54be41ad3d747, 0x3fe55a0df296145d, 0x3fc54be41ad3d747),
 	}
-	for i := range k {
-		k[i] /= sum
+)
+
+func kernelBits(bits ...uint64) []float64 {
+	k := make([]float64, len(bits))
+	for i, b := range bits {
+		k[i] = math.Float64frombits(b)
 	}
 	return k
 }

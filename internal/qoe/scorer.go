@@ -32,8 +32,6 @@ import (
 type Scorer struct {
 	pool  *Buffers
 	stats map[*media.Frame]*imgStats // frames live in the current session
-	kssim []float64
-	kvif  [4][]float64
 }
 
 type pairKey struct{ ref, dist *media.Frame }
@@ -64,22 +62,12 @@ func NewScorer() *Scorer { return NewScorerOn(nil) }
 // NewScorerOn creates an empty scorer that takes and returns its float
 // buffers through b; nil means a private pool. Scorers may share b only
 // on one goroutine: b must not reach another goroutine while this scorer
-// may still run. Kernels are fixed by the metric definitions, so they
-// are built once here.
+// may still run.
 func NewScorerOn(b *Buffers) *Scorer {
 	if b == nil {
 		b = NewBuffers()
 	}
-	sc := &Scorer{
-		pool:  b,
-		stats: make(map[*media.Frame]*imgStats),
-		kssim: gaussianKernel(ssimWindow, ssimSigma),
-	}
-	for scale := 1; scale <= 4; scale++ {
-		n := 1<<(5-scale) + 1 // 17, 9, 5, 3
-		sc.kvif[scale-1] = gaussianKernel(n, float64(n)/5)
-	}
-	return sc
+	return &Scorer{pool: b, stats: make(map[*media.Frame]*imgStats)}
 }
 
 func (sc *Scorer) statsEntry(f *media.Frame) *imgStats {
@@ -105,9 +93,9 @@ func (sc *Scorer) ssimStats(f *media.Frame) *imgStats {
 	st := sc.statsEntry(f)
 	if st.ssimMu == nil {
 		x := sc.baseOf(st, f)
-		st.ssimMu = convValid(sc.pool, x, sc.kssim)
+		st.ssimMu = convValid(sc.pool, x, ssimKernel)
 		xx := mul(sc.pool, x, x)
-		st.ssimSxx = convValid(sc.pool, xx, sc.kssim)
+		st.ssimSxx = convValid(sc.pool, xx, ssimKernel)
 		sc.pool.put(xx)
 	}
 	return st
@@ -124,7 +112,7 @@ func (sc *Scorer) vifStats(f *media.Frame) *imgStats {
 	cur := sc.baseOf(st, f)
 	for scale := 1; scale <= 4; scale++ {
 		n := 1<<(5-scale) + 1
-		k := sc.kvif[scale-1]
+		k := vifKernels[scale-1]
 		if scale > 1 {
 			c := convValid(sc.pool, cur, k)
 			next := downsample2(sc.pool, c)

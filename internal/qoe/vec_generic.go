@@ -5,6 +5,9 @@ package qoe
 // Portable forms of the convolution inner loops. The amd64 SIMD kernels
 // (vec_amd64.s) compute exactly these recurrences with separate multiply
 // and add roundings, so every architecture produces identical bytes.
+// Go may fuse x*y + z into one multiply-add (arm64 does); an explicit
+// float64 conversion of a product forces its rounding, which rules the
+// fusion out.
 
 // scaleVec writes dst[i] = src[i] * k for every i in dst.
 // len(src) must be >= len(dst).
@@ -20,7 +23,7 @@ func scaleVec(dst, src []float64, k float64) {
 func axpyVec(dst, src []float64, k float64) {
 	src = src[:len(dst)]
 	for i := range dst {
-		dst[i] += src[i] * k
+		dst[i] += float64(src[i] * k)
 	}
 }
 

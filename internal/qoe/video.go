@@ -57,7 +57,7 @@ func (sc *Scorer) ssimPair(ref, dist *media.Frame) float64 {
 	sx := sc.ssimStats(ref)
 	sy := sc.ssimStats(dist)
 	xy := mul(sc.pool, sx.base, sy.base)
-	sxy := convValid(sc.pool, xy, sc.kssim)
+	sxy := convValid(sc.pool, xy, ssimKernel)
 	sc.pool.put(xy)
 
 	c1 := (ssimK1 * ssimL) * (ssimK1 * ssimL)
@@ -128,7 +128,7 @@ func (sc *Scorer) vifPair(ref, dist *media.Frame) float64 {
 	for s := 0; s < scales; s++ {
 		vx0, vy0 := &sx.vif[s], &sy.vif[s]
 		xy := mul(sc.pool, vx0.x, vy0.x)
-		sxy := convValid(sc.pool, xy, sc.kvif[s])
+		sxy := convValid(sc.pool, xy, vifKernels[s])
 		sc.pool.put(xy)
 		mux, muy := vx0.mu.v, vy0.mu.v
 		sxxv, syyv := vx0.sxx.v, vy0.sxx.v
