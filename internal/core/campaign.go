@@ -703,14 +703,15 @@ func metricOf(s *stats.Sample) *Metric {
 	if s == nil || s.Len() == 0 {
 		return nil
 	}
+	sum := s.Summarize()
 	return &Metric{
-		N:    s.Len(),
-		Mean: s.Mean(),
-		Min:  s.Min(),
-		P25:  s.Quantile(0.25),
-		P50:  s.Median(),
-		P75:  s.Quantile(0.75),
-		Max:  s.Max(),
+		N:    sum.N,
+		Mean: sum.Mean,
+		Min:  sum.Min,
+		P25:  sum.P25,
+		P50:  sum.P50,
+		P75:  sum.P75,
+		Max:  sum.Max,
 	}
 }
 

@@ -52,10 +52,7 @@ const (
 
 var errCellTruncated = errors.New("core: cell encoding truncated")
 
-// encodeCell serializes one unit result. Encoding happens immediately
-// after the unit computes, before any renderer sorts the result's
-// samples in place: the stored observation order must match what a
-// cold run's renderer sees, or warm reruns drift in the last ulp.
+// encodeCell serializes one unit result.
 func encodeCell(v any) ([]byte, error) {
 	w := cellWriter{b: make([]byte, 0, 512)}
 	switch r := v.(type) {

@@ -114,10 +114,6 @@ func replicaBase(key string, repeats int) (base string, ok bool) {
 // single-machine run computes. When tb carries a store, the unit is
 // looked up before computing and persisted after, sharing the worker's
 // cache with its own campaigns and with repeated unit requests.
-//
-// Pass a fresh Testbed per call: the memo table is deliberately not
-// consulted, because renderers sort memoized samples in place and a
-// post-render encoding would drift from what a cold run persists.
 func RunCampaignUnit(tb *Testbed, spec Campaign, sc Scale, key string) ([]byte, error) {
 	rc, err := spec.resolve()
 	if err != nil {

@@ -251,9 +251,6 @@ func (tb *Testbed) runMemoized(sc Scale, salt string, keys []string, parents map
 	(&Scheduler{TB: tb}).Run(units)
 	for _, i := range missing {
 		tb.memoPut(keys[i], out[i])
-		// Persist before returning: renderers sort samples in place,
-		// and the stored observation order must be the pre-render one
-		// a cold run would also see.
 		tb.storePut(scaleFP, salt, keys[i], out[i])
 	}
 	return out

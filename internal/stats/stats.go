@@ -18,41 +18,37 @@ import (
 // never a fabricated zero — when the sample is empty, so callers that
 // may render absent signals (e.g. MOS with audio disabled) must either
 // check Len or route values through a NaN-aware renderer.
+//
+// Observations stay in insertion order: no read reorders them, so every
+// statistic is the same whatever was read before it, and concurrent
+// readers do not race.
 type Sample struct {
-	xs     []float64
-	sorted bool
+	xs []float64
 }
 
 // NewSample returns a Sample pre-sized for n observations.
 func NewSample(n int) *Sample { return &Sample{xs: make([]float64, 0, n)} }
 
 // Add records one observation.
-func (s *Sample) Add(x float64) {
-	s.xs = append(s.xs, x)
-	s.sorted = false
-}
+func (s *Sample) Add(x float64) { s.xs = append(s.xs, x) }
 
 // AddAll records every observation in xs.
-func (s *Sample) AddAll(xs []float64) {
-	s.xs = append(s.xs, xs...)
-	s.sorted = false
-}
+func (s *Sample) AddAll(xs []float64) { s.xs = append(s.xs, xs...) }
 
 // Len reports the number of observations recorded.
 func (s *Sample) Len() int { return len(s.xs) }
 
-// Values returns the observations in sorted order. The returned slice is
-// owned by the Sample and must not be modified.
+// Values returns the observations in sorted order: the Sample's own
+// slice when it is already sorted, otherwise a sorted copy. The
+// returned slice must not be modified.
 func (s *Sample) Values() []float64 {
-	s.sort()
-	return s.xs
-}
-
-func (s *Sample) sort() {
-	if !s.sorted {
-		sort.Float64s(s.xs)
-		s.sorted = true
+	if sort.Float64sAreSorted(s.xs) {
+		return s.xs
 	}
+	v := make([]float64, len(s.xs))
+	copy(v, s.xs)
+	sort.Float64s(v)
+	return v
 }
 
 // Mean returns the arithmetic mean, or NaN for an empty sample.
@@ -84,46 +80,36 @@ func (s *Sample) StdDev() float64 {
 }
 
 // Min returns the smallest observation, or NaN for an empty sample.
-func (s *Sample) Min() float64 {
-	if len(s.xs) == 0 {
-		return math.NaN()
-	}
-	s.sort()
-	return s.xs[0]
-}
+func (s *Sample) Min() float64 { return quantile(s.Values(), 0) }
 
 // Max returns the largest observation, or NaN for an empty sample.
-func (s *Sample) Max() float64 {
-	if len(s.xs) == 0 {
-		return math.NaN()
-	}
-	s.sort()
-	return s.xs[len(s.xs)-1]
-}
+func (s *Sample) Max() float64 { return quantile(s.Values(), 1) }
 
 // Quantile returns the q-th quantile (0 <= q <= 1) using linear
 // interpolation between order statistics (type-7 estimator, the default of
 // R and NumPy). It returns NaN for an empty sample.
-func (s *Sample) Quantile(q float64) float64 {
-	n := len(s.xs)
+func (s *Sample) Quantile(q float64) float64 { return quantile(s.Values(), q) }
+
+// quantile is Quantile over observations already in sorted order.
+func quantile(sorted []float64, q float64) float64 {
+	n := len(sorted)
 	if n == 0 || math.IsNaN(q) {
 		return math.NaN()
 	}
-	s.sort()
 	if q <= 0 {
-		return s.xs[0]
+		return sorted[0]
 	}
 	if q >= 1 {
-		return s.xs[n-1]
+		return sorted[n-1]
 	}
 	pos := q * float64(n-1)
 	lo := int(math.Floor(pos))
 	hi := lo + 1
 	frac := pos - float64(lo)
 	if hi >= n {
-		return s.xs[n-1]
+		return sorted[n-1]
 	}
-	return s.xs[lo]*(1-frac) + s.xs[hi]*frac
+	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
 // Median returns the 50th percentile.
@@ -204,7 +190,6 @@ func (s *Sample) GobDecode(data []byte) error {
 	for i := range s.xs {
 		s.xs[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[8*(i+1):]))
 	}
-	s.sorted = false
 	return nil
 }
 
@@ -226,18 +211,19 @@ func (s *Sample) Summarize() Summary {
 		sum.Mean, sum.StdDev, sum.WhiskLo, sum.WhiskHi = nan, nan, nan, nan
 		return sum
 	}
-	sum.Min = s.Min()
-	sum.Max = s.Max()
-	sum.P25 = s.Quantile(0.25)
-	sum.P50 = s.Quantile(0.50)
-	sum.P75 = s.Quantile(0.75)
+	sorted := s.Values()
+	sum.Min = quantile(sorted, 0)
+	sum.Max = quantile(sorted, 1)
+	sum.P25 = quantile(sorted, 0.25)
+	sum.P50 = quantile(sorted, 0.50)
+	sum.P75 = quantile(sorted, 0.75)
 	sum.Mean = s.Mean()
 	sum.StdDev = s.StdDev()
 	iqr := sum.P75 - sum.P25
 	loFence := sum.P25 - 1.5*iqr
 	hiFence := sum.P75 + 1.5*iqr
 	sum.WhiskLo, sum.WhiskHi = sum.Max, sum.Min
-	for _, x := range s.Values() {
+	for _, x := range sorted {
 		if x >= loFence && x < sum.WhiskLo {
 			sum.WhiskLo = x
 		}
