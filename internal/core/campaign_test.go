@@ -9,7 +9,6 @@ import (
 
 	"github.com/vcabench/vcabench/internal/report"
 	"github.com/vcabench/vcabench/internal/stats"
-	"github.com/vcabench/vcabench/internal/store"
 	"github.com/vcabench/vcabench/internal/trace"
 )
 
@@ -518,73 +517,6 @@ func TestCampaignTraceCells(t *testing.T) {
 	}
 }
 
-// The acceptance matrix for trace-bearing campaigns: byte-identical
-// JSON across worker counts, cold vs warm store, and local vs
-// dispatched execution.
-func TestCampaignTraceDeterminism(t *testing.T) {
-	dir := t.TempDir()
-	render := func(workers int, withStore bool, d Dispatcher) ([]byte, store.Stats) {
-		tb := NewTestbed(42).SetParallelism(workers)
-		var st *store.Store
-		if withStore {
-			var err error
-			if st, err = store.Open(dir); err != nil {
-				t.Fatal(err)
-			}
-			tb.WithStore(st)
-		}
-		if d != nil {
-			tb.WithDispatcher(d)
-		}
-		res, err := RunCampaign(tb, traceGrid(), TinyScale)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := report.WriteJSON(&buf, res); err != nil {
-			t.Fatal(err)
-		}
-		if err := tb.StoreErr(); err != nil {
-			t.Fatal(err)
-		}
-		var stats store.Stats
-		if st != nil {
-			stats = st.Stats()
-		}
-		return buf.Bytes(), stats
-	}
-
-	serial, _ := render(1, false, nil)
-	parallel, _ := render(8, false, nil)
-	if !bytes.Equal(serial, parallel) {
-		t.Error("trace campaign differs between 1 and 8 workers")
-	}
-
-	cold, coldStats := render(4, true, nil)
-	warm, warmStats := render(2, true, nil)
-	if !bytes.Equal(serial, cold) {
-		t.Error("stored run differs from plain run")
-	}
-	if !bytes.Equal(cold, warm) {
-		t.Error("warm rerun differs from cold")
-	}
-	if coldStats.Hits() != 0 || coldStats.Puts != 6 {
-		t.Errorf("cold stats = %+v", coldStats)
-	}
-	if warmStats.Misses != 0 || warmStats.Puts != 0 || warmStats.Hits() != 6 {
-		t.Errorf("warm stats = %+v (cells recomputed)", warmStats)
-	}
-
-	d := &workerDispatcher{}
-	dist, _ := render(4, false, d)
-	if !bytes.Equal(serial, dist) {
-		t.Error("dispatched trace campaign differs from local run")
-	}
-	if d.calls.Load() != 6 {
-		t.Errorf("dispatcher saw %d units, want 6", d.calls.Load())
-	}
-}
-
 // repGrid is a small replicated campaign: two cells × three replicas.
 func repGrid() Campaign {
 	return Campaign{
@@ -807,72 +739,5 @@ func TestReplicatedMetricEdgeCases(t *testing.T) {
 	}
 	if m.StdErr == nil || math.IsNaN(*m.StdErr) {
 		t.Errorf("two replicas should define stderr: %+v", m)
-	}
-}
-
-// The acceptance matrix for replicated campaigns: byte-identical JSON
-// across worker counts, cold vs warm store (each replica an
-// independent store unit), and local vs dispatched execution.
-func TestCampaignReplicatedDeterminism(t *testing.T) {
-	dir := t.TempDir()
-	render := func(workers int, withStore bool, d Dispatcher) ([]byte, store.Stats) {
-		tb := NewTestbed(42).SetParallelism(workers)
-		var st *store.Store
-		if withStore {
-			var err error
-			if st, err = store.Open(dir); err != nil {
-				t.Fatal(err)
-			}
-			tb.WithStore(st)
-		}
-		if d != nil {
-			tb.WithDispatcher(d)
-		}
-		res, err := RunCampaign(tb, repGrid(), TinyScale)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := report.WriteJSON(&buf, res); err != nil {
-			t.Fatal(err)
-		}
-		if err := tb.StoreErr(); err != nil {
-			t.Fatal(err)
-		}
-		var stats store.Stats
-		if st != nil {
-			stats = st.Stats()
-		}
-		return buf.Bytes(), stats
-	}
-
-	serial, _ := render(1, false, nil)
-	parallel, _ := render(8, false, nil)
-	if !bytes.Equal(serial, parallel) {
-		t.Error("replicated campaign differs between 1 and 8 workers")
-	}
-
-	cold, coldStats := render(4, true, nil)
-	warm, warmStats := render(2, true, nil)
-	if !bytes.Equal(serial, cold) {
-		t.Error("stored replicated run differs from plain run")
-	}
-	if !bytes.Equal(cold, warm) {
-		t.Error("warm replicated rerun differs from cold")
-	}
-	if coldStats.Hits() != 0 || coldStats.Puts != 6 {
-		t.Errorf("cold stats = %+v (want one put per replica unit)", coldStats)
-	}
-	if warmStats.Misses != 0 || warmStats.Puts != 0 || warmStats.Hits() != 6 {
-		t.Errorf("warm stats = %+v (want one hit per replica unit)", warmStats)
-	}
-
-	d := &workerDispatcher{}
-	dist, _ := render(4, false, d)
-	if !bytes.Equal(serial, dist) {
-		t.Error("dispatched replicated campaign differs from local run")
-	}
-	if d.calls.Load() != 6 {
-		t.Errorf("dispatcher saw %d units, want one per replica (6)", d.calls.Load())
 	}
 }

@@ -109,9 +109,10 @@ func TestContract(t *testing.T) {
 }
 
 // rendered is one campaign run as a user sees it: the JSON document
-// and the text table.
+// and the text table, plus the result they were rendered from.
 type rendered struct {
 	json, table []byte
+	res         *core.CampaignResult
 }
 
 // contractCase is one (spec, seed) row of the matrix.
@@ -153,10 +154,7 @@ func (c *contractCase) run(t *testing.T, name, marks string, refs map[int64]rend
 	})
 	t.Run("fleet", func(t *testing.T) { c.checkFleet(t, ref) })
 	t.Run("telemetry", func(t *testing.T) { c.checkTelemetry(t, ref) })
-	t.Run("daemon", func(t *testing.T) {
-		h := serve.New(serve.Config{Scale: core.TinyScale}).Handler()
-		sameJSON(t, ref.json, c.daemonResult(t, h))
-	})
+	t.Run("daemon", func(t *testing.T) { c.checkDaemon(t, ref) })
 	if name == "traces" {
 		c.checkDiagnostics(t, ref)
 	}
@@ -184,7 +182,7 @@ func (c *contractCase) render(t *testing.T, tb *core.Testbed) rendered {
 	if err := tb.StoreErr(); err != nil {
 		t.Fatal(err)
 	}
-	return rendered{js.Bytes(), tbl.Bytes()}
+	return rendered{js.Bytes(), tbl.Bytes(), res}
 }
 
 // renderStored runs on a fresh testbed over a fresh handle to dir, as
@@ -242,6 +240,30 @@ func (c *contractCase) checkFleet(t *testing.T, ref rendered) {
 	}
 	if served != c.n {
 		t.Errorf("workers served %d units, want %d", served, c.n)
+	}
+	var done uint64
+	for _, w := range ps.Workers {
+		done += w.Done
+	}
+	if done != ps.Remote {
+		t.Errorf("per-worker done %d does not add up to %d remote units", done, ps.Remote)
+	}
+}
+
+// checkDaemon submits the spec to a serve handler: the result document
+// must equal the reference, and every cell must be served by its key
+// as the reference renders it.
+func (c *contractCase) checkDaemon(t *testing.T, ref rendered) {
+	ts := httptest.NewServer(serve.New(serve.Config{Scale: core.TinyScale}).Handler())
+	defer ts.Close()
+	sameJSON(t, ref.json, c.daemonResult(t, ts.URL, len(ref.res.Cells)))
+	for i := range ref.res.Cells {
+		cell := &ref.res.Cells[i]
+		var want bytes.Buffer
+		if err := report.WriteJSON(&want, cell); err != nil {
+			t.Fatal(err)
+		}
+		sameJSON(t, want.Bytes(), []byte(httpGet(t, fmt.Sprintf("%s/cells/%s?seed=%d", ts.URL, cell.Key, c.seed))))
 	}
 }
 
@@ -341,10 +363,9 @@ func (c *contractCase) checkDiagnostics(t *testing.T, ref rendered) {
 		}
 	})
 	t.Run("diag-daemon", func(t *testing.T) {
-		h := serve.New(serve.Config{Scale: core.TinyScale, Seed: c.seed, Diagnostics: true}).Handler()
-		sameJSON(t, aref.json, c.daemonResult(t, h))
-		ts := httptest.NewServer(h)
+		ts := httptest.NewServer(serve.New(serve.Config{Scale: core.TinyScale, Seed: c.seed, Diagnostics: true}).Handler())
 		defer ts.Close()
+		sameJSON(t, aref.json, c.daemonResult(t, ts.URL, len(aref.res.Cells)))
 		got := make(map[string][]byte, len(docs))
 		//vcalint:ignore maprange order-independent fetch into a map keyed by the same keys
 		for key := range docs {
@@ -354,18 +375,20 @@ func (c *contractCase) checkDiagnostics(t *testing.T, ref rendered) {
 	})
 }
 
-// daemonResult submits the spec to h over HTTP, polls until the job
-// finishes and returns its result document.
-func (c *contractCase) daemonResult(t *testing.T, h http.Handler) []byte {
+// daemonResult submits the spec to the daemon at url, polls until the
+// job finishes with the given number of cells and returns its result
+// document.
+func (c *contractCase) daemonResult(t *testing.T, url string, cells int) []byte {
 	t.Helper()
-	ts := httptest.NewServer(h)
-	defer ts.Close()
 	body := fmt.Sprintf(`{"spec": %s, "seed": %d}`, c.raw, c.seed)
-	resp, err := http.Post(ts.URL+"/campaigns", "application/json", strings.NewReader(body))
+	resp, err := http.Post(url+"/campaigns", "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var job struct{ ID, Status, Error string }
+	var job struct {
+		ID, Status, Error string
+		Cells             int
+	}
 	err = json.NewDecoder(resp.Body).Decode(&job)
 	resp.Body.Close()
 	if err != nil {
@@ -376,11 +399,14 @@ func (c *contractCase) daemonResult(t *testing.T, h http.Handler) []byte {
 			t.Fatalf("job %s: status %q %s", job.ID, job.Status, job.Error)
 		}
 		time.Sleep(10 * time.Millisecond)
-		if err := json.Unmarshal([]byte(httpGet(t, ts.URL+"/campaigns/"+job.ID)), &job); err != nil {
+		if err := json.Unmarshal([]byte(httpGet(t, url+"/campaigns/"+job.ID)), &job); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return []byte(httpGet(t, ts.URL+"/campaigns/"+job.ID+"/result"))
+	if job.Cells != cells {
+		t.Errorf("job reports %d cells, want %d", job.Cells, cells)
+	}
+	return []byte(httpGet(t, url+"/campaigns/"+job.ID+"/result"))
 }
 
 // checkArtifact renders one experiment by ID at seed 42: serially as

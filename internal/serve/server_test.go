@@ -554,55 +554,3 @@ func TestServeEvictsOldFinishedJobs(t *testing.T) {
 		t.Errorf("resubmitted job: %+v", fin)
 	}
 }
-
-// A replicated campaign submitted to the daemon: the result document
-// matches the direct path (repeats header, replicas blocks, ±CI
-// metrics), and per-cell lookups serve the aggregated cell under its
-// bare cell key.
-func TestServeReplicatedCampaign(t *testing.T) {
-	const repSpec = `{"name": "srep", "platforms": ["zoom"], "repeats": 3}`
-	ts := newTestServer(t, Config{})
-	st := submit(t, ts, `{"spec": `+repSpec+`}`)
-	if st.Status == "failed" {
-		t.Fatalf("submit failed: %s", st.Error)
-	}
-	if fin := poll(t, ts, st.ID); fin.Status != "done" || fin.Cells != 1 {
-		t.Fatalf("terminal status = %+v", fin)
-	}
-	code, body := get(t, ts, "/campaigns/"+st.ID+"/result")
-	if code != http.StatusOK {
-		t.Fatalf("result status = %d: %s", code, body)
-	}
-
-	spec, err := core.ParseCampaign([]byte(repSpec))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := core.RunCampaign(core.NewTestbed(42), spec, core.TinyScale)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var direct bytes.Buffer
-	if err := report.WriteJSON(&direct, res); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(body, direct.Bytes()) {
-		t.Errorf("daemon replicated result differs from direct path:\n--- daemon ---\n%s\n--- direct ---\n%s", body, direct.Bytes())
-	}
-
-	// The cell index serves the aggregated cell by its bare key.
-	code, cell := get(t, ts, "/cells/srep")
-	if code != http.StatusOK {
-		t.Fatalf("cell status = %d: %s", code, cell)
-	}
-	var got core.CellResult
-	if err := json.Unmarshal(cell, &got); err != nil {
-		t.Fatal(err)
-	}
-	if got.Key != "srep" || len(got.Replicas) != 3 {
-		t.Errorf("replicated cell lookup = %+v", got)
-	}
-	if got.PSNR == nil || got.PSNR.Reps != 3 || got.PSNR.CI95 == nil {
-		t.Errorf("replicated cell metrics = %+v", got.PSNR)
-	}
-}
