@@ -309,9 +309,10 @@ func (tb *TokenBucket) Admit(now time.Time, bytes int) time.Time {
 		tb.last = now
 		tb.primed = true
 	}
-	// Refill.
+	// Refill. The conversion rounds the refill before the add, so arm64
+	// cannot fuse the two into one multiply-add.
 	if now.After(tb.last) {
-		tb.tokens += now.Sub(tb.last).Seconds() * float64(tb.RateBps) / 8
+		tb.tokens += float64(now.Sub(tb.last).Seconds() * float64(tb.RateBps) / 8)
 		if tb.tokens > float64(tb.Burst) {
 			tb.tokens = float64(tb.Burst)
 		}
