@@ -48,7 +48,7 @@ var contractSpecs = map[string]struct {
 var contractArtifacts = []struct {
 	scale core.Scale
 	id    string
-	units uint64
+	units int
 }{
 	{core.TinyScale, "fig12", 30},
 	{core.TinyScale, "fig13", 3},
@@ -144,13 +144,9 @@ func (c *contractCase) run(t *testing.T, name, marks string, refs map[int64]rend
 		sameRender(t, ref, c.render(t, refTB))
 	})
 	t.Run("store", func(t *testing.T) {
-		dir := t.TempDir()
-		cold, st := c.renderStored(t, dir, 4)
-		sameRender(t, ref, cold)
-		wantStoreStats(t, "cold", st, 0, c.n, c.n)
-		warm, st := c.renderStored(t, dir, 2)
-		sameRender(t, ref, warm)
-		wantStoreStats(t, "warm", st, c.n, 0, 0)
+		coldThenWarm(t, t.TempDir(), c.seed, c.n, func(t *testing.T, tb *core.Testbed) {
+			sameRender(t, ref, c.render(t, tb))
+		})
 	})
 	t.Run("fleet", func(t *testing.T) { c.checkFleet(t, ref) })
 	t.Run("telemetry", func(t *testing.T) { c.checkTelemetry(t, ref) })
@@ -183,17 +179,6 @@ func (c *contractCase) render(t *testing.T, tb *core.Testbed) rendered {
 		t.Fatal(err)
 	}
 	return rendered{js.Bytes(), tbl.Bytes(), res}
-}
-
-// renderStored runs on a fresh testbed over a fresh handle to dir, as
-// a new process would, and reports that handle's traffic.
-func (c *contractCase) renderStored(t *testing.T, dir string, workers int) (rendered, store.Stats) {
-	t.Helper()
-	st, err := store.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return c.render(t, core.NewTestbed(c.seed).SetParallelism(workers).WithStore(st)), st.Stats()
 }
 
 // checkFleet shards the campaign across two in-process workers that
@@ -326,22 +311,16 @@ func (c *contractCase) checkDiagnostics(t *testing.T, ref rendered) {
 	// bare ones, so the armed cold run must miss every cell.
 	t.Run("diag-store", func(t *testing.T) {
 		dir := t.TempDir()
-		bare, _ := c.renderStored(t, dir, 3)
-		sameRender(t, ref, bare)
-		for _, temp := range []struct {
-			name              string
-			workers           int
-			hits, misses, put int
-		}{{"cold", 1, 0, c.n, c.n}, {"warm", 8, c.n, 0, 0}} {
-			st, err := store.Open(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			r, got := armed(t, core.NewTestbed(c.seed).SetParallelism(temp.workers).WithStore(st))
+		st, err := store.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameRender(t, ref, c.render(t, core.NewTestbed(c.seed).WithStore(st)))
+		coldThenWarm(t, dir, c.seed, c.n, func(t *testing.T, tb *core.Testbed) {
+			r, got := armed(t, tb)
 			sameRender(t, aref, r)
 			sameDiags(t, docs, got)
-			wantStoreStats(t, temp.name, st.Stats(), temp.hits, temp.misses, temp.put)
-		}
+		})
 	})
 	// An armed coordinator asks plain workers to arm per unit.
 	t.Run("diag-fleet", func(t *testing.T) {
@@ -411,7 +390,7 @@ func (c *contractCase) daemonResult(t *testing.T, url string, cells int) []byte 
 
 // checkArtifact renders one experiment by ID at seed 42: serially as
 // the reference, at three workers, and cold then warm through a store.
-func checkArtifact(t *testing.T, sc core.Scale, id string, units uint64) {
+func checkArtifact(t *testing.T, sc core.Scale, id string, units int) {
 	e, ok := core.Lookup(id)
 	if !ok {
 		t.Fatalf("no experiment %s", id)
@@ -433,31 +412,34 @@ func checkArtifact(t *testing.T, sc core.Scale, id string, units uint64) {
 		sameText(t, ref, text(core.NewTestbed(42).SetParallelism(3)))
 	})
 	t.Run("store", func(t *testing.T) {
-		dir := t.TempDir()
-		for _, temp := range []struct {
-			name              string
-			workers           int
-			hits, misses, put uint64
-		}{{"cold", 3, 0, units, units}, {"warm", 2, units, 0, 0}} {
+		coldThenWarm(t, t.TempDir(), 42, units, func(t *testing.T, tb *core.Testbed) {
+			sameText(t, ref, text(tb))
+		})
+	})
+}
+
+// coldThenWarm runs check twice, each time on a fresh testbed over a
+// fresh handle to the store in dir, as a new process would: the cold
+// run must compute and store all n units, the warm run must read them
+// all back and compute none.
+func coldThenWarm(t *testing.T, dir string, seed int64, n int, check func(t *testing.T, tb *core.Testbed)) {
+	for _, temp := range []struct {
+		name               string
+		workers            int
+		hits, misses, puts uint64
+	}{{"cold", 4, 0, uint64(n), uint64(n)}, {"warm", 2, uint64(n), 0, 0}} {
+		t.Run(temp.name, func(t *testing.T) {
 			st, err := store.Open(dir)
 			if err != nil {
 				t.Fatal(err)
 			}
-			sameText(t, ref, text(core.NewTestbed(42).SetParallelism(temp.workers).WithStore(st)))
+			check(t, core.NewTestbed(seed).SetParallelism(temp.workers).WithStore(st))
 			s := st.Stats()
-			if s.Hits() != temp.hits || s.Misses != temp.misses || s.Puts != temp.put {
-				t.Errorf("%s store: %d hits, %d misses, %d puts; want %d, %d, %d",
-					temp.name, s.Hits(), s.Misses, s.Puts, temp.hits, temp.misses, temp.put)
+			if s.Hits() != temp.hits || s.Misses != temp.misses || s.Puts != temp.puts {
+				t.Errorf("%d hits, %d misses, %d puts; want %d, %d, %d",
+					s.Hits(), s.Misses, s.Puts, temp.hits, temp.misses, temp.puts)
 			}
-		}
-	})
-}
-
-func wantStoreStats(t *testing.T, temp string, s store.Stats, hits, misses, puts int) {
-	t.Helper()
-	if s.Hits() != uint64(hits) || s.Misses != uint64(misses) || s.Puts != uint64(puts) {
-		t.Errorf("%s store: %d hits, %d misses, %d puts; want %d, %d, %d",
-			temp, s.Hits(), s.Misses, s.Puts, hits, misses, puts)
+		})
 	}
 }
 
@@ -528,19 +510,20 @@ func encodeDiags(t *testing.T, tb *core.Testbed) map[string][]byte {
 
 func sameDiags(t *testing.T, want, got map[string][]byte) {
 	t.Helper()
-	keys := make([]string, 0, len(want))
-	//vcalint:ignore maprange keys are sorted below
-	for k := range want {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		if !bytes.Equal(want[k], got[k]) {
-			t.Errorf("%s: diagnostics artifact of cell %s differs from the reference", t.Name(), k)
-		}
-	}
 	if len(got) != len(want) {
 		t.Errorf("%s: %d diagnostics artifacts, want %d", t.Name(), len(got), len(want))
+	}
+	var differ []string
+	//vcalint:ignore maprange the keys are sorted before they are reported
+	for k := range want {
+		if !bytes.Equal(want[k], got[k]) {
+			differ = append(differ, k)
+		}
+	}
+	if len(differ) > 0 {
+		sort.Strings(differ)
+		t.Errorf("%s: %d diagnostics artifacts differ from the reference, first that of cell %s",
+			t.Name(), len(differ), differ[0])
 	}
 }
 
