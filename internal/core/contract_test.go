@@ -185,23 +185,16 @@ func (c *contractCase) render(t *testing.T, tb *core.Testbed) rendered {
 // share one store directory, each exporting its own metrics.
 func (c *contractCase) checkFleet(t *testing.T, ref rendered) {
 	dir := t.TempDir()
-	var urls []string
-	var workers []*httptest.Server
-	for i := 0; i < 2; i++ {
+	configs := make([]serve.Config, 2)
+	for i := range configs {
 		tel := obs.NewTelemetry()
 		st, err := store.OpenOptions(dir, store.Options{Telemetry: tel})
 		if err != nil {
 			t.Fatal(err)
 		}
-		ts := httptest.NewServer(serve.New(serve.Config{Store: st, Telemetry: tel}).Handler())
-		t.Cleanup(ts.Close)
-		workers = append(workers, ts)
-		urls = append(urls, ts.URL)
+		configs[i] = serve.Config{Store: st, Telemetry: tel}
 	}
-	pool, err := cluster.New(urls, cluster.Options{Backoff: time.Millisecond, Cooldown: time.Minute})
-	if err != nil {
-		t.Fatal(err)
-	}
+	pool, urls := startFleet(t, configs...)
 	sameRender(t, ref, c.render(t, core.NewTestbed(c.seed).WithDispatcher(pool)))
 
 	ps := pool.Stats()
@@ -209,8 +202,8 @@ func (c *contractCase) checkFleet(t *testing.T, ref rendered) {
 		t.Errorf("pool: %d remote, %d errors, %d fallbacks; want %d, 0, 0", ps.Remote, ps.Errors, ps.Fallbacks, c.n)
 	}
 	served := 0
-	for i, w := range workers {
-		text := httpGet(t, w.URL+"/metrics")
+	for i, url := range urls {
+		text := httpGet(t, url+"/metrics")
 		v := metricValue(t, text, "vcabench_serve_units_total")
 		if v == 0 {
 			t.Errorf("worker %d served no units", i)
@@ -235,20 +228,36 @@ func (c *contractCase) checkFleet(t *testing.T, ref rendered) {
 	}
 }
 
+// startFleet serves each config behind httptest and returns a pool
+// over the workers, with their URLs.
+func startFleet(t *testing.T, configs ...serve.Config) (*cluster.Pool, []string) {
+	var urls []string
+	for _, cfg := range configs {
+		ts := httptest.NewServer(serve.New(cfg).Handler())
+		t.Cleanup(ts.Close)
+		urls = append(urls, ts.URL)
+	}
+	pool, err := cluster.New(urls, cluster.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pool, urls
+}
+
 // checkDaemon submits the spec to a serve handler: the result document
 // must equal the reference, and every cell must be served by its key
 // as the reference renders it.
 func (c *contractCase) checkDaemon(t *testing.T, ref rendered) {
 	ts := httptest.NewServer(serve.New(serve.Config{Scale: core.TinyScale}).Handler())
 	defer ts.Close()
-	sameJSON(t, ref.json, c.daemonResult(t, ts.URL, len(ref.res.Cells)))
+	same(t, ref.json, c.daemonResult(t, ts.URL, len(ref.res.Cells)))
 	for i := range ref.res.Cells {
 		cell := &ref.res.Cells[i]
 		var want bytes.Buffer
 		if err := report.WriteJSON(&want, cell); err != nil {
 			t.Fatal(err)
 		}
-		sameJSON(t, want.Bytes(), []byte(httpGet(t, fmt.Sprintf("%s/cells/%s?seed=%d", ts.URL, cell.Key, c.seed))))
+		same(t, want.Bytes(), []byte(httpGet(t, fmt.Sprintf("%s/cells/%s?seed=%d", ts.URL, cell.Key, c.seed))))
 	}
 }
 
@@ -324,16 +333,7 @@ func (c *contractCase) checkDiagnostics(t *testing.T, ref rendered) {
 	})
 	// An armed coordinator asks plain workers to arm per unit.
 	t.Run("diag-fleet", func(t *testing.T) {
-		var urls []string
-		for i := 0; i < 2; i++ {
-			ts := httptest.NewServer(serve.New(serve.Config{}).Handler())
-			t.Cleanup(ts.Close)
-			urls = append(urls, ts.URL)
-		}
-		pool, err := cluster.New(urls, cluster.Options{Backoff: time.Millisecond, Cooldown: time.Minute})
-		if err != nil {
-			t.Fatal(err)
-		}
+		pool, _ := startFleet(t, serve.Config{}, serve.Config{})
 		r, got := armed(t, core.NewTestbed(c.seed).WithDispatcher(pool))
 		sameRender(t, aref, r)
 		sameDiags(t, docs, got)
@@ -342,13 +342,13 @@ func (c *contractCase) checkDiagnostics(t *testing.T, ref rendered) {
 		}
 	})
 	t.Run("diag-daemon", func(t *testing.T) {
-		ts := httptest.NewServer(serve.New(serve.Config{Scale: core.TinyScale, Seed: c.seed, Diagnostics: true}).Handler())
+		ts := httptest.NewServer(serve.New(serve.Config{Scale: core.TinyScale, Diagnostics: true}).Handler())
 		defer ts.Close()
-		sameJSON(t, aref.json, c.daemonResult(t, ts.URL, len(aref.res.Cells)))
+		same(t, aref.json, c.daemonResult(t, ts.URL, len(aref.res.Cells)))
 		got := make(map[string][]byte, len(docs))
 		//vcalint:ignore maprange order-independent fetch into a map keyed by the same keys
 		for key := range docs {
-			got[key] = []byte(httpGet(t, ts.URL+"/cells/"+key+"/diag"))
+			got[key] = []byte(httpGet(t, fmt.Sprintf("%s/cells/%s/diag?seed=%d", ts.URL, key, c.seed)))
 		}
 		sameDiags(t, docs, got)
 	})
@@ -395,7 +395,7 @@ func checkArtifact(t *testing.T, sc core.Scale, id string, units int) {
 	if !ok {
 		t.Fatalf("no experiment %s", id)
 	}
-	text := func(tb *core.Testbed) []byte {
+	text := func(t *testing.T, tb *core.Testbed) []byte {
 		t.Helper()
 		var b bytes.Buffer
 		e.Run(tb, sc, &b)
@@ -404,16 +404,16 @@ func checkArtifact(t *testing.T, sc core.Scale, id string, units int) {
 		}
 		return b.Bytes()
 	}
-	ref := text(core.NewTestbed(42).SetParallelism(1))
+	ref := text(t, core.NewTestbed(42).SetParallelism(1))
 	if len(ref) < 100 {
 		t.Fatalf("reference output is %d bytes:\n%s", len(ref), ref)
 	}
 	t.Run("parallel=3", func(t *testing.T) {
-		sameText(t, ref, text(core.NewTestbed(42).SetParallelism(3)))
+		same(t, ref, text(t, core.NewTestbed(42).SetParallelism(3)))
 	})
 	t.Run("store", func(t *testing.T) {
 		coldThenWarm(t, t.TempDir(), 42, units, func(t *testing.T, tb *core.Testbed) {
-			sameText(t, ref, text(tb))
+			same(t, ref, text(t, tb))
 		})
 	})
 }
@@ -445,13 +445,13 @@ func coldThenWarm(t *testing.T, dir string, seed int64, n int, check func(t *tes
 
 func sameRender(t *testing.T, want, got rendered) {
 	t.Helper()
-	sameJSON(t, want.json, got.json)
-	sameText(t, want.table, got.table)
+	same(t, want.json, got.json)
+	same(t, want.table, got.table)
 }
 
-// sameJSON reports the first line where got departs from want, with
-// the key of the cell (or replica) that line belongs to.
-func sameJSON(t *testing.T, want, got []byte) {
+// same reports the first line where got departs from want and, in
+// campaign JSON, the key of the cell (or replica) that line belongs to.
+func same(t *testing.T, want, got []byte) {
 	t.Helper()
 	if bytes.Equal(want, got) {
 		return
@@ -461,31 +461,15 @@ func sameJSON(t *testing.T, want, got []byte) {
 	for i < len(wl) && i < len(gl) && wl[i] == gl[i] {
 		i++
 	}
-	key := "(none)"
+	where := ""
 	for j := min(i, len(wl)-1); j >= 0; j-- {
 		if k, ok := strings.CutPrefix(strings.TrimSpace(wl[j]), `"key": `); ok {
-			key = strings.TrimSuffix(k, ",")
+			where = ", in cell " + strings.TrimSuffix(k, ",")
 			break
 		}
 	}
-	t.Errorf("%s: JSON differs from the reference at line %d, in cell %s:\nwant: %s\n got: %s",
-		t.Name(), i+1, key, lineAt(wl, i), lineAt(gl, i))
-}
-
-// sameText reports the first differing line of a rendered table or
-// experiment output.
-func sameText(t *testing.T, want, got []byte) {
-	t.Helper()
-	if bytes.Equal(want, got) {
-		return
-	}
-	wl, gl := strings.Split(string(want), "\n"), strings.Split(string(got), "\n")
-	i := 0
-	for i < len(wl) && i < len(gl) && wl[i] == gl[i] {
-		i++
-	}
-	t.Errorf("%s: text differs from the reference at line %d:\nwant: %s\n got: %s",
-		t.Name(), i+1, lineAt(wl, i), lineAt(gl, i))
+	t.Errorf("%s: output differs from the reference at line %d%s:\nwant: %s\n got: %s",
+		t.Name(), i+1, where, lineAt(wl, i), lineAt(gl, i))
 }
 
 func lineAt(lines []string, i int) string {
