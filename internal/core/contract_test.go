@@ -85,6 +85,7 @@ func TestContract(t *testing.T) {
 			t.Fatalf("%s: %v", path, err)
 		}
 		t.Run(name, func(t *testing.T) {
+			t.Parallel()
 			refs := make(map[int64]rendered)
 			for _, seed := range contractSeeds {
 				t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
@@ -102,6 +103,7 @@ func TestContract(t *testing.T) {
 	}
 
 	t.Run("artifacts", func(t *testing.T) {
+		t.Parallel()
 		for _, a := range contractArtifacts {
 			t.Run(a.scale.Name+"/"+a.id, func(t *testing.T) { checkArtifact(t, a.scale, a.id, a.units) })
 		}
