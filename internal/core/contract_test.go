@@ -24,23 +24,16 @@ import (
 	"github.com/vcabench/vcabench/internal/store"
 )
 
-// TestContract checks the repository's core contract in one place: a
-// campaign renders the same bytes at any worker count, cache
-// temperature, fleet shape or telemetry setting. Every example spec
-// runs at TinyScale and two seeds against a serial cold reference, one
-// subtest per axis, named <spec>/seed=<s>/<axis>. The artifacts group
-// does the same for experiments rendered by ID.
-
 // contractSpecs is every example spec the suite runs, keyed by its
 // directory under examples/: the number of units it schedules (cells
 // times replicas) and a string its JSON must contain.
 var contractSpecs = map[string]struct {
 	units int
-	marks string
+	mark  string
 }{
-	"campaign":    {units: 48, marks: `"mos"`},
-	"traces":      {units: 18, marks: `"rate_over_time"`},
-	"replication": {units: 30, marks: `"replicas"`},
+	"campaign":    {units: 48, mark: `"mos"`},
+	"traces":      {units: 18, mark: `"rate_over_time"`},
+	"replication": {units: 30, mark: `"replicas"`},
 }
 
 // contractArtifacts is every experiment the artifacts group renders
@@ -62,6 +55,12 @@ var contractArtifacts = []struct {
 
 var contractSeeds = []int64{42, 43}
 
+// TestContract checks the repository's core contract in one place: a
+// campaign renders the same bytes at any worker count, cache
+// temperature, fleet shape or telemetry setting. Every example spec
+// runs at TinyScale and two seeds against a serial cold reference, one
+// subtest per axis, named <spec>/seed=<s>/<axis>. The artifacts group
+// does the same for experiments rendered by ID.
 func TestContract(t *testing.T) {
 	paths, err := filepath.Glob("../../examples/*/spec.json")
 	if err != nil {
@@ -86,11 +85,12 @@ func TestContract(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			refs := make(map[int64]rendered)
+			var prev *rendered
 			for _, seed := range contractSeeds {
 				t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-					c := &contractCase{spec: spec, raw: data, seed: seed, n: want.units}
-					refs[seed] = c.run(t, name, want.marks, refs)
+					c := &contractCase{name: name, spec: spec, raw: data, seed: seed, n: want.units, mark: want.mark}
+					ref := c.run(t, prev)
+					prev = &ref
 				})
 			}
 		})
@@ -117,21 +117,25 @@ type rendered struct {
 	res         *core.CampaignResult
 }
 
-// contractCase is one (spec, seed) row of the matrix.
+// contractCase is one (spec, seed) row of the matrix: the spec, its
+// unit count and a string its JSON must contain.
 type contractCase struct {
+	name string
 	spec core.Campaign
 	raw  []byte
 	seed int64
 	n    int
+	mark string
 }
 
-// run renders the serial cold reference, then every axis against it.
-// It returns the reference so later seeds can compare with it.
-func (c *contractCase) run(t *testing.T, name, marks string, refs map[int64]rendered) rendered {
+// run renders the serial cold reference, then every axis against it;
+// prev is the previous seed's reference, if any. It returns the
+// reference.
+func (c *contractCase) run(t *testing.T, prev *rendered) rendered {
 	refTB := core.NewTestbed(c.seed).SetParallelism(1)
 	ref := c.render(t, refTB)
-	if !bytes.Contains(ref.json, []byte(marks)) {
-		t.Fatalf("reference JSON lacks %s", marks)
+	if !bytes.Contains(ref.json, []byte(c.mark)) {
+		t.Fatalf("reference JSON lacks %s", c.mark)
 	}
 	if bytes.Contains(ref.json, []byte("drops_queue")) {
 		t.Fatal("bare reference JSON carries drops_queue")
@@ -153,13 +157,13 @@ func (c *contractCase) run(t *testing.T, name, marks string, refs map[int64]rend
 	t.Run("fleet", func(t *testing.T) { c.checkFleet(t, ref) })
 	t.Run("telemetry", func(t *testing.T) { c.checkTelemetry(t, ref) })
 	t.Run("daemon", func(t *testing.T) { c.checkDaemon(t, ref) })
-	if name == "traces" {
+	if c.name == "traces" {
 		c.checkDiagnostics(t, ref)
 	}
-	if prev, ok := refs[contractSeeds[0]]; ok {
+	if prev != nil {
 		t.Run("seeds-differ", func(t *testing.T) {
 			if bytes.Equal(prev.json, ref.json) {
-				t.Errorf("seeds %d and %d produced identical JSON", contractSeeds[0], c.seed)
+				t.Errorf("seed %d produced the previous seed's JSON", c.seed)
 			}
 		})
 	}
