@@ -49,7 +49,7 @@
 // it was produced — see the README's Observability section):
 //
 //	-trace-out spans.jsonl   write execution spans (campaign → cell →
-//	                         replica → unit → memo/store/dispatch/
+//	                         replica → unit → store/dispatch/
 //	                         local-run) as JSON Lines, one span per
 //	                         line, plus a per-tier summary on stderr
 //	-metrics-out FILE        write the final metrics registry in

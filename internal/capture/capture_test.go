@@ -2,6 +2,7 @@ package capture
 
 import (
 	"bytes"
+	"encoding/binary"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -200,43 +201,78 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		RTP:  info,
 	}
 	data := EncodeRecord(rec)
-	pkt, err := DecodePacket(rec.Time, data)
+	back, err := decodeRecord(rec.Time, data, rec.Src.IP)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	back, err := RecordFromPacket(pkt, Out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Src != rec.Src || back.Dst != rec.Dst || back.Len != rec.Len {
+	if !back.Time.Equal(rec.Time) || back.Dir != Out || back.Src != rec.Src || back.Dst != rec.Dst || back.Len != rec.Len {
 		t.Errorf("round trip mismatch: %+v vs %+v", back, rec)
 	}
-	if back.RTP == nil || back.RTP.SSRC != info.SSRC || back.RTP.Seq != info.Seq ||
-		back.RTP.TS != info.TS || !back.RTP.Marker || back.RTP.PT != info.PT {
+	if back.RTP == nil || *back.RTP != *info {
 		t.Errorf("RTP round trip: %+v", back.RTP)
 	}
-	// Layer stack sanity.
-	wantLayers := []LayerType{LayerTypeEthernet, LayerTypeIPv4, LayerTypeUDP, LayerTypeRTP, LayerTypePayload}
-	got := pkt.Layers()
-	if len(got) != len(wantLayers) {
-		t.Fatalf("layers = %d, want %d", len(got), len(wantLayers))
+	// The frame is Ethernet/IPv4/UDP/RTP with media bytes after the RTP
+	// header, sized by the UDP length field.
+	if udpLen := int(binary.BigEndian.Uint16(data[ethHeaderLen+ipHeaderLen+4:])); udpLen != udpHeaderLen+rec.Len {
+		t.Errorf("UDP length field = %d, want %d", udpLen, udpHeaderLen+rec.Len)
 	}
-	for i, l := range got {
-		if l.LayerType() != wantLayers[i] {
-			t.Errorf("layer %d = %v, want %v", i, l.LayerType(), wantLayers[i])
-		}
+	if payload := len(data) - ethHeaderLen - ipHeaderLen - udpHeaderLen - rtpHeaderLen; payload <= 0 {
+		t.Errorf("no media payload after the RTP header (%d bytes)", payload)
+	}
+	// Any other source address reads as inbound.
+	if in, err := decodeRecord(rec.Time, data, rec.Dst.IP); err != nil || in.Dir != In {
+		t.Errorf("decoded at the receiver: dir %v, err %v; want In", in.Dir, err)
 	}
 }
 
 func TestDecodeTruncated(t *testing.T) {
-	if _, err := DecodePacket(t0, []byte{1, 2, 3}); err != ErrTruncated {
+	if _, err := decodeRecord(t0, []byte{1, 2, 3}, IPv4{}); err != ErrTruncated {
 		t.Errorf("err = %v", err)
 	}
 	// Valid ethernet but ARP ethertype.
 	data := make([]byte, 20)
 	data[12], data[13] = 0x08, 0x06
-	if _, err := DecodePacket(t0, data); err != ErrNotIPv4 {
+	if _, err := decodeRecord(t0, data, IPv4{}); err != ErrNotIPv4 {
 		t.Errorf("err = %v", err)
+	}
+	// IPv4 carrying TCP.
+	data = EncodeRecord(mkRecord(0, Out, 1, 2, 64))
+	data[ethHeaderLen+9] = 6
+	if _, err := decodeRecord(t0, data, IPv4{}); err != ErrNotUDP {
+		t.Errorf("err = %v", err)
+	}
+	// IPv4 cut inside the UDP header.
+	data = EncodeRecord(mkRecord(0, Out, 1, 2, 64))[:ethHeaderLen+ipHeaderLen+4]
+	if _, err := decodeRecord(t0, data, IPv4{}); err != ErrTruncated {
+		t.Errorf("err = %v", err)
+	}
+}
+
+// A UDP length field below the 8-byte header would give a negative
+// payload length; ReadPcap skips and counts such a packet.
+func TestReadPcapSkipsShortUDPLength(t *testing.T) {
+	tr := NewTrace("vm")
+	tr.Add(mkRecord(0, Out, 1, 2, 64))
+	tr.Add(mkRecord(time.Second, Out, 1, 2, 80))
+	var buf bytes.Buffer
+	if err := WritePcap(&buf, tr); err != nil {
+		t.Fatal(err)
+	}
+	raw := buf.Bytes()
+	// The first record's UDP length field sits after the file header,
+	// the record header and the Ethernet and IPv4 headers.
+	at := pcapHdrLen + pcapRecHdrLen + ethHeaderLen + ipHeaderLen + 4
+	raw[at], raw[at+1] = 0, 7
+	back, skipped, err := ReadPcap(bytes.NewReader(raw), "vm", IPv4{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if skipped != 1 || back.Len() != 1 || back.Records[0].Len != 80 {
+		t.Errorf("skipped %d, kept %d records (first Len %d); want 1 skipped and the 80-byte record kept",
+			skipped, back.Len(), back.Records[0].Len)
+	}
+	if got := back.Bytes(In); got != 80 {
+		t.Errorf("trace bytes = %d, want 80", got)
 	}
 }
 
@@ -318,11 +354,7 @@ func TestEncodeDecodeProperty(t *testing.T) {
 			RTP:  &RTPInfo{SSRC: ssrc, Seq: seq, Marker: marker, PT: 96},
 		}
 		data := EncodeRecord(rec)
-		pkt, err := DecodePacket(t0, data)
-		if err != nil {
-			return false
-		}
-		back, err := RecordFromPacket(pkt, In)
+		back, err := decodeRecord(t0, data, IPv4{})
 		if err != nil {
 			return false
 		}

@@ -1,7 +1,7 @@
 // Package capture is the traffic-monitoring substrate: in-memory packet
-// traces (what tcpdump gave the paper), a gopacket-inspired layer decoding
-// model, libpcap-format file I/O with fully synthesized Ethernet/IPv4/UDP/
-// RTP bytes, and the trace analytics the paper's measurements are built on
+// traces (what tcpdump gave the paper), libpcap-format file I/O with fully
+// synthesized Ethernet/IPv4/UDP/RTP bytes decoded straight back into
+// trace records, and the trace analytics the paper's measurements are built on
 // (L7 data rates, endpoint discovery, and the Fig-2 "first big packet
 // after a quiescent period" lag extractor).
 package capture

@@ -59,7 +59,9 @@ func WritePcap(w io.Writer, t *Trace) error {
 
 // ReadPcap parses a classic libpcap file into a trace. localIP classifies
 // direction: packets sourced from localIP are Out, others In. Packets that
-// do not decode to UDP are skipped (counted in the returned skip count).
+// do not decode to a well-formed UDP datagram (including one whose UDP
+// length field is below its 8-byte header) are skipped and counted in
+// the returned skip count.
 func ReadPcap(r io.Reader, node string, localIP IPv4) (*Trace, int, error) {
 	br := bufio.NewReader(r)
 	var hdr [pcapHdrLen]byte
@@ -94,16 +96,7 @@ func ReadPcap(r io.Reader, node string, localIP IPv4) (*Trace, int, error) {
 			return t, skipped, fmt.Errorf("capture: reading record body: %w", err)
 		}
 		ts := time.Unix(int64(sec), int64(usec)*1000).UTC()
-		pkt, err := DecodePacket(ts, data)
-		if err != nil {
-			skipped++
-			continue
-		}
-		dir := In
-		if ipl, ok := pkt.Layer(LayerTypeIPv4).(*IPv4Layer); ok && ipl.Src == localIP {
-			dir = Out
-		}
-		record, err := RecordFromPacket(pkt, dir)
+		record, err := decodeRecord(ts, data, localIP)
 		if err != nil {
 			skipped++
 			continue

@@ -89,7 +89,9 @@ func (d *AudioDecoder) Decode(frames []*AudioFrame, rate int, bitrate float64) *
 			seg := make([]float64, len(f.PCM.Samples))
 			copy(seg, f.PCM.Samples)
 			for i := range seg {
-				seg[i] += d.rng.NormFloat64() * noiseStd
+				// The conversion rounds the product before the add,
+				// so arm64 cannot fuse them into one multiply-add.
+				seg[i] += float64(d.rng.NormFloat64() * noiseStd)
 			}
 			out.Samples = append(out.Samples, seg...)
 			prev = seg

@@ -274,7 +274,10 @@ func (e *VideoEncoder) Encode(f *media.Frame) EncodedFrame {
 
 	// Choose the quantizer to hit the per-frame budget (minus debt
 	// correction), then derive actual bits from the clamped quantizer.
-	want := budget - e.debtBits*0.25
+	// Here and below, a float64 conversion rounds a product before the
+	// add or subtract that follows it, so arm64 cannot fuse the two into
+	// one multiply-add.
+	want := budget - float64(e.debtBits*0.25)
 	if key {
 		// Keyframes get extra headroom; the controller amortizes it.
 		want *= 2.5
@@ -302,7 +305,7 @@ func (e *VideoEncoder) Encode(f *media.Frame) EncodedFrame {
 
 	qstep := solveQStep(m, effWant, encPix)
 	effBits := rdBitsPerPixel * encPix * math.Log2(1+m/qstep)
-	bits := effBits * e.cfg.BitScale
+	bits := float64(effBits * e.cfg.BitScale)
 
 	r := &recon{enc: e, src: f, qstep: qstep, encW: encW, encH: encH}
 	e.pending = append(e.pending, r)
@@ -418,7 +421,11 @@ func solveQStep(m, bits, npix float64) float64 {
 func (e *VideoEncoder) quantizeTo(r, f *media.Frame, qstep float64) {
 	half := qstep / 2
 	for i := range r.Pix {
-		n := (e.rng.Float64()*2 - 1) * half
+		// The conversions keep arm64 from fusing a product into the
+		// add that follows it: Float64's inlined scaling into the
+		// doubling (which the compiler turns into an add), and the
+		// noise into the pixel sum.
+		n := float64((float64(e.rng.Float64())*2 - 1) * half)
 		v := float64(f.Pix[i]) + n
 		if v < 0 {
 			v = 0

@@ -170,7 +170,7 @@ func (c Campaign) UnitKeys() ([]string, error) {
 
 // replicaKey appends the replica segment to a cell's canonical key.
 // Replicas are ordinary units: the key derives the shard seed, names
-// the memo/store entry and routes the unit across the worker fleet, so
+// the store entry and routes the unit across the worker fleet, so
 // each replica is computed once and distributed like any other cell.
 func replicaKey(cellKey string, k int) string {
 	return fmt.Sprintf("%s/rep=%d", cellKey, k)
@@ -268,14 +268,14 @@ func parseKind(s string) (platform.Kind, error) {
 
 // resolve normalizes the spec: defaults fill empty axes, names resolve
 // to regions, and every axis is checked for valid, duplicate-free
-// values (duplicates would collide in the memo table).
+// values (duplicates would collide in the cell store).
 func (c Campaign) resolve() (*resolvedCampaign, error) {
 	if c.Name == "" {
 		return nil, fmt.Errorf("campaign: name is required")
 	}
 	// "/" separates key segments; a name containing it could make two
 	// distinct cells (or campaigns) share one canonical key, breaking
-	// the key-injectivity the shard seeds and memo table rely on.
+	// the key-injectivity the shard seeds and cell store rely on.
 	if strings.Contains(c.Name, "/") {
 		return nil, fmt.Errorf("campaign: name %q must not contain %q", c.Name, "/")
 	}
@@ -351,8 +351,13 @@ func (c Campaign) resolve() (*resolvedCampaign, error) {
 		if strings.Contains(ne.Name, "/") {
 			return nil, fmt.Errorf("campaign: netem name %q must not contain %q", ne.Name, "/")
 		}
-		if ne.LossPct < 0 || ne.LossPct >= 100 {
+		// Written to reject NaN too: a NaN loss would label the cell
+		// lossy while dropping nothing.
+		if !(ne.LossPct >= 0 && ne.LossPct < 100) {
 			return nil, fmt.Errorf("campaign: netem %q loss_pct %.3g outside [0, 100)", ne.Name, ne.LossPct)
+		}
+		if math.IsNaN(ne.FluctPeriodSec) || math.IsInf(ne.FluctPeriodSec, 0) {
+			return nil, fmt.Errorf("campaign: netem %q fluct_period_sec %.3g is not finite", ne.Name, ne.FluctPeriodSec)
 		}
 		if ne.DownCapBps < 0 {
 			return nil, fmt.Errorf("campaign: netem %q negative down_cap_bps", ne.Name)
@@ -439,7 +444,7 @@ func (c Campaign) resolve() (*resolvedCampaign, error) {
 		return nil, fmt.Errorf("campaign: repeats %d exceeds the limit of %d", c.Repeats, MaxRepeats)
 	}
 
-	// Duplicate axis values collide in the memo table: reject them.
+	// Duplicate axis values collide in the cell store: reject them.
 	if err := uniqueSegments(rc); err != nil {
 		return nil, err
 	}
@@ -770,7 +775,7 @@ var metricSlots = []struct {
 }
 
 // CellResult is one grid point's outcome: its axis coordinates, the
-// canonical unit key (which names the memo entry and derives the shard
+// canonical unit key (which names the store entry and derives the shard
 // seed), and summarized QoE metrics. Raw retains the full study result
 // for library callers; it is not serialized.
 type CellResult struct {
@@ -917,7 +922,7 @@ func (r *CampaignResult) mustCell(key string) *CellResult {
 }
 
 // RunCampaign expands the spec and executes every unit through the
-// memo-aware scheduler: each unit runs on a testbed forked from its
+// store-backed scheduler: each unit runs on a testbed forked from its
 // canonical key, so results depend only on (seed, key) and campaigns
 // sharing cell keys (fig12/fig14/fig15) share computed units. A
 // replicated campaign (Repeats > 1) schedules Repeats independent
@@ -926,13 +931,6 @@ func (r *CampaignResult) mustCell(key string) *CellResult {
 func RunCampaign(tb *Testbed, spec Campaign, sc Scale) (*CampaignResult, error) {
 	rc, err := spec.resolve()
 	if err != nil {
-		return nil, err
-	}
-	// Keys omit single-valued axes, so two same-named campaigns whose
-	// specs differ only there would expand to identical keys and
-	// silently read each other's memoized cells. Pin each campaign
-	// name to one resolved spec per testbed.
-	if err := tb.registerCampaign(rc.name, fmt.Sprintf("%+v/%s", rc, sc.Name)); err != nil {
 		return nil, err
 	}
 	cells := rc.cells()
@@ -966,8 +964,8 @@ func RunCampaign(tb *Testbed, spec Campaign, sc Scale) (*CampaignResult, error) 
 			}
 		}
 	}
-	// The remote tier (nil without a dispatcher) offers units the memo
-	// and store don't hold to the worker fleet; unserved units fall
+	// The remote tier (nil without a dispatcher) offers units the store
+	// doesn't hold to the worker fleet; unserved units fall
 	// back to the local scheduler below, so fleet topology and failures
 	// never reach the merged result. Unit i belongs to cell i/reps
 	// (cell-major key layout); the cell's axes are shared by all its

@@ -189,6 +189,11 @@ func TestCampaignValidation(t *testing.T) {
 		{"unnamed netem", Campaign{Name: "x", Netem: []Netem{{}, {LossPct: 1}}}, "needs a name"},
 		{"unnamed active netem", Campaign{Name: "x", Netem: []Netem{{LossPct: 1}}}, "sets impairments"},
 		{"loss range", Campaign{Name: "x", Netem: []Netem{{LossPct: 100}}}, "loss_pct"},
+		{"NaN loss", Campaign{Name: "x", Netem: []Netem{{Name: "n", LossPct: math.NaN()}}}, `netem "n" loss_pct NaN`},
+		{"infinite fluct period", Campaign{Name: "x", Netem: []Netem{
+			{Name: "n", FluctHiBps: 2000, FluctLoBps: 1000, FluctPeriodSec: math.Inf(1)}}}, `netem "n" fluct_period_sec +Inf is not finite`},
+		{"NaN fluct period", Campaign{Name: "x", Netem: []Netem{
+			{Name: "n", FluctHiBps: 2000, FluctLoBps: 1000, FluctPeriodSec: math.NaN()}}}, `netem "n" fluct_period_sec NaN is not finite`},
 		{"partial fluct", Campaign{Name: "x", Netem: []Netem{{FluctHiBps: 1000}}}, "together"},
 		{"two caps", Campaign{Name: "x", Netem: []Netem{
 			{Name: "n", DownCapBps: 1000, FluctHiBps: 2000, FluctLoBps: 1000, FluctPeriodSec: 1}}}, "both a steady and a fluctuating"},
@@ -282,27 +287,26 @@ func TestCampaignRenderTable(t *testing.T) {
 	}
 }
 
-// Rerunning a campaign name with a different spec on one testbed
-// would share unit keys (and memo entries) between semantically
-// different cells; the engine must refuse.
+// Cell keys omit single-valued axes, but store keys carry the campaign
+// salt: two same-named campaigns differing only in a single-valued axis
+// both run on one testbed, and each equals its run on a fresh one.
 func TestCampaignNameSpecPinning(t *testing.T) {
+	specs := []Campaign{
+		{Name: "pin", Platforms: []string{"zoom"}},
+		{Name: "pin", Platforms: []string{"zoom"}, Audio: []bool{true}},
+	}
+	want := make([][]byte, len(specs))
+	for i, spec := range specs {
+		want[i] = campaignJSON(t, NewTestbed(11), spec)
+	}
+	if bytes.Equal(want[0], want[1]) {
+		t.Fatal("the two specs render the same bytes; the test cannot tell them apart")
+	}
 	tb := NewTestbed(11)
-	a := Campaign{Name: "pin", Platforms: []string{"zoom"}}
-	if _, err := RunCampaign(tb, a, TinyScale); err != nil {
-		t.Fatal(err)
-	}
-	// Same spec again: fine (memo hit).
-	if _, err := RunCampaign(tb, a, TinyScale); err != nil {
-		t.Errorf("identical rerun rejected: %v", err)
-	}
-	// Same name, different single-valued axis: must be rejected.
-	b := Campaign{Name: "pin", Platforms: []string{"zoom"}, Audio: []bool{true}}
-	if _, err := RunCampaign(tb, b, TinyScale); err == nil {
-		t.Error("conflicting spec under the same name not rejected")
-	}
-	// A fresh testbed is unconstrained.
-	if _, err := RunCampaign(NewTestbed(11), b, TinyScale); err != nil {
-		t.Errorf("fresh testbed rejected spec: %v", err)
+	for _, i := range []int{0, 1, 0} {
+		if got := campaignJSON(t, tb, specs[i]); !bytes.Equal(got, want[i]) {
+			t.Errorf("spec %d on a shared testbed differs from a fresh testbed:\n%s\nvs\n%s", i, got, want[i])
+		}
 	}
 }
 

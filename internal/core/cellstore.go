@@ -4,16 +4,20 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"sync"
 )
 
-// This file is the persistence seam of the memoized scheduler: a
-// CellStore (implemented by internal/store, or anything else that can
-// hold bytes under a key) lets campaign-unit results outlive the
-// process. Every unit result is deterministic in (schema version, cache
+// This file is the one result cache of the memoized scheduler: a
+// CellStore holds encoded campaign-unit results under their full cell
+// key. Every unit result is deterministic in (schema version, cache
 // mode, seed, scale, campaign context, unit key), so that tuple IS the
 // storage key: runMemoized consults the store before dispatching a unit
-// and persists right after computing one, which makes warm reruns of
-// whole campaigns near-instant and byte-identical to cold runs.
+// and persists right after resolving one. Every testbed starts with an
+// in-process store, so experiments sharing a campaign on one testbed
+// share its units; attaching internal/store (WithStore) extends the
+// sharing across processes and makes warm reruns of whole campaigns
+// near-instant and byte-identical to cold runs. Every hit is a fresh
+// decode, so no reader can change what a later reader sees.
 
 // CellStore persists encoded campaign-unit results across processes.
 // Implementations must be safe for concurrent use; the harness treats
@@ -41,11 +45,39 @@ type CellStore interface {
 // v6: cells are the tagged binary encoding of cellcodec.go, not gob.
 const cellSchemaVersion = 6
 
-// WithStore attaches a persistent cell store and returns tb for
-// chaining. With a store attached, memoized campaign units are looked
-// up before dispatch and persisted after computation; worker count and
-// cache temperature never change rendered bytes, only wall-clock time.
+// memStore is the in-process CellStore a testbed starts with: encoded
+// cells in a map built on first Put, living as long as the testbed.
+type memStore struct {
+	mu    sync.Mutex
+	cells map[string][]byte
+}
+
+func (m *memStore) Get(key string) ([]byte, bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	data, ok := m.cells[key]
+	return data, ok
+}
+
+func (m *memStore) Put(key string, data []byte) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.cells == nil {
+		m.cells = make(map[string][]byte)
+	}
+	m.cells[key] = data
+	return nil
+}
+
+// WithStore replaces the testbed's in-process cell store with cs (a
+// persistent one, typically) and returns tb for chaining; nil restores
+// an empty in-process store. Campaign units are looked up before
+// dispatch and persisted after computation; worker count and cache
+// temperature never change rendered bytes, only wall-clock time.
 func (tb *Testbed) WithStore(cs CellStore) *Testbed {
+	if cs == nil {
+		cs = new(memStore)
+	}
 	tb.store = cs
 	return tb
 }
@@ -55,8 +87,8 @@ func (tb *Testbed) WithStore(cs CellStore) *Testbed {
 // but a silently read-only cache directory would surprise users, so
 // the CLI surfaces this as a warning.
 func (tb *Testbed) StoreErr() error {
-	tb.memoMu.Lock()
-	defer tb.memoMu.Unlock()
+	tb.mu.Lock()
+	defer tb.mu.Unlock()
 	return tb.storeErr
 }
 
@@ -71,7 +103,7 @@ func fingerprint(s string) string {
 // enough: a caller may run a tweaked Scale that reuses a preset's name
 // (benchmarks do), and those cells must not be shared. It formats and
 // hashes the whole Scale, so callers compute it once per batch of units
-// and pass the result to cellKey, storeGet and storePut.
+// and pass the result to cellKey.
 func scaleFingerprint(sc Scale) string {
 	return sc.Name + "-" + fingerprint(fmt.Sprintf("%+v", sc))
 }
@@ -96,12 +128,10 @@ func (tb *Testbed) cellKey(scaleFP, salt, unitKey string) string {
 		cellSchemaVersion, mode, tb.seed, scaleFP, salt, unitKey)
 }
 
-// storeGet fetches and decodes one unit result; any failure is a miss.
-func (tb *Testbed) storeGet(scaleFP, salt, unitKey string) (any, bool) {
-	if tb.store == nil {
-		return nil, false
-	}
-	data, ok := tb.store.Get(tb.cellKey(scaleFP, salt, unitKey))
+// storeGet fetches and decodes the unit result stored under cell key
+// ckey; any failure is a miss.
+func (tb *Testbed) storeGet(ckey string) (any, bool) {
+	data, ok := tb.store.Get(ckey)
 	if !ok {
 		return nil, false
 	}
@@ -115,21 +145,18 @@ func (tb *Testbed) storeGet(scaleFP, salt, unitKey string) (any, bool) {
 	return v, true
 }
 
-// storePut persists one freshly computed unit result, recording (not
-// raising) the first failure.
-func (tb *Testbed) storePut(scaleFP, salt, unitKey string, v any) {
-	if tb.store == nil {
-		return
-	}
+// storePut persists one resolved unit result under cell key ckey,
+// recording (not raising) the first failure.
+func (tb *Testbed) storePut(ckey string, v any) {
 	data, err := encodeCell(v)
 	if err == nil {
-		err = tb.store.Put(tb.cellKey(scaleFP, salt, unitKey), data)
+		err = tb.store.Put(ckey, data)
 	}
 	if err != nil {
-		tb.memoMu.Lock()
+		tb.mu.Lock()
 		if tb.storeErr == nil {
 			tb.storeErr = err
 		}
-		tb.memoMu.Unlock()
+		tb.mu.Unlock()
 	}
 }

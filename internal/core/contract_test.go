@@ -146,6 +146,8 @@ func (c *contractCase) run(t *testing.T, prev *rendered) rendered {
 			sameRender(t, ref, c.render(t, core.NewTestbed(c.seed).SetParallelism(p)))
 		})
 	}
+	// A second run on the reference testbed: its in-process cell store
+	// serves every unit.
 	t.Run("memo-warm", func(t *testing.T) {
 		sameRender(t, ref, c.render(t, refTB))
 	})

@@ -87,7 +87,8 @@ func TestEULagPlatformGap(t *testing.T) {
 
 // Fig 3 shape: endpoint churn per platform.
 func TestEndpointChurn(t *testing.T) {
-	tb := NewTestbed(45)
+	tel := manualTelemetry()
+	tb := NewTestbed(45).WithTelemetry(tel)
 	sce := LagScenarios()[0]
 	zoom := lagStudyAll(tb, TinyScale, sce, lagUnits(sce, platform.Zoom)...)[0]
 	if zoom.Endpoints.PerSession != 1 || zoom.Endpoints.Total != TinyScale.LagSessions {
@@ -97,11 +98,10 @@ func TestEndpointChurn(t *testing.T) {
 	if meet.Endpoints.Total > 2 {
 		t.Errorf("meet endpoints: %+v, want sticky (<=2)", meet.Endpoints)
 	}
-	// Memoization returns the identical result.
-	again := lagStudyAll(tb, TinyScale, sce, lagUnits(sce, platform.Zoom)...)[0]
-	if again != zoom {
-		t.Error("lag unit not memoized")
-	}
+	// A repeat is a store hit: no rerun, the same encoding.
+	checkRepeatHit(t, tel, zoom, func() any {
+		return lagStudyAll(tb, TinyScale, sce, lagUnits(sce, platform.Zoom)...)[0]
+	})
 }
 
 // Fig 2 shape: the flash feed produces matching big-packet bursts on both

@@ -19,7 +19,7 @@ const diagBinWidth = time.Second
 // this testbed and every fork it spawns: pipes, the event queue, trace
 // players, rate control and client media pipelines feed a per-unit
 // recorder, and each unit's finalized document rides its QoEStudyResult
-// through the memo, the CellStore and the Dispatcher. Diagnostics are
+// through the CellStore and the Dispatcher. Diagnostics are
 // part of a unit's identity — armed and bare runs use disjoint cell
 // keys (see cellKey) — so a cache warmed bare can never satisfy an
 // armed run with diag-less cells. Arm before running anything; the
@@ -143,16 +143,16 @@ func (tb *Testbed) recordFreezes(rec client.Recording, subject string, from time
 }
 
 // diagAdd collects one unit's finalized document into the root
-// testbed's export set, whichever tier produced it (local run, memo,
-// store hit or remote dispatch). Guarded by memoMu: campaign harvest
-// runs on the caller's goroutine, but the lock keeps the table safe if
-// experiment drivers ever run concurrently (same stance as memo).
+// testbed's export set, whichever tier produced it (local run, store
+// hit or remote dispatch). Guarded by mu: campaign harvest runs on the
+// caller's goroutine, but the lock keeps the table safe if experiment
+// drivers ever run concurrently.
 func (tb *Testbed) diagAdd(d *diag.CellDiag) {
 	if d == nil {
 		return
 	}
-	tb.memoMu.Lock()
-	defer tb.memoMu.Unlock()
+	tb.mu.Lock()
+	defer tb.mu.Unlock()
 	if tb.diagDocs == nil {
 		tb.diagDocs = make(map[string]*diag.CellDiag)
 	}
@@ -164,8 +164,8 @@ func (tb *Testbed) diagAdd(d *diag.CellDiag) {
 // vcabenchd's /cells/{key}/diag and RunOpts.Diagnostics. Empty until a
 // diagnostics-armed campaign has run.
 func (tb *Testbed) DiagResults() []*diag.CellDiag {
-	tb.memoMu.Lock()
-	defer tb.memoMu.Unlock()
+	tb.mu.Lock()
+	defer tb.mu.Unlock()
 	out := make([]*diag.CellDiag, 0, len(tb.diagDocs))
 	//vcalint:ignore maprange the result slice is sorted by key immediately below, erasing iteration order
 	for _, d := range tb.diagDocs {

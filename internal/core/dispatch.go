@@ -13,7 +13,7 @@ import (
 // canonical unit key, so a cell computes to the same bytes on any
 // machine. A Dispatcher (implemented by internal/cluster.Pool over
 // vcabenchd's POST /units endpoint) exploits that: runMemoized hands it
-// the units that neither the memo table nor the cell store holds, and
+// the units the cell store does not hold, and
 // any unit the fleet cannot serve — a dead worker, a timeout, an
 // undecodable response — transparently falls back to local execution.
 // Placement can never leak into results: the merged CampaignResult is
@@ -111,9 +111,10 @@ func replicaBase(key string, repeats int) (base string, ok bool) {
 // execution, behind vcabenchd's POST /units endpoint. The unit runs on
 // a fork seeded from (tb seed, key) exactly as a local campaign run
 // would, so the returned bytes decode to the same value a
-// single-machine run computes. When tb carries a store, the unit is
-// looked up before computing and persisted after, sharing the worker's
-// cache with its own campaigns and with repeated unit requests.
+// single-machine run computes. The unit resolves through runMemoized
+// like any other: looked up in tb's store before computing and
+// persisted after, sharing the worker's cache with its own campaigns
+// and with repeated unit requests.
 func RunCampaignUnit(tb *Testbed, spec Campaign, sc Scale, key string) ([]byte, error) {
 	rc, err := spec.resolve()
 	if err != nil {
@@ -142,19 +143,15 @@ func RunCampaignUnit(tb *Testbed, spec Campaign, sc Scale, key string) ([]byte, 
 	if cell == nil {
 		return nil, fmt.Errorf("core: campaign %q has no cell %q", rc.name, key)
 	}
-	salt := rc.salt()
-	scaleFP := scaleFingerprint(sc)
-	if v, ok := tb.storeGet(scaleFP, salt, key); ok {
-		// The cell encoding is canonical (decodeCell accepts only bytes
-		// that encodeCell reproduces), so re-encoding the decoded value
-		// returns the stored bytes exactly.
-		return encodeCell(v)
-	}
-	var v any = runCell(tb.Fork(key), *cell, sc)
+	v := tb.runMemoized(sc, rc.salt(), []string{key}, nil, func(stb *Testbed, _ int) any {
+		return runCell(stb, *cell, sc)
+	}, nil)[0]
+	// The cell encoding is canonical (decodeCell accepts only bytes that
+	// encodeCell reproduces), so a store hit re-encodes to the stored
+	// bytes exactly.
 	data, err := encodeCell(v)
 	if err != nil {
 		return nil, fmt.Errorf("core: encode cell %q: %w", key, err)
 	}
-	tb.storePut(scaleFP, salt, key, v)
 	return data, nil
 }

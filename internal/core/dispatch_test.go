@@ -136,8 +136,8 @@ func TestDispatchVariantCampaignByteIdentical(t *testing.T) {
 	}
 }
 
-// Memo and store tiers sit in front of the dispatcher: a rerun on the
-// same testbed dispatches nothing.
+// The store tier sits in front of the dispatcher: a rerun on the same
+// testbed dispatches nothing.
 func TestDispatchMemoShortCircuits(t *testing.T) {
 	d := &workerDispatcher{}
 	tb := NewTestbed(11).WithDispatcher(d)
@@ -145,7 +145,7 @@ func TestDispatchMemoShortCircuits(t *testing.T) {
 	first := d.calls.Load()
 	campaignJSON(t, tb, dispatchGrid)
 	if got := d.calls.Load(); got != first {
-		t.Errorf("memoized rerun dispatched %d more units", got-first)
+		t.Errorf("rerun dispatched %d more units", got-first)
 	}
 }
 

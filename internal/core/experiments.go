@@ -21,29 +21,8 @@ type Experiment struct {
 	Run   func(tb *Testbed, sc Scale, w io.Writer)
 }
 
-// memo caches sweep results when several experiments share one campaign
-// (fig12/fig14/fig15 all come from the §4.3 US sweep).
-func (tb *Testbed) memoGet(key string) (any, bool) {
-	tb.memoMu.Lock()
-	defer tb.memoMu.Unlock()
-	if tb.memo == nil {
-		return nil, false
-	}
-	v, ok := tb.memo[key]
-	return v, ok
-}
-
-func (tb *Testbed) memoPut(key string, v any) {
-	tb.memoMu.Lock()
-	defer tb.memoMu.Unlock()
-	if tb.memo == nil {
-		tb.memo = make(map[string]any)
-	}
-	tb.memo[key] = v
-}
-
 // lagUnit is one lag-study campaign unit: its canonical key (which
-// derives the shard seed and names the memo and store entries) and the
+// derives the shard seed and names the store entry) and the
 // platform or variant it measures.
 type lagUnit struct {
 	key  string
@@ -61,7 +40,7 @@ func lagUnits(sce LagScenario, kinds ...platform.Kind) []lagUnit {
 }
 
 // lagStudyAll runs lag units on one scenario's host placement through
-// the memo-aware scheduler, in parallel and each on its own fork, so
+// the store-backed scheduler, in parallel and each on its own fork, so
 // every result depends only on (seed, unit key) and never on what ran
 // before it. Results come back in unit order.
 func lagStudyAll(tb *Testbed, sc Scale, sce LagScenario, units ...lagUnit) []*LagStudyResult {

@@ -9,8 +9,8 @@ import (
 
 // FuzzParseCampaign feeds arbitrary bytes to the campaign-spec parser:
 // it must never panic, and every spec it accepts must expand to keys
-// that are stable under re-parse — the canonical-key contract the memo
-// table, store keys and distributed merge all build on.
+// that are stable under re-parse — the canonical-key contract the shard
+// seeds, store keys and distributed merge all build on.
 func FuzzParseCampaign(f *testing.F) {
 	f.Add([]byte(`{"name": "x"}`))
 	f.Add([]byte(`{"name": "p", "platforms": ["zoom"], "sizes": [2, 4], "caps_bps": [0, 750000]}`))

@@ -124,7 +124,7 @@ var (
 )
 
 // table1 ties the golden layer to a real paper artifact rendered
-// through the experiment registry (campaign engine, memo table,
+// through the experiment registry (campaign engine, cell store,
 // metric summaries and table renderer in one pass).
 func TestGoldenTable1(t *testing.T) {
 	e, ok := Lookup("table1")
@@ -138,7 +138,7 @@ func TestGoldenTable1(t *testing.T) {
 
 // checkGoldenArtifacts renders the registry artifacts ids in order on
 // one testbed at the given parallelism (0 = the testbed default), so
-// later artifacts also read the units earlier ones memoized, and pins
+// later artifacts also read the units earlier ones stored, and pins
 // the concatenated bytes in the golden file name.
 func checkGoldenArtifacts(t *testing.T, name string, parallel int, ids ...string) {
 	t.Helper()

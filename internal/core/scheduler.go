@@ -77,7 +77,7 @@ func (tb *Testbed) SetParallelism(n int) *Testbed {
 func (tb *Testbed) Parallelism() int { return tb.parallelism }
 
 // Unit is one independent campaign shard: a canonical key (which names
-// it in the memo table and derives its seed) and the work itself,
+// its store entry and derives its seed) and the work itself,
 // executed against a testbed forked for that key.
 type Unit struct {
 	Key string
@@ -103,6 +103,9 @@ type Scheduler struct {
 // comes back dirty and every producer overwrites it before reading, so
 // which cells ran earlier on a worker never reaches a result.
 func (s *Scheduler) Run(units []Unit) {
+	if len(units) == 0 {
+		return
+	}
 	workers := s.TB.Parallelism()
 	if workers > len(units) {
 		workers = len(units)
@@ -164,30 +167,30 @@ func (s *Scheduler) Run(units []Unit) {
 	}
 }
 
-// runMemoized is the memo-aware front of the scheduler: it returns the
-// results for keys in the given (canonical) order, running only the
-// units missing from the memo table — in parallel, each on its own
-// fork. Experiments that share a campaign (fig12/fig14/fig15 all read
-// the §4.3.1 US sweep; Figs 4-11 share four lag campaigns) hit the memo
-// on every call after the first.
+// runMemoized is the cache-aware front of the scheduler: it returns the
+// results for keys in the given (canonical) order, resolving each unit
+// through the testbed's cell store, then the worker fleet, then local
+// compute — in parallel, each on its own fork. Experiments that share
+// a campaign (fig12/fig14/fig15 all read the §4.3.1 US sweep; Figs
+// 4-11 share four lag campaigns) hit the store on every call after the
+// first, and a persistent store (WithStore) extends the sharing across
+// processes. sc and salt scope the cell keys (see cellKey); every hit
+// is a fresh decode, so no caller can change what a later one reads.
 //
-// When a CellStore is attached (WithStore), a second tier sits behind
-// the memo: units found in the store are decoded instead of computed,
-// and freshly computed units are persisted — so the sharing extends
-// across processes. sc and salt scope the persisted keys (see cellKey);
-// they never influence in-memory behaviour.
-//
-// remote, when non-nil, is a third tier between the store and local
+// remote, when non-nil, is the tier between the store and local
 // compute (see dispatch.go): every still-missing unit is offered to the
 // worker fleet concurrently, and only the units the fleet cannot serve
 // reach the local scheduler — so a dead or shrinking fleet degrades to
 // plain local execution, never to a failed or divergent campaign.
+// Served and computed units are persisted alike (the cell encoding is
+// canonical, so re-encoding a decoded value reproduces the worker's
+// bytes and the store matches a single-machine run's).
 //
 // parents, when non-nil, maps unit keys to their enclosing trace span
 // (the cell or replica envelope RunCampaign opened); every unit then
-// records a span tree — unit → {memo, store, dispatch, local-run} —
-// ending at whichever tier served it. Telemetry is observational only:
-// out never depends on whether it is attached.
+// records a span tree — unit → {store, dispatch, local-run} — ending
+// at whichever tier served it. Telemetry is observational only: out
+// never depends on whether it is attached.
 func (tb *Testbed) runMemoized(sc Scale, salt string, keys []string, parents map[string]obs.SpanID, run func(stb *Testbed, i int) any, remote func(key string) (any, bool)) []any {
 	tr := tb.tracer()
 	out := make([]any, len(keys))
@@ -196,10 +199,8 @@ func (tb *Testbed) runMemoized(sc Scale, salt string, keys []string, parents map
 	if tr != nil {
 		uspans = make([]obs.SpanID, len(keys))
 	}
-	var scaleFP string
-	if tb.store != nil {
-		scaleFP = scaleFingerprint(sc)
-	}
+	scaleFP := scaleFingerprint(sc)
+	ckeys := make([]string, len(keys))
 	var missing []int
 	for i, k := range keys {
 		starts[i] = tb.now()
@@ -207,33 +208,23 @@ func (tb *Testbed) runMemoized(sc Scale, salt string, keys []string, parents map
 		if uspans != nil {
 			uspans[i] = us
 		}
-		ms := tr.Start(us, obs.TierMemo, k)
-		v, ok := tb.memoGet(k)
-		tr.End(ms)
-		if ok {
-			out[i] = v
-			tb.finishUnit(us, "memo", starts[i])
-			continue
-		}
+		ckeys[i] = tb.cellKey(scaleFP, salt, k)
 		ss := tr.Start(us, obs.TierStore, k)
-		v, ok = tb.storeGet(scaleFP, salt, k)
+		v, ok := tb.storeGet(ckeys[i])
 		tr.End(ss)
 		if ok {
 			out[i] = v
-			tb.memoPut(k, v)
 			tb.finishUnit(us, "store", starts[i])
 			continue
 		}
 		missing = append(missing, i)
 	}
+	local := missing
 	if remote != nil && len(missing) > 0 {
-		missing = tb.dispatchRemote(scaleFP, salt, keys, out, missing, remote, uspans, starts)
+		local = tb.dispatchRemote(keys, out, missing, remote, uspans, starts)
 	}
-	if len(missing) == 0 {
-		return out
-	}
-	units := make([]Unit, len(missing))
-	for j, i := range missing {
+	units := make([]Unit, len(local))
+	for j, i := range local {
 		i := i
 		units[j] = Unit{Key: keys[i], Run: func(stb *Testbed) {
 			ls := tr.Start(spanAt(uspans, i), obs.TierLocalRun, keys[i])
@@ -250,20 +241,16 @@ func (tb *Testbed) runMemoized(sc Scale, salt string, keys []string, parents map
 	}
 	(&Scheduler{TB: tb}).Run(units)
 	for _, i := range missing {
-		tb.memoPut(keys[i], out[i])
-		tb.storePut(scaleFP, salt, keys[i], out[i])
+		tb.storePut(ckeys[i], out[i])
 	}
 	return out
 }
 
 // dispatchRemote fans the missing units across the dispatcher, all at
 // once — the fleet bounds its own per-worker concurrency — filling
-// out[i] for each unit a worker served. Served units are memoized and
-// persisted exactly like locally computed ones (the cell encoding is
-// canonical, so re-encoding a decoded value reproduces the worker's
-// bytes and the coordinator's store matches a single-machine run's). It returns the indices the caller
-// must compute locally, in input order.
-func (tb *Testbed) dispatchRemote(scaleFP, salt string, keys []string, out []any, missing []int, remote func(key string) (any, bool), uspans []obs.SpanID, starts []int64) []int {
+// out[i] for each unit a worker served. It returns the indices the
+// caller must compute locally, in input order.
+func (tb *Testbed) dispatchRemote(keys []string, out []any, missing []int, remote func(key string) (any, bool), uspans []obs.SpanID, starts []int64) []int {
 	tr := tb.tracer()
 	var (
 		wg    sync.WaitGroup
@@ -296,15 +283,5 @@ func (tb *Testbed) dispatchRemote(scaleFP, salt string, keys []string, out []any
 	}
 	wg.Wait()
 	sort.Ints(local)
-	fellBack := make(map[int]bool, len(local))
-	for _, i := range local {
-		fellBack[i] = true
-	}
-	for _, i := range missing {
-		if !fellBack[i] {
-			tb.memoPut(keys[i], out[i])
-			tb.storePut(scaleFP, salt, keys[i], out[i])
-		}
-	}
 	return local
 }

@@ -1,11 +1,14 @@
 package core
 
 import (
+	"bytes"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"github.com/vcabench/vcabench/internal/obs"
 	"github.com/vcabench/vcabench/internal/platform"
 )
 
@@ -99,33 +102,71 @@ func TestSchedulerPropagatesPanic(t *testing.T) {
 }
 
 // runMemoized must compute each key once and serve repeats from the
-// memo — including under concurrent access to the memo table.
+// testbed's cell store — including under concurrent access to it — as
+// fresh decodes, so a caller that changes a result cannot change what
+// a later caller reads.
 func TestRunMemoized(t *testing.T) {
 	tb := NewTestbed(9).SetParallelism(4)
 	var calls atomic.Int64
+	seedKind := func(seed int64) platform.Kind { return platform.Kind(strconv.FormatInt(seed, 10)) }
 	run := func(stb *Testbed, i int) any {
 		calls.Add(1)
-		return stb.seed
+		return &LagStudyResult{Kind: seedKind(stb.seed)}
 	}
 	keys := []string{"a", "b", "c"}
 	first := tb.runMemoized(TinyScale, "", keys, nil, run, nil)
 	again := tb.runMemoized(TinyScale, "", keys, nil, run, nil)
 	if calls.Load() != int64(len(keys)) {
-		t.Errorf("ran %d units, want %d (memo miss on repeat?)", calls.Load(), len(keys))
+		t.Errorf("ran %d units, want %d (store miss on repeat?)", calls.Load(), len(keys))
 	}
-	for i := range keys {
-		if first[i] != again[i] {
-			t.Errorf("memoized result for %q changed between calls", keys[i])
+	for i, k := range keys {
+		if got := first[i].(*LagStudyResult).Kind; got != seedKind(shardSeed(9, k)) {
+			t.Errorf("unit %q did not run on its keyed fork", k)
 		}
-		if first[i].(int64) != shardSeed(9, keys[i]) {
-			t.Errorf("unit %q did not run on its keyed fork", keys[i])
-		}
+		checkFreshDecode(t, first[i], again[i])
+	}
+	first[0].(*LagStudyResult).Kind = "changed"
+	if got := tb.runMemoized(TinyScale, "", keys[:1], nil, run, nil)[0].(*LagStudyResult).Kind; got != seedKind(shardSeed(9, "a")) {
+		t.Errorf("a caller's change reached the store: read Kind %q", got)
 	}
 	// Partial overlap: only the new key runs.
 	tb.runMemoized(TinyScale, "", []string{"b", "d"}, nil, run, nil)
 	if calls.Load() != int64(len(keys))+1 {
 		t.Errorf("partial-overlap call ran %d total units, want %d", calls.Load(), len(keys)+1)
 	}
+}
+
+// checkFreshDecode checks that again, a store hit, is a new value (not
+// the first result's pointer) with the first result's encoding.
+func checkFreshDecode(t *testing.T, first, again any) {
+	t.Helper()
+	if first == again {
+		t.Error("store hit returned the cached value itself, not a fresh decode")
+	}
+	a, err := encodeCell(first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := encodeCell(again)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a, b) {
+		t.Error("store hit encodes differently from the first result")
+	}
+}
+
+// checkRepeatHit runs repeat on a testbed reporting into tel and checks
+// that it was a store-tier hit: no new local-run span, and a fresh
+// decode of first.
+func checkRepeatHit(t *testing.T, tel *obs.Telemetry, first any, repeat func() any) {
+	t.Helper()
+	runs := tel.Tracer.CountTier(obs.TierLocalRun)
+	again := repeat()
+	if got := tel.Tracer.CountTier(obs.TierLocalRun); got != runs {
+		t.Errorf("repeat ran %d units locally, want 0", got-runs)
+	}
+	checkFreshDecode(t, first, again)
 }
 
 // renderParallel renders one experiment at an explicit worker count.
@@ -176,12 +217,13 @@ func TestAblationParallelDeterminism(t *testing.T) {
 
 // Campaign sharing: figures drawn from the same campaign (fig4 lag CDFs
 // and fig8 RTT tables both read the fig4 scenario's lag studies) must
-// reuse memoized units instead of re-running them.
+// reuse stored units instead of re-running them.
 func TestCampaignMemoSharing(t *testing.T) {
-	tb := NewTestbed(42).SetParallelism(2)
+	tel := manualTelemetry()
+	tb := NewTestbed(42).SetParallelism(2).WithTelemetry(tel)
 	sce := LagScenarios()[0]
 	first := lagStudyAll(tb, TinyScale, sce, lagUnits(sce, platform.Kinds...)...)
-	if again := lagStudyAll(tb, TinyScale, sce, lagUnits(sce, platform.Zoom)...)[0]; again != first[0] {
-		t.Error("lag figure did not reuse the memoized campaign unit")
-	}
+	checkRepeatHit(t, tel, first[0], func() any {
+		return lagStudyAll(tb, TinyScale, sce, lagUnits(sce, platform.Zoom)...)[0]
+	})
 }

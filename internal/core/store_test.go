@@ -6,128 +6,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
-
-	"github.com/vcabench/vcabench/internal/report"
-	"github.com/vcabench/vcabench/internal/store"
 )
-
-// The tentpole acceptance criterion: a campaign run against a cold
-// store, rerun from a fresh testbed ("fresh process") over the same
-// directory, renders byte-identical table and JSON output while
-// recomputing zero cells.
-func TestStoreWarmCampaignByteIdentical(t *testing.T) {
-	dir := t.TempDir()
-	render := func(workers int) ([]byte, []byte, store.Stats) {
-		st, err := store.Open(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tb := NewTestbed(42).SetParallelism(workers).WithStore(st)
-		res, err := RunCampaign(tb, detCampaign(), TinyScale)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var tbl, js bytes.Buffer
-		res.RenderTable().Render(&tbl)
-		if err := report.WriteJSON(&js, res); err != nil {
-			t.Fatal(err)
-		}
-		if err := tb.StoreErr(); err != nil {
-			t.Fatal(err)
-		}
-		return tbl.Bytes(), js.Bytes(), st.Stats()
-	}
-
-	coldTbl, coldJS, cold := render(1)
-	warmTbl, warmJS, warm := render(4) // different worker count on purpose
-
-	cells := uint64(len(mustKeys(t, detCampaign())))
-	if cold.Hits() != 0 || cold.Puts != cells {
-		t.Errorf("cold stats = %+v, want 0 hits and %d puts", cold, cells)
-	}
-	if warm.Misses != 0 || warm.Puts != 0 || warm.Hits() != cells {
-		t.Errorf("warm stats = %+v, want %d hits, 0 misses, 0 puts (zero recompute)", warm, cells)
-	}
-	if !bytes.Equal(coldTbl, warmTbl) {
-		t.Errorf("warm table differs from cold:\n--- cold ---\n%s\n--- warm ---\n%s", coldTbl, warmTbl)
-	}
-	if !bytes.Equal(coldJS, warmJS) {
-		t.Errorf("warm JSON differs from cold:\n--- cold ---\n%s\n--- warm ---\n%s", coldJS, warmJS)
-	}
-}
-
-// Lag studies persist too: a full figure render (CDF plots drawn from
-// LagStudyResult maps of samples) survives the store round trip.
-func TestStoreWarmLagFigureByteIdentical(t *testing.T) {
-	dir := t.TempDir()
-	render := func() (string, store.Stats) {
-		st, err := store.Open(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tb := NewTestbed(9).WithStore(st)
-		e, ok := Lookup("fig4")
-		if !ok {
-			t.Fatal("fig4 missing")
-		}
-		var sb strings.Builder
-		e.Run(tb, TinyScale, &sb)
-		if err := tb.StoreErr(); err != nil {
-			t.Fatal(err)
-		}
-		return sb.String(), st.Stats()
-	}
-	cold, coldStats := render()
-	warm, warmStats := render()
-	if coldStats.Puts != 3 { // one unit per platform
-		t.Errorf("cold puts = %d, want 3", coldStats.Puts)
-	}
-	if warmStats.Misses != 0 || warmStats.Puts != 0 {
-		t.Errorf("warm run recomputed units: %+v", warmStats)
-	}
-	if cold != warm {
-		t.Errorf("fig4 warm render differs:\n--- cold ---\n%s\n--- warm ---\n%s", cold, warm)
-	}
-}
-
-// Ablation arms are memoized lag units: a second run on a fresh testbed
-// sharing the store serves both arms from it and renders the same bytes.
-func TestStoreWarmAblationByteIdentical(t *testing.T) {
-	st := &mapStore{m: make(map[string][]byte)}
-	render := func() string {
-		tb := NewTestbed(42).WithStore(st)
-		e, ok := Lookup("ablate-p2p")
-		if !ok {
-			t.Fatal("ablate-p2p missing")
-		}
-		var sb strings.Builder
-		e.Run(tb, TinyScale, &sb)
-		if err := tb.StoreErr(); err != nil {
-			t.Fatal(err)
-		}
-		return sb.String()
-	}
-	cold := render()
-	if got := st.puts.Load(); got != 2 {
-		t.Fatalf("cold run persisted %d units, want 2 (one per arm)", got)
-	}
-	warm := render()
-	if got := st.puts.Load(); got != 2 {
-		t.Errorf("warm run recomputed %d arms", got-2)
-	}
-	if cold != warm {
-		t.Errorf("ablate-p2p warm render differs:\n--- cold ---\n%s\n--- warm ---\n%s", cold, warm)
-	}
-}
-
-func mustKeys(t *testing.T, c Campaign) []string {
-	t.Helper()
-	keys, err := c.UnitKeys()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return keys
-}
 
 // Store keys must separate everything results depend on beyond the unit
 // key: schema version aside — seed, scale (including tweaked scales
@@ -210,5 +89,57 @@ func TestStorePutFailureSurfacedNotFatal(t *testing.T) {
 	}
 	if err := tb.StoreErr(); err == nil || !strings.Contains(err.Error(), "disk full") {
 		t.Errorf("StoreErr = %v, want the Put failure", err)
+	}
+}
+
+// Lag unit keys carry no scale, so a testbed that rendered a lag figure
+// at one scale must not serve those units at another: the store key's
+// scale fingerprint keeps them apart, and the second scale renders
+// what a fresh testbed renders.
+func TestLagFigureRescaledOnOneTestbed(t *testing.T) {
+	more := TinyScale
+	more.LagSessions++
+	for _, id := range []string{"fig4", "ablate-p2p"} {
+		t.Run(id, func(t *testing.T) {
+			e, ok := Lookup(id)
+			if !ok {
+				t.Fatalf("missing experiment %s", id)
+			}
+			render := func(tb *Testbed, sc Scale) string {
+				var sb strings.Builder
+				e.Run(tb, sc, &sb)
+				return sb.String()
+			}
+			tb := NewTestbed(42)
+			tiny := render(tb, TinyScale)
+			got := render(tb, more)
+			want := render(NewTestbed(42), more)
+			if want == tiny {
+				t.Fatal("LagSessions+1 renders the tiny bytes; the test cannot tell the scales apart")
+			}
+			if got != want {
+				t.Errorf("second scale on a shared testbed differs from a fresh testbed:\n%s\nvs\n%s", got, want)
+			}
+		})
+	}
+}
+
+// WithStore(nil) swaps a persistent store back for an empty in-process
+// one, which serves repeats as before.
+func TestWithStoreNilRestoresInProcessStore(t *testing.T) {
+	tel := manualTelemetry()
+	tb := NewTestbed(4).WithStore(readOnlyStore{}).WithStore(nil).WithTelemetry(tel)
+	spec := Campaign{Name: "nil", Platforms: []string{"zoom"}}
+	first := campaignJSON(t, tb, spec)
+	if again := campaignJSON(t, tb, spec); !bytes.Equal(first, again) {
+		t.Error("repeat differs from the first run")
+	}
+	units := tel.Metrics.CounterVec("vcabench_units_total",
+		"Campaign units resolved, by serving tier.", "tier")
+	if l, s := units.With("local").Value(), units.With("store").Value(); l != 1 || s != 1 {
+		t.Errorf("units_total local/store = %d/%d, want 1/1", l, s)
+	}
+	if err := tb.StoreErr(); err != nil {
+		t.Errorf("in-process store reported %v", err)
 	}
 }

@@ -15,8 +15,8 @@ import (
 // attached — and every hook degrades to a no-op when it is not.
 
 // unitTiers are the vcabench_units_total label values, one per tier of
-// runMemoized: memo table, cell store, remote fleet, local compute.
-var unitTiers = []string{"memo", "store", "dispatch", "local"}
+// runMemoized: cell store, remote fleet, local compute.
+var unitTiers = []string{"store", "dispatch", "local"}
 
 // engineMetrics caches the scheduler's instruments so hot paths don't
 // re-resolve families by name per unit.

@@ -63,7 +63,7 @@ func TestTelemetryInert(t *testing.T) {
 
 // A traced campaign records the full lifecycle: one campaign span, one
 // cell envelope per cell, one unit span per unit, and one terminal
-// tier child per unit — "local" cold, "memo" on the rerun.
+// tier child per unit — "local" cold, "store" on the rerun.
 func TestCampaignSpanTree(t *testing.T) {
 	tel := manualTelemetry()
 	tb := NewTestbed(7).WithTelemetry(tel)
@@ -83,12 +83,12 @@ func TestCampaignSpanTree(t *testing.T) {
 	if got := tr.CountTier(obs.TierLocalRun); got != 2 {
 		t.Errorf("local-run spans = %d, want 2", got)
 	}
-	if got := tr.CountTier(obs.TierMemo); got != 2 {
-		t.Errorf("memo probe spans = %d, want 2", got)
+	if got := tr.CountTier(obs.TierStore); got != 2 {
+		t.Errorf("store probe spans = %d, want 2", got)
 	}
 
-	// Warm rerun: same campaign, two more unit spans served by memo,
-	// no new local runs.
+	// Warm rerun: same campaign, two more unit spans served by the
+	// testbed's in-process store, no new local runs.
 	if _, err := RunCampaign(tb, obsCampaign(), TinyScale); err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,10 @@ func TestCampaignSpanTree(t *testing.T) {
 		t.Errorf("unit spans after rerun = %d, want 4", got)
 	}
 	if got := tr.CountTier(obs.TierLocalRun); got != 2 {
-		t.Errorf("local-run spans after rerun = %d, want 2 (memo should have served)", got)
+		t.Errorf("local-run spans after rerun = %d, want 2 (store should have served)", got)
+	}
+	if got := tr.CountTier(obs.TierStore); got != 4 {
+		t.Errorf("store probe spans after rerun = %d, want 4", got)
 	}
 
 	units := tel.Metrics.CounterVec("vcabench_units_total",
@@ -104,8 +107,8 @@ func TestCampaignSpanTree(t *testing.T) {
 	if got := units.With("local").Value(); got != 2 {
 		t.Errorf("units_total{local} = %d, want 2", got)
 	}
-	if got := units.With("memo").Value(); got != 2 {
-		t.Errorf("units_total{memo} = %d, want 2", got)
+	if got := units.With("store").Value(); got != 2 {
+		t.Errorf("units_total{store} = %d, want 2", got)
 	}
 	inflight := tel.Metrics.Gauge("vcabench_units_inflight",
 		"Campaign units currently executing, locally or on a remote worker.")
@@ -143,7 +146,7 @@ func TestReplicatedAndStoreTierSpans(t *testing.T) {
 		t.Errorf("unit spans = %d, want 6", got)
 	}
 
-	warm := runOnce() // fresh process-equivalent: memo empty, store warm
+	warm := runOnce() // fresh process-equivalent: only the disk store is warm
 	units := warm.Metrics.CounterVec("vcabench_units_total",
 		"Campaign units resolved, by serving tier.", "tier")
 	if got := units.With("store").Value(); got != 6 {
@@ -167,12 +170,16 @@ func TestEngineMetricsExposition(t *testing.T) {
 	for _, want := range []string{
 		"vcabench_units_inflight 0\n",
 		`vcabench_units_total{tier="local"} 0` + "\n",
-		`vcabench_units_total{tier="memo"} 0` + "\n",
+		`vcabench_units_total{tier="store"} 0` + "\n",
+		`vcabench_units_total{tier="dispatch"} 0` + "\n",
 		"vcabench_unit_seconds_count 0\n",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("missing %q in:\n%s", want, text)
 		}
+	}
+	if strings.Contains(text, `tier="memo"`) {
+		t.Errorf("retired memo tier still exposed:\n%s", text)
 	}
 	if probs := obstest.LintText([]byte(text)); len(probs) != 0 {
 		t.Errorf("lint problems: %v", probs)

@@ -38,19 +38,16 @@ type Testbed struct {
 	// parallelism is the campaign worker count (see scheduler.go).
 	parallelism int
 
-	// memo caches campaign-unit results shared between experiments.
-	// Today runMemoized only touches it from the caller's goroutine
-	// (before dispatch and after the pool drains); the lock keeps the
-	// table safe if experiment drivers ever run concurrently.
-	memoMu sync.Mutex
-	memo   map[string]any
-	// campaigns pins each campaign name run on this testbed to one
-	// resolved-spec fingerprint (see RunCampaign). Guarded by memoMu.
-	campaigns map[string]string
+	// mu guards storeErr and diagDocs. Today runMemoized only touches
+	// them from the caller's goroutine (before dispatch and after the
+	// pool drains); the lock keeps them safe if experiment drivers ever
+	// run concurrently.
+	mu sync.Mutex
 
-	// store, when set via WithStore, persists memoized unit results
-	// across processes; storeErr records the first failed persist
-	// (guarded by memoMu). See cellstore.go.
+	// store caches every resolved unit result, encoded, under its full
+	// cell key: an in-process memStore unless WithStore attached a
+	// persistent one. storeErr records the first failed persist
+	// (guarded by mu). See cellstore.go.
 	store    CellStore
 	storeErr error
 
@@ -68,7 +65,7 @@ type Testbed struct {
 	// diag arms the sim-time flight recorder (see diagnostics.go):
 	// diagRec is this testbed's own recorder (per campaign unit on
 	// forks), diagDocs the root testbed's harvest of finalized
-	// documents, keyed by unit key and guarded by memoMu.
+	// documents, keyed by unit key and guarded by mu.
 	diag     bool
 	diagRec  *diag.Recorder
 	diagDocs map[string]*diag.CellDiag
@@ -81,23 +78,6 @@ type Testbed struct {
 	// runs on private pools.
 	qoeBufs *qoe.Buffers
 	frames  *media.FramePool
-}
-
-// registerCampaign records (or re-checks) the fingerprint of a named
-// campaign, rejecting a rerun under the same name with a different
-// resolved spec — such a rerun would share unit keys, and therefore
-// memo entries and shard seeds, with semantically different cells.
-func (tb *Testbed) registerCampaign(name, fingerprint string) error {
-	tb.memoMu.Lock()
-	defer tb.memoMu.Unlock()
-	if tb.campaigns == nil {
-		tb.campaigns = make(map[string]string)
-	}
-	if prev, ok := tb.campaigns[name]; ok && prev != fingerprint {
-		return fmt.Errorf("core: campaign %q already ran on this testbed with a different spec or scale; reuse the spec or pick a new name", name)
-	}
-	tb.campaigns[name] = fingerprint
-	return nil
 }
 
 // NewTestbed creates a testbed seeded for reproducibility. The core
@@ -113,6 +93,7 @@ func NewTestbed(seed int64) *Testbed {
 		seed:        seed,
 		platforms:   make(map[platform.Kind]*platform.Platform),
 		parallelism: runtime.GOMAXPROCS(0),
+		store:       new(memStore),
 	}
 }
 

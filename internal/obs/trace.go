@@ -19,7 +19,6 @@ const (
 	TierCell     = "cell"
 	TierReplica  = "replica"
 	TierUnit     = "unit"
-	TierMemo     = "memo"
 	TierStore    = "store"
 	TierDispatch = "dispatch"
 	TierLocalRun = "local-run"
@@ -28,7 +27,7 @@ const (
 // tierOrder fixes the Summary rendering order to the lifecycle
 // hierarchy rather than alphabetical.
 var tierOrder = []string{TierCampaign, TierCell, TierReplica, TierUnit,
-	TierMemo, TierStore, TierDispatch, TierLocalRun}
+	TierStore, TierDispatch, TierLocalRun}
 
 // span is one recorded interval. Envelope spans (cells, replicas)
 // don't own an interval of their own — their extent is computed at

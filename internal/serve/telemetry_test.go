@@ -83,10 +83,11 @@ func TestServeMetricsEndpoint(t *testing.T) {
 		`vcabench_jobs{status="done"} 1`,
 		`vcabench_jobs{status="running"} 0`,
 		"vcabench_units_inflight 0",
-		// Campaign computed the cell locally; the unit request then hit
-		// the shared store's memory front (unit requests consult the
-		// store directly, outside the engine's tier accounting).
+		// Campaign computed the cell locally; the unit request then
+		// resolved through the engine too, as a hit on the shared
+		// store's memory front, so it counts in the engine's tiers.
 		`vcabench_units_total{tier="local"} 1`,
+		`vcabench_units_total{tier="store"} 1`,
 		`vcabench_store_hits_total{tier="mem"} 1`,
 	} {
 		if !strings.Contains(text, want+"\n") {

@@ -141,7 +141,7 @@ type (
 	// renders them in Prometheus text exposition format (WriteText).
 	MetricsRegistry = obs.Registry
 	// Tracer records campaign execution spans (campaign → cell →
-	// replica → unit → memo/store/dispatch/local-run); export with
+	// replica → unit → store/dispatch/local-run); export with
 	// WriteJSONL, summarize per tier with Summary.
 	Tracer = obs.Tracer
 	// Clock is the monotonic time source telemetry reads through.
@@ -211,7 +211,7 @@ func RunQoEStudy(tb *Testbed, kind platform.Kind, host Region, recvs []Region,
 }
 
 // RunCampaign expands a declarative campaign grid and executes every
-// cell through the memo-aware scheduler. Results depend only on
+// cell through the store-backed scheduler. Results depend only on
 // (tb seed, cell key): for a given spec, scale and seed the result —
 // including its JSON encoding — is byte-identical at any worker count.
 // A replicated campaign (spec.Repeats > 1) runs every cell Repeats
@@ -247,7 +247,7 @@ func NewPoolOptions(workers []string, o PoolOptions) (*Pool, error) {
 // across a worker fleet (see NewPool). The merged result — including
 // its JSON encoding — is byte-identical to RunCampaign on the same
 // testbed seed, scale and spec; distribution only changes wall-clock
-// time. Cells already held by tb's memo or store are never dispatched,
+// time. Cells already held by tb's cell store are never dispatched,
 // and cells the fleet cannot serve compute locally.
 func RunDistributed(tb *Testbed, spec Campaign, sc Scale, p *Pool) (*CampaignResult, error) {
 	if p == nil {
