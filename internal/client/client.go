@@ -39,6 +39,12 @@ type Config struct {
 	// and read before then. The pool stays with the client's goroutine
 	// while the client lives. nil allocates each frame.
 	Frames *media.FramePool
+	// Capture, when set, lends the traffic monitor its trace storage:
+	// the record array and the RTP header chunks come from it, and
+	// Monitor.Release hands them back, so every read of the trace (and
+	// of any view of it) must happen before then. The store stays with
+	// the client's goroutine until then. nil allocates the storage.
+	Capture *capture.Store
 	// Resolve maps remote node names to IPs for the traffic monitor.
 	Resolve Resolver
 	// Probe, when set, observes media-pipeline events in sim time — the
@@ -100,7 +106,7 @@ func New(net *simnet.Network, cfg Config) *Client {
 		gotVid: make(map[int]*codec.EncodedFrame),
 		gotAu:  make(map[int]*codec.AudioFrame),
 	}
-	c.Monitor = NewMonitor(node, cfg.Resolve)
+	c.Monitor = NewMonitor(node, cfg.Resolve, cfg.Capture)
 	return c
 }
 
@@ -248,10 +254,11 @@ func (c *Client) Stop() {
 
 // Reset clears per-session media state so the client (and its node, with
 // the accumulated capture) can join the next session, as the paper's VMs
-// do across their 20-session campaigns. The traffic trace is preserved.
-// A client on a lent pool (Config.Frames) hands back the storage of the
-// session's reconstructions, then of its source frames, leaving every
-// one without pixels; it panics if a frame is still pending.
+// do across their 20-session campaigns. The traffic trace is preserved
+// until Monitor.Release. A client on a lent pool (Config.Frames) hands
+// back the storage of the session's reconstructions, then of its source
+// frames, leaving every one without pixels; it panics if a frame is
+// still pending.
 func (c *Client) Reset() {
 	if c.running {
 		panic("client: Reset while running")

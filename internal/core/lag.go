@@ -51,6 +51,7 @@ func RunLagStudy(tb *Testbed, kind platform.Kind, host geo.Region, others []geo.
 		Profile:     sc.Profile,
 		Seed:        tb.seed + 100,
 		Resolve:     resolve,
+		Capture:     tb.captures,
 	})
 	recvs := make([]*client.Client, len(others))
 	for i, r := range others {
@@ -60,6 +61,7 @@ func RunLagStudy(tb *Testbed, kind platform.Kind, host geo.Region, others []geo.
 			Profile: sc.Profile,
 			Seed:    tb.seed + 200 + int64(i),
 			Resolve: resolve,
+			Capture: tb.captures,
 		})
 	}
 
@@ -155,6 +157,11 @@ func RunLagStudy(tb *Testbed, kind platform.Kind, host geo.Region, others []geo.
 		recvT := recvs[0].Trace().Between(w.from, to)
 		res.Fig2.SentT, res.Fig2.SentS = capture.SizeSeries(hostT, capture.Out)
 		res.Fig2.RecvT, res.Fig2.RecvS = capture.SizeSeries(recvT, capture.In)
+	}
+	// Every trace read is done: the traces' storage goes back to the
+	// running worker's capture store (see Testbed.captures).
+	for _, c := range all {
+		c.Monitor.Release()
 	}
 	return res
 }

@@ -1,15 +1,17 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
 	"sync"
 	"testing"
+	"time"
 
+	"github.com/vcabench/vcabench/internal/capture"
 	"github.com/vcabench/vcabench/internal/geo"
 	"github.com/vcabench/vcabench/internal/media"
 	"github.com/vcabench/vcabench/internal/platform"
-	"github.com/vcabench/vcabench/internal/qoe"
 	"github.com/vcabench/vcabench/internal/simnet"
 )
 
@@ -20,11 +22,12 @@ import (
 // surface the same pointer under two fork keys (and, independently, as
 // a data race under -race, since each fork's pool is unsynchronized by
 // design — single-owner determinism is the whole point of not using
-// sync.Pool). Two pools do pass between forks, one fork at a time on
-// one scheduler worker: the QoE scorer's buffers and the media.FramePool
+// sync.Pool). Three stores do pass between forks, one fork at a time on
+// one scheduler worker: the QoE scorer's buffers, the media.FramePool
 // that holds the QoE host's frame pixel storage (an encoder's private
-// resize-ladder pool never leaves its encoder).
-// TestSchedulerWorkerBuffersNeverShared checks those two.
+// resize-ladder pool never leaves its encoder) and the capture.Store
+// that holds the clients' trace records and RTP header chunks.
+// TestSchedulerWorkerBuffersNeverShared checks those three.
 func TestForkedTestbedPoolIsolation(t *testing.T) {
 	tb := NewTestbed(42)
 	var (
@@ -68,11 +71,11 @@ func TestForkedTestbedPoolIsolation(t *testing.T) {
 
 // TestSchedulerWorkerBuffersNeverShared runs QoE units on three
 // scheduler workers and marks, under a mutex, each fork's entry and exit
-// on the qoe.Buffers and the media.FramePool its worker lent it: no
-// Buffers and no FramePool may be held by two forks at once (under
-// -race, a shared one would also race), the workers must reuse both
-// from cell to cell, and every result must equal the same unit's
-// result on a fork with private pools.
+// on the qoe.Buffers, the media.FramePool and the capture.Store its
+// worker lent it: none may be held by two forks at once (under -race, a
+// shared one would also race), each worker owns at most one of each and
+// must reuse all three from cell to cell, and every result must equal
+// the same unit's result on a fork with private storage.
 func TestSchedulerWorkerBuffersNeverShared(t *testing.T) {
 	const workers = 3
 	tb := NewTestbed(42).SetParallelism(workers)
@@ -91,10 +94,10 @@ func TestSchedulerWorkerBuffersNeverShared(t *testing.T) {
 	for i := range units {
 		i, key := i, fmt.Sprintf("bufs-iso/%d", i)
 		units[i] = Unit{Key: key, Run: func(stb *Testbed) {
-			lent := []any{stb.qoeBufs, stb.frames}
+			lent := []any{stb.qoeBufs, stb.frames, stb.captures}
 			mu.Lock()
-			if stb.qoeBufs == nil || stb.frames == nil {
-				t.Errorf("fork %s lacks worker pools: buffers %p, frames %p", key, stb.qoeBufs, stb.frames)
+			if stb.qoeBufs == nil || stb.frames == nil || stb.captures == nil {
+				t.Errorf("fork %s lacks worker pools: buffers %p, frames %p, captures %p", key, stb.qoeBufs, stb.frames, stb.captures)
 			}
 			for _, b := range lent {
 				if prev, ok := holder[b]; ok {
@@ -116,10 +119,10 @@ func TestSchedulerWorkerBuffersNeverShared(t *testing.T) {
 	}
 	(&Scheduler{TB: tb}).Run(units)
 
-	for _, kind := range []string{"Buffers", "FramePool"} {
+	for _, kind := range []string{"*qoe.Buffers", "*media.FramePool", "*capture.Store"} {
 		n, reused := 0, false
 		for b, cells := range served {
-			if _, isBufs := b.(*qoe.Buffers); isBufs == (kind == "Buffers") {
+			if fmt.Sprintf("%T", b) == kind {
 				n++
 				reused = reused || cells > 1
 			}
@@ -131,7 +134,8 @@ func TestSchedulerWorkerBuffersNeverShared(t *testing.T) {
 			t.Errorf("no worker reused its %s for a second cell", kind)
 		}
 	}
-	if fork := tb.Fork("x"); tb.qoeBufs != nil || fork.qoeBufs != nil || tb.frames != nil || fork.frames != nil {
+	if fork := tb.Fork("x"); tb.qoeBufs != nil || fork.qoeBufs != nil || tb.frames != nil || fork.frames != nil ||
+		tb.captures != nil || fork.captures != nil {
 		t.Error("a testbed that is not a scheduler fork has worker pools")
 	}
 	for i, u := range units {
@@ -244,5 +248,76 @@ func TestLagStudyLeavesLentFramePoolAlone(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Error("lag study on a lent frame pool differs from a private fork's")
+	}
+}
+
+// scribbleCaptures overwrites every record and RTP entry the store
+// parks, over their full capacity, with junk a reader would notice:
+// big packets in both directions stamped far past any session, so a
+// record read before it is overwritten moves a lag, a rate or a window.
+func scribbleCaptures(s *capture.Store) {
+	records, chunks := s.Parked()
+	junkRTP := &capture.RTPInfo{SSRC: 0xbad, Seq: 0xbad, TS: 0xbad, PT: 0xbd}
+	future := time.Date(2100, 1, 1, 0, 0, 0, 0, time.UTC)
+	for _, r := range records {
+		r = r[:cap(r)]
+		for i := range r {
+			r[i] = capture.Record{Time: future, Dir: capture.Dir(i % 2), Len: 1400, RTP: junkRTP}
+		}
+	}
+	for _, c := range chunks {
+		c = c[:cap(c)]
+		for i := range c {
+			c[i] = *junkRTP
+		}
+	}
+}
+
+// TestReusedCaptureStorageCannotChangeResults pins the contract capture
+// storage reuse rests on: a trace appends over its storage before any
+// read, so no record of an earlier cell is ever read. An unrelated QoE
+// study (another platform, motion class and meeting size) fills a
+// worker's capture store; then, with every parked record and RTP entry
+// overwritten with junk, a lag study and after it a QoE study on that
+// store must encode to the same cell bytes as the same studies on
+// private storage.
+func TestReusedCaptureStorageCannotChangeResults(t *testing.T) {
+	tb := NewTestbed(42)
+	lag := func(stb *Testbed) any {
+		return RunLagStudy(stb, platform.Zoom, geo.USEast, []geo.Region{geo.USWest, geo.USCentral}, TinyScale)
+	}
+	qoeStudy := func(stb *Testbed) any {
+		return RunQoEStudy(stb, platform.Webex, geo.USEast, QoEReceiverRegions(geo.ZoneUS, 2), media.LowMotion, TinyScale, QoEOpts{})
+	}
+	encode := func(v any) []byte {
+		b, err := encodeCell(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+
+	store := capture.NewStore()
+	other := tb.Fork("captures/other")
+	other.captures = store
+	RunQoEStudy(other, platform.Meet, geo.USEast, QoEReceiverRegions(geo.ZoneUS, 1), media.HighMotion, TinyScale, QoEOpts{})
+	for _, c := range []struct {
+		name  string
+		study func(*Testbed) any
+	}{{"lag", lag}, {"qoe", qoeStudy}} {
+		key := "captures/" + c.name
+		want := encode(c.study(tb.Fork(key)))
+
+		if records, chunks := store.Parked(); len(records) == 0 || len(chunks) == 0 {
+			t.Fatalf("before the %s study the store parks %d record arrays and %d RTP chunks; the study would reuse none",
+				c.name, len(records), len(chunks))
+		}
+		scribbleCaptures(store)
+		stb := tb.Fork(key)
+		stb.captures = store
+		if got := encode(c.study(stb)); !bytes.Equal(got, want) {
+			t.Errorf("%s study on reused junk-filled capture storage encodes differently from the same study on private storage",
+				c.name)
+		}
 	}
 }

@@ -116,6 +116,7 @@ func RunQoEStudyWithSetup(tb *Testbed, kind platform.Kind, host geo.Region, recv
 		Seed:       tb.seed + 300,
 		Resolve:    resolve,
 		Frames:     frames,
+		Capture:    tb.captures,
 	})
 	recvs := make([]*client.Client, len(recvRegions))
 	for i, r := range recvRegions {
@@ -127,6 +128,7 @@ func RunQoEStudyWithSetup(tb *Testbed, kind platform.Kind, host geo.Region, recv
 			Seed:    tb.seed + 400 + int64(i),
 			Resolve: resolve,
 			Probe:   tb.clientProbe(name),
+			Capture: tb.captures,
 		}
 		if opts.DownlinkCapBps > 0 || opts.Trace != nil {
 			// tc-tbf style: a short buffer, so overload surfaces as loss
@@ -236,6 +238,11 @@ func RunQoEStudyWithSetup(tb *Testbed, kind platform.Kind, host geo.Region, recv
 			c.Reset()
 		}
 		tb.Sim.RunFor(2 * time.Second)
+	}
+	// Every trace read is done: the traces' storage goes back to the
+	// running worker's capture store (see Testbed.captures).
+	for _, c := range all {
+		c.Monitor.Release()
 	}
 	if binBytes != nil {
 		res.RateBin = rateBinWidth

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"github.com/vcabench/vcabench/internal/capture"
 	"github.com/vcabench/vcabench/internal/media"
 	"github.com/vcabench/vcabench/internal/obs"
 	"github.com/vcabench/vcabench/internal/qoe"
@@ -96,12 +97,13 @@ type Scheduler struct {
 // Run executes every unit and waits for completion. A panicking unit is
 // re-panicked on the caller's goroutine after the pool drains.
 //
-// Each worker (and the serial loop) owns one qoe.Buffers and one
-// media.FramePool and lends both to every fork it runs, one fork at a
-// time, so the scorer's float buffers and the QoE host's frame pixel
-// storage pass from cell to cell without crossing goroutines. Storage
-// comes back dirty and every producer overwrites it before reading, so
-// which cells ran earlier on a worker never reaches a result.
+// Each worker (and the serial loop) owns one qoe.Buffers, one
+// media.FramePool and one capture.Store and lends all three to every
+// fork it runs, one fork at a time, so the scorer's float buffers, the
+// QoE host's frame pixel storage and the clients' capture records pass
+// from cell to cell without crossing goroutines. Storage comes back
+// dirty and every producer overwrites it before reading, so which
+// cells ran earlier on a worker never reaches a result.
 func (s *Scheduler) Run(units []Unit) {
 	if len(units) == 0 {
 		return
@@ -111,13 +113,14 @@ func (s *Scheduler) Run(units []Unit) {
 		workers = len(units)
 	}
 	type pools struct {
-		bufs   *qoe.Buffers
-		frames *media.FramePool
+		bufs     *qoe.Buffers
+		frames   *media.FramePool
+		captures *capture.Store
 	}
-	newPools := func() pools { return pools{qoe.NewBuffers(), media.NewFramePool()} }
+	newPools := func() pools { return pools{qoe.NewBuffers(), media.NewFramePool(), capture.NewStore()} }
 	fork := func(u Unit, p pools) *Testbed {
 		stb := s.TB.Fork(u.Key)
-		stb.qoeBufs, stb.frames = p.bufs, p.frames
+		stb.qoeBufs, stb.frames, stb.captures = p.bufs, p.frames, p.captures
 		return stb
 	}
 	if workers <= 1 {

@@ -70,14 +70,17 @@ type Testbed struct {
 	diagRec  *diag.Recorder
 	diagDocs map[string]*diag.CellDiag
 
-	// qoeBufs is the QoE scorer's float-buffer pool and frames the QoE
-	// host's frame pixel storage. Scheduler.Run sets both on each fork
-	// to the pools of the worker running that fork, so buffers pass
-	// from cell to cell on one goroutine; Fork does not copy them, and
-	// nil (any testbed that is not a scheduler fork) means each study
-	// runs on private pools.
-	qoeBufs *qoe.Buffers
-	frames  *media.FramePool
+	// qoeBufs is the QoE scorer's float-buffer pool, frames the QoE
+	// host's frame pixel storage and captures the clients' capture
+	// storage (trace records and RTP header chunks) of QoE and lag
+	// studies. Scheduler.Run sets all three on each fork to the stores
+	// of the worker running that fork, so storage passes from cell to
+	// cell on one goroutine; Fork does not copy them, and nil (any
+	// testbed that is not a scheduler fork) means each study runs on
+	// private storage.
+	qoeBufs  *qoe.Buffers
+	frames   *media.FramePool
+	captures *capture.Store
 }
 
 // NewTestbed creates a testbed seeded for reproducibility. The core

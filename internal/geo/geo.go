@@ -112,12 +112,16 @@ const earthRadiusKm = 6371.0
 // DistanceKm returns the great-circle distance between two points.
 func DistanceKm(a, b LatLon) float64 {
 	const degToRad = math.Pi / 180
-	la1, lo1 := a.Lat*degToRad, a.Lon*degToRad
-	la2, lo2 := b.Lat*degToRad, b.Lon*degToRad
+	// Here and in inflation, a float64 conversion rounds a product
+	// before the add or subtract that follows it, so arm64 cannot fuse
+	// the two into one multiply-add. The degree conversions count too:
+	// the compiler fuses them into the differences below.
+	la1, lo1 := float64(a.Lat*degToRad), float64(a.Lon*degToRad)
+	la2, lo2 := float64(b.Lat*degToRad), float64(b.Lon*degToRad)
 	dla := la2 - la1
 	dlo := lo2 - lo1
-	h := math.Sin(dla/2)*math.Sin(dla/2) +
-		math.Cos(la1)*math.Cos(la2)*math.Sin(dlo/2)*math.Sin(dlo/2)
+	h := float64(math.Sin(dla/2)*math.Sin(dla/2)) +
+		float64(math.Cos(la1)*math.Cos(la2)*math.Sin(dlo/2)*math.Sin(dlo/2))
 	return 2 * earthRadiusKm * math.Asin(math.Min(1, math.Sqrt(h)))
 }
 
@@ -157,7 +161,7 @@ func (m PathModel) inflation(a, b Region) float64 {
 	h.Write([]byte(hi))
 	u := h.Sum32()
 	frac := float64(u%1000) / 999.0
-	return m.InflationMin + frac*(m.InflationMax-m.InflationMin)
+	return m.InflationMin + float64(frac*(m.InflationMax-m.InflationMin))
 }
 
 // OneWay returns the one-way propagation delay between two regions.

@@ -74,7 +74,11 @@ func (s *Sample) StdDev() float64 {
 	ss := 0.0
 	for _, x := range s.xs {
 		d := x - m
-		ss += d * d
+		// Here and in this package's other float64(x*y) conversions,
+		// the conversion rounds the product before the add or subtract
+		// that follows it, so arm64 cannot fuse the two into one
+		// multiply-add and every architecture sums the same bits.
+		ss += float64(d * d)
 	}
 	return math.Sqrt(ss / float64(n))
 }
@@ -102,14 +106,14 @@ func quantile(sorted []float64, q float64) float64 {
 	if q >= 1 {
 		return sorted[n-1]
 	}
-	pos := q * float64(n-1)
+	pos := float64(q * float64(n-1))
 	lo := int(math.Floor(pos))
 	hi := lo + 1
 	frac := pos - float64(lo)
 	if hi >= n {
 		return sorted[n-1]
 	}
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
+	return float64(sorted[lo]*(1-frac)) + float64(sorted[hi]*frac)
 }
 
 // Median returns the 50th percentile.
@@ -130,7 +134,7 @@ func (s *Sample) SampleStdDev() float64 {
 	ss := 0.0
 	for _, x := range s.xs {
 		d := x - m
-		ss += d * d
+		ss += float64(d * d)
 	}
 	return math.Sqrt(ss / float64(n-1))
 }
@@ -220,8 +224,8 @@ func (s *Sample) Summarize() Summary {
 	sum.Mean = s.Mean()
 	sum.StdDev = s.StdDev()
 	iqr := sum.P75 - sum.P25
-	loFence := sum.P25 - 1.5*iqr
-	hiFence := sum.P75 + 1.5*iqr
+	loFence := sum.P25 - float64(1.5*iqr)
+	hiFence := sum.P75 + float64(1.5*iqr)
 	sum.WhiskLo, sum.WhiskHi = sum.Max, sum.Min
 	for _, x := range sorted {
 		if x >= loFence && x < sum.WhiskLo {
