@@ -48,6 +48,8 @@ func main() {
 	}
 	time.Sleep(100 * time.Millisecond)
 
+	// Records keep wall-clock nanoseconds, not time.Now's monotonic
+	// reading, so a clock step during the run would show in the lags.
 	sentTrace := capture.NewTrace("sender")
 	recvTrace := capture.NewTrace("receiver")
 	senderEP := capture.Endpoint{IP: capture.IPv4{127, 0, 0, 1}, Port: uint16(sender.LocalAddr().Port)}
@@ -65,7 +67,7 @@ func main() {
 				continue
 			}
 			recvTrace.Add(capture.Record{
-				Time: time.Now(), Dir: capture.In,
+				UnixNano: time.Now().UnixNano(), Dir: capture.In,
 				Src: relayEP, Dst: recvEP, Len: len(payload),
 			})
 		}
@@ -82,7 +84,7 @@ func main() {
 				log.Fatal(err)
 			}
 			sentTrace.Add(capture.Record{
-				Time: time.Now(), Dir: capture.Out,
+				UnixNano: time.Now().UnixNano(), Dir: capture.Out,
 				Src: senderEP, Dst: relayEP, Len: flashSize,
 			})
 		}
@@ -91,7 +93,7 @@ func main() {
 		for time.Now().Before(quiet) {
 			sender.Send(keepalive)
 			sentTrace.Add(capture.Record{
-				Time: time.Now(), Dir: capture.Out,
+				UnixNano: time.Now().UnixNano(), Dir: capture.Out,
 				Src: senderEP, Dst: relayEP, Len: len(keepalive),
 			})
 			time.Sleep(100 * time.Millisecond)

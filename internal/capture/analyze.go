@@ -30,17 +30,20 @@ func Bursts(t *Trace, d Dir, cfg BurstConfig) []time.Time {
 		cfg = DefaultBurstConfig
 	}
 	var out []time.Time
-	var lastBig time.Time
+	var lastBig int64
 	haveBig := false
-	for _, r := range t.Records {
-		if r.Dir != d || r.Len <= cfg.BigBytes {
-			continue
+	for rs := range t.runs {
+		for i := range rs {
+			r := &rs[i]
+			if r.Dir != d || r.Len <= cfg.BigBytes {
+				continue
+			}
+			if !haveBig || time.Duration(r.UnixNano-lastBig) > cfg.MinQuiet {
+				out = append(out, r.Time())
+			}
+			lastBig = r.UnixNano
+			haveBig = true
 		}
-		if !haveBig || r.Time.Sub(lastBig) > cfg.MinQuiet {
-			out = append(out, r.Time)
-		}
-		lastBig = r.Time
-		haveBig = true
 	}
 	return out
 }
@@ -95,13 +98,38 @@ type EndpointStats struct {
 // counts; the remote endpoint of each is a service endpoint.
 func DiscoverEndpoints(sessions []*Trace) EndpointStats {
 	all := make(map[Endpoint]bool)
+	// seen marks, per session, whether an endpoint was already listed as
+	// a media source (seenMedia) and as an inbound source (seenIn).
+	const seenMedia, seenIn = 1, 2
+	seen := make(map[Endpoint]uint8)
+	var media, inbound []Endpoint // first-seen order
 	perSession := 0
 	for _, t := range sessions {
-		media := t.Filter(func(r Record) bool { return r.Dir == In && r.RTP != nil })
-		if media.Len() == 0 {
-			media = t.Filter(func(r Record) bool { return r.Dir == In })
+		clear(seen)
+		media, inbound = media[:0], inbound[:0]
+		for rs := range t.runs {
+			for i := range rs {
+				r := &rs[i]
+				if r.Dir != In {
+					continue
+				}
+				e := r.Src
+				mark := seen[e]
+				if mark&seenIn == 0 {
+					inbound = append(inbound, e)
+					mark |= seenIn
+				}
+				if r.HasRTP && mark&seenMedia == 0 {
+					media = append(media, e)
+					mark |= seenMedia
+				}
+				seen[e] = mark
+			}
 		}
-		eps := media.RemoteEndpoints(In)
+		eps := media
+		if len(eps) == 0 {
+			eps = inbound
+		}
 		perSession += len(eps)
 		for _, e := range eps {
 			all[e] = true
@@ -117,13 +145,19 @@ func DiscoverEndpoints(sessions []*Trace) EndpointStats {
 // SizeSeries returns (t, size) points for plotting a Fig-2 style packet
 // scatter in the given direction, with times relative to the trace start.
 func SizeSeries(t *Trace, d Dir) (times []time.Duration, sizes []int) {
-	from, _ := t.Span()
-	for _, r := range t.Records {
-		if r.Dir != d {
-			continue
+	n := t.Packets(d)
+	if n == 0 {
+		return nil, nil
+	}
+	from := t.at(0).UnixNano
+	times, sizes = make([]time.Duration, 0, n), make([]int, 0, n)
+	for rs := range t.runs {
+		for i := range rs {
+			if rs[i].Dir == d {
+				times = append(times, time.Duration(rs[i].UnixNano-from))
+				sizes = append(sizes, rs[i].Len)
+			}
 		}
-		times = append(times, r.Time.Sub(from))
-		sizes = append(sizes, r.Len)
 	}
 	return times, sizes
 }

@@ -13,11 +13,11 @@ var t0 = time.Date(2021, 4, 1, 0, 0, 0, 0, time.UTC)
 
 func mkRecord(at time.Duration, dir Dir, srcPort, dstPort uint16, size int) Record {
 	return Record{
-		Time: t0.Add(at),
-		Dir:  dir,
-		Src:  Endpoint{IP: IPForName("src"), Port: srcPort},
-		Dst:  Endpoint{IP: IPForName("dst"), Port: dstPort},
-		Len:  size,
+		UnixNano: t0.Add(at).UnixNano(),
+		Dir:      dir,
+		Src:      Endpoint{IP: IPForName("src"), Port: srcPort},
+		Dst:      Endpoint{IP: IPForName("dst"), Port: dstPort},
+		Len:      size,
 	}
 }
 
@@ -46,7 +46,7 @@ func TestTraceRates(t *testing.T) {
 		tr.Add(mkRecord(time.Duration(i)*111*time.Millisecond, In, 8801, 5004, 1250))
 	}
 	rate := tr.Rate(In)
-	want := float64(10*1250*8) / tr.Records[9].Time.Sub(tr.Records[0].Time).Seconds()
+	want := float64(10*1250*8) / tr.Record(9).Time().Sub(tr.Record(0).Time()).Seconds()
 	if rate != want {
 		t.Errorf("Rate = %v, want %v", rate, want)
 	}
@@ -78,10 +78,12 @@ func TestRemoteEndpoints(t *testing.T) {
 	ep1 := Endpoint{IP: IPv4{1, 2, 3, 4}, Port: 8801}
 	ep2 := Endpoint{IP: IPv4{5, 6, 7, 8}, Port: 8801}
 	local := Endpoint{IP: IPForName("n"), Port: 5004}
-	tr.Add(Record{Time: t0, Dir: In, Src: ep1, Dst: local, Len: 10})
-	tr.Add(Record{Time: t0.Add(time.Millisecond), Dir: In, Src: ep2, Dst: local, Len: 10})
-	tr.Add(Record{Time: t0.Add(2 * time.Millisecond), Dir: In, Src: ep1, Dst: local, Len: 10})
-	tr.Add(Record{Time: t0.Add(3 * time.Millisecond), Dir: Out, Src: local, Dst: ep1, Len: 10})
+	ns := t0.UnixNano()
+	ms := time.Millisecond.Nanoseconds()
+	tr.Add(Record{UnixNano: ns, Dir: In, Src: ep1, Dst: local, Len: 10})
+	tr.Add(Record{UnixNano: ns + ms, Dir: In, Src: ep2, Dst: local, Len: 10})
+	tr.Add(Record{UnixNano: ns + 2*ms, Dir: In, Src: ep1, Dst: local, Len: 10})
+	tr.Add(Record{UnixNano: ns + 3*ms, Dir: Out, Src: local, Dst: ep1, Len: 10})
 	eps := tr.RemoteEndpoints(In)
 	if len(eps) != 2 || eps[0] != ep1 || eps[1] != ep2 {
 		t.Errorf("RemoteEndpoints = %v", eps)
@@ -89,20 +91,22 @@ func TestRemoteEndpoints(t *testing.T) {
 }
 
 func TestBurstDetection(t *testing.T) {
-	tr := NewTrace("host")
 	// Keepalives every 100ms (60B), flashes at 2s, 4s, 6s (5 big packets each).
+	var recs []Record
 	for i := 0; i < 80; i++ {
-		tr.Add(mkRecord(time.Duration(i)*100*time.Millisecond, Out, 5004, 8801, 60))
+		recs = append(recs, mkRecord(time.Duration(i)*100*time.Millisecond, Out, 5004, 8801, 60))
 	}
 	for _, flashAt := range []time.Duration{2 * time.Second, 4 * time.Second, 6 * time.Second} {
 		for k := 0; k < 5; k++ {
-			tr.Add(mkRecord(flashAt+time.Duration(k)*5*time.Millisecond, Out, 5004, 8801, 900))
+			recs = append(recs, mkRecord(flashAt+time.Duration(k)*5*time.Millisecond, Out, 5004, 8801, 900))
 		}
 	}
 	// Restore time order (the flashes were appended after the keepalives).
-	sort.SliceStable(tr.Records, func(i, j int) bool {
-		return tr.Records[i].Time.Before(tr.Records[j].Time)
-	})
+	sort.SliceStable(recs, func(i, j int) bool { return recs[i].UnixNano < recs[j].UnixNano })
+	tr := NewTrace("host")
+	for _, r := range recs {
+		tr.Add(r)
+	}
 	bursts := Bursts(tr, Out, DefaultBurstConfig)
 	if len(bursts) != 3 {
 		t.Fatalf("bursts = %d, want 3 (%v)", len(bursts), bursts)
@@ -166,8 +170,8 @@ func TestLagsEndToEnd(t *testing.T) {
 func TestDiscoverEndpoints(t *testing.T) {
 	mk := func(ep Endpoint) *Trace {
 		tr := NewTrace("c")
-		info := RTPInfo{SSRC: 7}
-		tr.Add(Record{Time: t0, Dir: In, Src: ep, Dst: Endpoint{IPForName("c"), 5004}, Len: 500, RTP: &info})
+		tr.Add(Record{UnixNano: t0.UnixNano(), Dir: In, Src: ep, Dst: Endpoint{IPForName("c"), 5004}, Len: 500,
+			HasRTP: true, RTP: RTPInfo{SSRC: 7}})
 		return tr
 	}
 	// Zoom-like: new endpoint every session.
@@ -191,25 +195,22 @@ func TestDiscoverEndpoints(t *testing.T) {
 }
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
-	info := &RTPInfo{SSRC: 0xdeadbeef, Seq: 4242, TS: 90000, Marker: true, PT: 96}
 	rec := Record{
-		Time: t0.Add(1234567 * time.Microsecond),
-		Dir:  Out,
-		Src:  Endpoint{IP: IPv4{10, 1, 2, 3}, Port: 5004},
-		Dst:  Endpoint{IP: IPv4{170, 114, 9, 9}, Port: 8801},
-		Len:  777,
-		RTP:  info,
+		UnixNano: t0.Add(1234567 * time.Microsecond).UnixNano(),
+		Dir:      Out,
+		Src:      Endpoint{IP: IPv4{10, 1, 2, 3}, Port: 5004},
+		Dst:      Endpoint{IP: IPv4{170, 114, 9, 9}, Port: 8801},
+		Len:      777,
+		HasRTP:   true,
+		RTP:      RTPInfo{SSRC: 0xdeadbeef, Seq: 4242, TS: 90000, Marker: true, PT: 96},
 	}
 	data := EncodeRecord(rec)
-	back, err := decodeRecord(rec.Time, data, rec.Src.IP)
+	back, err := decodeRecord(rec.UnixNano, data, rec.Src.IP)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	if !back.Time.Equal(rec.Time) || back.Dir != Out || back.Src != rec.Src || back.Dst != rec.Dst || back.Len != rec.Len {
+	if back != rec {
 		t.Errorf("round trip mismatch: %+v vs %+v", back, rec)
-	}
-	if back.RTP == nil || *back.RTP != *info {
-		t.Errorf("RTP round trip: %+v", back.RTP)
 	}
 	// The frame is Ethernet/IPv4/UDP/RTP with media bytes after the RTP
 	// header, sized by the UDP length field.
@@ -220,30 +221,30 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		t.Errorf("no media payload after the RTP header (%d bytes)", payload)
 	}
 	// Any other source address reads as inbound.
-	if in, err := decodeRecord(rec.Time, data, rec.Dst.IP); err != nil || in.Dir != In {
+	if in, err := decodeRecord(rec.UnixNano, data, rec.Dst.IP); err != nil || in.Dir != In {
 		t.Errorf("decoded at the receiver: dir %v, err %v; want In", in.Dir, err)
 	}
 }
 
 func TestDecodeTruncated(t *testing.T) {
-	if _, err := decodeRecord(t0, []byte{1, 2, 3}, IPv4{}); err != ErrTruncated {
+	if _, err := decodeRecord(t0.UnixNano(), []byte{1, 2, 3}, IPv4{}); err != ErrTruncated {
 		t.Errorf("err = %v", err)
 	}
 	// Valid ethernet but ARP ethertype.
 	data := make([]byte, 20)
 	data[12], data[13] = 0x08, 0x06
-	if _, err := decodeRecord(t0, data, IPv4{}); err != ErrNotIPv4 {
+	if _, err := decodeRecord(t0.UnixNano(), data, IPv4{}); err != ErrNotIPv4 {
 		t.Errorf("err = %v", err)
 	}
 	// IPv4 carrying TCP.
 	data = EncodeRecord(mkRecord(0, Out, 1, 2, 64))
 	data[ethHeaderLen+9] = 6
-	if _, err := decodeRecord(t0, data, IPv4{}); err != ErrNotUDP {
+	if _, err := decodeRecord(t0.UnixNano(), data, IPv4{}); err != ErrNotUDP {
 		t.Errorf("err = %v", err)
 	}
 	// IPv4 cut inside the UDP header.
 	data = EncodeRecord(mkRecord(0, Out, 1, 2, 64))[:ethHeaderLen+ipHeaderLen+4]
-	if _, err := decodeRecord(t0, data, IPv4{}); err != ErrTruncated {
+	if _, err := decodeRecord(t0.UnixNano(), data, IPv4{}); err != ErrTruncated {
 		t.Errorf("err = %v", err)
 	}
 }
@@ -267,9 +268,9 @@ func TestReadPcapSkipsShortUDPLength(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if skipped != 1 || back.Len() != 1 || back.Records[0].Len != 80 {
+	if skipped != 1 || back.Len() != 1 || back.Record(0).Len != 80 {
 		t.Errorf("skipped %d, kept %d records (first Len %d); want 1 skipped and the 80-byte record kept",
-			skipped, back.Len(), back.Records[0].Len)
+			skipped, back.Len(), back.Record(0).Len)
 	}
 	if got := back.Bytes(In); got != 80 {
 		t.Errorf("trace bytes = %d, want 80", got)
@@ -306,10 +307,11 @@ func TestPcapRoundTrip(t *testing.T) {
 			dir = Out
 			src, dst = dst, src
 		}
-		info := &RTPInfo{SSRC: 1, Seq: uint16(i), TS: uint32(i * 3000), PT: 96}
 		tr.Add(Record{
-			Time: t0.Add(time.Duration(i) * 20 * time.Millisecond),
-			Dir:  dir, Src: src, Dst: dst, Len: 800 + i, RTP: info,
+			UnixNano: t0.Add(time.Duration(i) * 20 * time.Millisecond).UnixNano(),
+			Dir:      dir, Src: src, Dst: dst, Len: 800 + i,
+			HasRTP: i%5 != 0, // every fifth record carries no RTP header
+			RTP:    RTPInfo{SSRC: 1, Seq: uint16(i), TS: uint32(i * 3000), Marker: i%3 == 0, PT: 96},
 		})
 	}
 	var buf bytes.Buffer
@@ -326,13 +328,15 @@ func TestPcapRoundTrip(t *testing.T) {
 	if back.Len() != tr.Len() {
 		t.Fatalf("len %d vs %d", back.Len(), tr.Len())
 	}
-	for i := range tr.Records {
-		a, b := tr.Records[i], back.Records[i]
-		if !a.Time.Equal(b.Time) || a.Dir != b.Dir || a.Src != b.Src || a.Dst != b.Dst || a.Len != b.Len {
-			t.Fatalf("record %d mismatch:\n%+v\n%+v", i, a, b)
+	for i := 0; i < tr.Len(); i++ {
+		// Without an RTP header the payload is zero padding, so only
+		// records with one carry RTP fields through the file.
+		want := tr.Record(i)
+		if !want.HasRTP {
+			want.RTP = RTPInfo{}
 		}
-		if b.RTP == nil || b.RTP.Seq != a.RTP.Seq {
-			t.Fatalf("record %d RTP mismatch", i)
+		if got := back.Record(i); got != want {
+			t.Fatalf("record %d mismatch:\n%+v\n%+v", i, got, want)
 		}
 	}
 }
@@ -347,14 +351,15 @@ func TestReadPcapBadMagic(t *testing.T) {
 func TestEncodeDecodeProperty(t *testing.T) {
 	f := func(srcIP, dstIP [4]byte, srcPort, dstPort uint16, size uint16, seq uint16, ssrc uint32, marker bool) bool {
 		rec := Record{
-			Time: t0,
-			Src:  Endpoint{IPv4(srcIP), srcPort},
-			Dst:  Endpoint{IPv4(dstIP), dstPort},
-			Len:  int(size % 1500),
-			RTP:  &RTPInfo{SSRC: ssrc, Seq: seq, Marker: marker, PT: 96},
+			UnixNano: t0.UnixNano(),
+			Src:      Endpoint{IPv4(srcIP), srcPort},
+			Dst:      Endpoint{IPv4(dstIP), dstPort},
+			Len:      int(size % 1500),
+			HasRTP:   true,
+			RTP:      RTPInfo{SSRC: ssrc, Seq: seq, Marker: marker, PT: 96},
 		}
 		data := EncodeRecord(rec)
-		back, err := decodeRecord(t0, data, IPv4{})
+		back, err := decodeRecord(t0.UnixNano(), data, IPv4{})
 		if err != nil {
 			return false
 		}
@@ -363,7 +368,7 @@ func TestEncodeDecodeProperty(t *testing.T) {
 			wantLen = 12 // RTP header floor
 		}
 		return back.Src == rec.Src && back.Dst == rec.Dst && back.Len == wantLen &&
-			back.RTP != nil && back.RTP.Seq == seq && back.RTP.SSRC == ssrc
+			back.HasRTP && back.RTP.Seq == seq && back.RTP.SSRC == ssrc
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)

@@ -38,9 +38,9 @@ func FuzzParseIPv4(f *testing.F) {
 // it keeps must have a non-negative length.
 func FuzzReadPcap(f *testing.F) {
 	tr := NewTrace("vm")
-	tr.Add(Record{Time: t0, Dir: Out, Src: Endpoint{IPForName("vm"), 5004}, Dst: Endpoint{IPv4{66, 114, 1, 1}, 9000},
-		Len: 120, RTP: &RTPInfo{SSRC: 7, Seq: 1, PT: 96}})
-	tr.Add(Record{Time: t0.Add(time.Millisecond), Dir: In, Src: Endpoint{IPv4{66, 114, 1, 1}, 9000},
+	tr.Add(Record{UnixNano: t0.UnixNano(), Dir: Out, Src: Endpoint{IPForName("vm"), 5004}, Dst: Endpoint{IPv4{66, 114, 1, 1}, 9000},
+		Len: 120, HasRTP: true, RTP: RTPInfo{SSRC: 7, Seq: 1, PT: 96}})
+	tr.Add(Record{UnixNano: t0.Add(time.Millisecond).UnixNano(), Dir: In, Src: Endpoint{IPv4{66, 114, 1, 1}, 9000},
 		Dst: Endpoint{IPForName("vm"), 5004}, Len: 3})
 	var buf bytes.Buffer
 	if err := WritePcap(&buf, tr); err != nil {
@@ -60,8 +60,8 @@ func FuzzReadPcap(f *testing.F) {
 		if back == nil {
 			return
 		}
-		for i, r := range back.Records {
-			if r.Len < 0 {
+		for i := 0; i < back.Len(); i++ {
+			if r := back.Record(i); r.Len < 0 {
 				t.Fatalf("record %d has Len %d", i, r.Len)
 			}
 		}

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"time"
 )
 
 // libpcap classic file format (microsecond timestamps, little endian).
@@ -40,9 +39,10 @@ func WritePcap(w io.Writer, t *Trace) error {
 		return err
 	}
 	var rec [pcapRecHdrLen]byte
-	for i := range t.Records {
-		data := EncodeRecord(t.Records[i])
-		ts := t.Records[i].Time
+	for i := 0; i < t.Len(); i++ {
+		r := t.at(i)
+		data := EncodeRecord(*r)
+		ts := r.Time()
 		le.PutUint32(rec[0:4], uint32(ts.Unix()))
 		le.PutUint32(rec[4:8], uint32(ts.Nanosecond()/1000))
 		le.PutUint32(rec[8:12], uint32(len(data)))
@@ -95,7 +95,7 @@ func ReadPcap(r io.Reader, node string, localIP IPv4) (*Trace, int, error) {
 		if _, err := io.ReadFull(br, data); err != nil {
 			return t, skipped, fmt.Errorf("capture: reading record body: %w", err)
 		}
-		ts := time.Unix(int64(sec), int64(usec)*1000).UTC()
+		ts := int64(sec)*1e9 + int64(usec)*1000
 		record, err := decodeRecord(ts, data, localIP)
 		if err != nil {
 			skipped++

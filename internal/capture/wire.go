@@ -3,7 +3,6 @@ package capture
 import (
 	"encoding/binary"
 	"errors"
-	"time"
 )
 
 // Decoding errors.
@@ -23,13 +22,13 @@ const (
 	rtpHeaderLen  = 12
 )
 
-// decodeRecord decodes one captured Ethernet/IPv4/UDP frame straight
-// into a trace record, with RTP metadata when the UDP payload looks
-// like RTP (version 2, at least 12 bytes). Packets sourced from localIP
+// decodeRecord decodes one Ethernet/IPv4/UDP frame, captured at
+// unixNano, straight into a trace record, with RTP metadata when the
+// UDP payload looks like RTP (version 2, at least 12 bytes). Packets sourced from localIP
 // are Out, all others In. Len comes from the UDP length field, so a
 // capture truncated by its snaplen still reports the datagram's size.
 // A frame that is not a well-formed UDP datagram is an error.
-func decodeRecord(ts time.Time, data []byte, localIP IPv4) (Record, error) {
+func decodeRecord(unixNano int64, data []byte, localIP IPv4) (Record, error) {
 	if len(data) < ethHeaderLen {
 		return Record{}, ErrTruncated
 	}
@@ -57,17 +56,18 @@ func decodeRecord(ts time.Time, data []byte, localIP IPv4) (Record, error) {
 		return Record{}, errBadUDPLength
 	}
 	r := Record{
-		Time: ts,
-		Dir:  In,
-		Src:  Endpoint{IP: IPv4(ip[12:16]), Port: binary.BigEndian.Uint16(udp[0:2])},
-		Dst:  Endpoint{IP: IPv4(ip[16:20]), Port: binary.BigEndian.Uint16(udp[2:4])},
-		Len:  udpLen - udpHeaderLen,
+		UnixNano: unixNano,
+		Dir:      In,
+		Src:      Endpoint{IP: IPv4(ip[12:16]), Port: binary.BigEndian.Uint16(udp[0:2])},
+		Dst:      Endpoint{IP: IPv4(ip[16:20]), Port: binary.BigEndian.Uint16(udp[2:4])},
+		Len:      udpLen - udpHeaderLen,
 	}
 	if r.Src.IP == localIP {
 		r.Dir = Out
 	}
 	if b := udp[udpHeaderLen:]; len(b) >= rtpHeaderLen && b[0]>>6 == 2 {
-		r.RTP = &RTPInfo{
+		r.HasRTP = true
+		r.RTP = RTPInfo{
 			SSRC:   binary.BigEndian.Uint32(b[8:12]),
 			Seq:    binary.BigEndian.Uint16(b[2:4]),
 			TS:     binary.BigEndian.Uint32(b[4:8]),
@@ -80,12 +80,12 @@ func decodeRecord(ts time.Time, data []byte, localIP IPv4) (Record, error) {
 
 // EncodeRecord synthesizes full Ethernet/IPv4/UDP(/RTP) wire bytes for a
 // trace record, suitable for writing to a pcap file. The UDP payload is
-// Len bytes: an RTP header (when metadata is present) followed by zero
-// padding standing in for the encrypted media the paper could not inspect
+// Len bytes: an RTP header (when HasRTP) followed by zero padding
+// standing in for the encrypted media the paper could not inspect
 // either.
 func EncodeRecord(r Record) []byte {
 	l7 := r.Len
-	if r.RTP != nil && l7 < rtpHeaderLen {
+	if r.HasRTP && l7 < rtpHeaderLen {
 		l7 = rtpHeaderLen
 	}
 	total := ethHeaderLen + ipHeaderLen + udpHeaderLen + l7
@@ -109,7 +109,7 @@ func EncodeRecord(r Record) []byte {
 	binary.BigEndian.PutUint16(udp[2:4], r.Dst.Port)
 	binary.BigEndian.PutUint16(udp[4:6], uint16(udpHeaderLen+l7))
 	// RTP.
-	if r.RTP != nil {
+	if r.HasRTP {
 		rtp := udp[udpHeaderLen:]
 		rtp[0] = 2 << 6
 		rtp[1] = r.RTP.PT & 0x7f

@@ -278,7 +278,7 @@ func TestMonitorRecordsRTPMetadata(t *testing.T) {
 	recv := Config{Name: "mon-recv", Region: geo.USEast2, Seed: 13}
 	_, _, rs := runSession(t, platform.Webex, 7, 5*time.Second, host, []Config{recv})
 	tr := rs[0].Trace()
-	withRTP := tr.Filter(func(r capture.Record) bool { return r.RTP != nil && r.Dir == capture.In })
+	withRTP := tr.Filter(func(r capture.Record) bool { return r.HasRTP && r.Dir == capture.In })
 	if withRTP.Len() == 0 {
 		t.Fatal("no RTP metadata captured")
 	}

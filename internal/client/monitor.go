@@ -18,14 +18,6 @@ import (
 // their service ranges; everything else defaults to capture.IPForName.
 type Resolver func(node string) (capture.IPv4, bool)
 
-// rtpSlabChunk is how many RTPInfo records one slab chunk holds. The
-// capture keeps a pointer per RTP record, so a chunk's entries live as
-// long as the trace: chunking turns one heap allocation per packet into
-// one per 1024 packets on the capture hot path, and a monitor on a
-// capture store takes its chunks from the store and gives them back
-// with the trace (Release).
-const rtpSlabChunk = 1024
-
 // Monitor is the client's traffic-capture component.
 type Monitor struct {
 	trace   *capture.Trace
@@ -37,13 +29,6 @@ type Monitor struct {
 	// registration) was provisioned — so the answer for a given name
 	// never changes afterwards.
 	ips map[string]capture.IPv4
-	// rtpSlab is the current chunk RTP header copies are appended to;
-	// chunks lists every chunk the trace's records point into.
-	rtpSlab []capture.RTPInfo
-	chunks  [][]capture.RTPInfo
-	// store, when set, supplies the trace's record arrays and RTP
-	// chunks until Release gives them back; nil allocates both.
-	store *capture.Store
 }
 
 // NewMonitor attaches a capture tap to the node. resolve may be nil.
@@ -51,11 +36,10 @@ type Monitor struct {
 // allocates it.
 func NewMonitor(node *simnet.Node, resolve Resolver, store *capture.Store) *Monitor {
 	m := &Monitor{
-		trace:   capture.NewTrace(node.Name()),
+		trace:   capture.NewTraceOn(node.Name(), store),
 		local:   capture.IPForName(node.Name()),
 		resolve: resolve,
 		ips:     make(map[string]capture.IPv4),
-		store:   store,
 	}
 	node.Tap(func(dir simnet.Direction, pkt *simnet.Packet, at time.Time) {
 		m.record(dir, pkt, at)
@@ -79,10 +63,10 @@ func (m *Monitor) ipOf(node string) capture.IPv4 {
 
 func (m *Monitor) record(dir simnet.Direction, pkt *simnet.Packet, at time.Time) {
 	rec := capture.Record{
-		Time: at,
-		Src:  capture.Endpoint{IP: m.ipOf(pkt.From.Node), Port: uint16(pkt.From.Port)},
-		Dst:  capture.Endpoint{IP: m.ipOf(pkt.To.Node), Port: uint16(pkt.To.Port)},
-		Len:  pkt.Size,
+		UnixNano: at.UnixNano(),
+		Src:      capture.Endpoint{IP: m.ipOf(pkt.From.Node), Port: uint16(pkt.From.Port)},
+		Dst:      capture.Endpoint{IP: m.ipOf(pkt.To.Node), Port: uint16(pkt.To.Port)},
+		Len:      pkt.Size,
 	}
 	if dir == simnet.DirOut {
 		rec.Dir = capture.Out
@@ -90,15 +74,7 @@ func (m *Monitor) record(dir simnet.Direction, pkt *simnet.Packet, at time.Time)
 		rec.Dir = capture.In
 	}
 	if rp, ok := pkt.Payload.(*rtp.Packet); ok {
-		if len(m.rtpSlab) == cap(m.rtpSlab) {
-			m.rtpSlab = m.store.RTPChunk(rtpSlabChunk)
-			m.chunks = append(m.chunks, m.rtpSlab)
-		}
-		m.rtpSlab = append(m.rtpSlab, rp.Info)
-		rec.RTP = &m.rtpSlab[len(m.rtpSlab)-1]
-	}
-	if rs := m.trace.Records; len(rs) == cap(rs) {
-		m.trace.Records = m.store.GrowRecords(rs)
+		rec.HasRTP, rec.RTP = true, rp.Info
 	}
 	m.trace.Add(rec)
 }
@@ -106,20 +82,9 @@ func (m *Monitor) record(dir simnet.Direction, pkt *simnet.Packet, at time.Time)
 // Trace returns the capture so far.
 func (m *Monitor) Trace() *capture.Trace { return m.trace }
 
-// Release ends the capture's storage lifetime: the trace's records and
-// RTP chunks go back to the monitor's store (a nil store drops them),
-// and the trace is left with nil Records, so every view of it taken
-// before must be dead. The monitor then leaves the store: a packet
-// captured after Release starts new storage of its own, never storage
-// given back.
-func (m *Monitor) Release() {
-	m.store.PutRecords(m.trace.Records)
-	m.trace.Records = nil
-	for i, c := range m.chunks {
-		m.store.PutRTP(c)
-		m.chunks[i] = nil
-	}
-	m.chunks = m.chunks[:0]
-	m.rtpSlab = nil
-	m.store = nil
-}
+// Release ends the capture's storage lifetime (capture.Trace.Release):
+// the trace's chunks go back to the monitor's store and the trace is
+// left empty, so every view of it taken before must be dead. A packet
+// captured after Release lands on new storage, never on storage given
+// back.
+func (m *Monitor) Release() { m.trace.Release() }

@@ -19,7 +19,7 @@ type capturedPacket struct {
 
 // sessionTraffic returns n packets of a media session as the capture
 // tap sees them: two RTP media packets (one out, one in) for every
-// keepalive, 10 ms apart, so n records span several RTP chunks.
+// keepalive, 10 ms apart, so n records span several chunks.
 func sessionTraffic(n int) []capturedPacket {
 	t0 := time.Date(2021, 4, 1, 0, 0, 0, 0, time.UTC)
 	out := make([]capturedPacket, n)
@@ -55,27 +55,18 @@ func (m *Monitor) capture(traffic []capturedPacket) {
 	}
 }
 
-// scribble overwrites every record array and RTP chunk the store parks,
-// over their full capacity, with junk.
+// scribble overwrites every record of every chunk the store parks with
+// junk.
 func scribble(s *capture.Store) {
-	records, chunks := s.Parked()
-	junkRTP := &capture.RTPInfo{SSRC: 0xbad, Seq: 0xbad}
-	for _, r := range records {
-		r = r[:cap(r)]
-		for i := range r {
-			r[i] = capture.Record{Dir: 7, Len: -1, RTP: junkRTP}
-		}
-	}
-	for _, c := range chunks {
-		c = c[:cap(c)]
+	for _, c := range s.Parked() {
 		for i := range c {
-			c[i] = *junkRTP
+			c[i] = capture.Record{Dir: 7, Len: -1, HasRTP: true, RTP: capture.RTPInfo{SSRC: 0xbad, Seq: 0xbad}}
 		}
 	}
 }
 
 // TestReleasedTraceHasNoRecords: Release leaves the trace empty and
-// parks the record array and every RTP chunk in the store.
+// parks every chunk in the store.
 func TestReleasedTraceHasNoRecords(t *testing.T) {
 	store := capture.NewStore()
 	m := newTestMonitor(store)
@@ -85,61 +76,57 @@ func TestReleasedTraceHasNoRecords(t *testing.T) {
 		t.Fatalf("captured %d records, want %d", got, len(traffic))
 	}
 	m.Release()
-	if tr := m.Trace(); tr.Records != nil || tr.Len() != 0 {
-		t.Errorf("released trace holds %d records (nil: %v), want nil Records", tr.Len(), tr.Records == nil)
+	if n := m.Trace().Len(); n != 0 {
+		t.Errorf("released trace holds %d records, want 0", n)
 	}
-	records, chunks := store.Parked()
-	wantChunks := (2*len(traffic)/3 + rtpSlabChunk - 1) / rtpSlabChunk
-	if len(records) != 1 || cap(records[0]) < len(traffic) || len(chunks) != wantChunks {
-		t.Errorf("store parks %d record arrays and %d RTP chunks, want 1 array of at least %d records and %d chunks",
-			len(records), len(chunks), len(traffic), wantChunks)
+	wantChunks := (len(traffic) + capture.ChunkLen - 1) / capture.ChunkLen
+	if n := len(store.Parked()); n != wantChunks {
+		t.Errorf("store parks %d chunks, want %d", n, wantChunks)
 	}
 }
 
 // TestCaptureAfterReleaseUsesFreshStorage: a packet captured after
-// Release lands on new storage, never on an array or chunk given back,
-// and the store keeps everything it was given.
+// Release lands on new storage, never on a chunk given back, and the
+// store keeps everything it was given.
 func TestCaptureAfterReleaseUsesFreshStorage(t *testing.T) {
 	store := capture.NewStore()
 	m := newTestMonitor(store)
 	traffic := sessionTraffic(3000)
 	m.capture(traffic)
 	m.Release()
-	parkedRecords, parkedChunks := store.Parked()
-	nRecords, nChunks := len(parkedRecords), len(parkedChunks)
+	nChunks := len(store.Parked())
 
 	first := traffic[0] // an RTP packet
 	m.capture(traffic[:1])
 	scribble(store)
 	tr := m.Trace()
-	if tr.Len() != 1 || tr.Records[0].RTP == nil {
+	if tr.Len() != 1 || !tr.Record(0).HasRTP {
 		t.Fatalf("post-release capture holds %d records, want one RTP record", tr.Len())
 	}
-	if r := tr.Records[0]; r.Len != first.pkt.Size || r.Dir != capture.Out {
-		t.Errorf("post-release record reads %+v after the given-back arrays were overwritten", r)
+	if r := tr.Record(0); r.Len != first.pkt.Size || r.Dir != capture.Out {
+		t.Errorf("post-release record reads %+v after the given-back chunks were overwritten", r)
 	}
-	if got, want := *tr.Records[0].RTP, first.pkt.Payload.(*rtp.Packet).Info; got != want {
+	if got, want := tr.Record(0).RTP, first.pkt.Payload.(*rtp.Packet).Info; got != want {
 		t.Errorf("post-release RTP header reads %+v after the given-back chunks were overwritten, want %+v", got, want)
 	}
-	if r, c := store.Parked(); len(r) != nRecords || len(c) != nChunks {
-		t.Errorf("store parks %d arrays and %d chunks after a post-release capture, want %d and %d",
-			len(r), len(c), nRecords, nChunks)
+	if n := len(store.Parked()); n != nChunks {
+		t.Errorf("store parks %d chunks after a post-release capture, want %d", n, nChunks)
 	}
 }
 
 // TestWarmCaptureStorageRecordsWithoutAllocating: once a store holds a
-// session's storage, capturing that session again allocates nothing.
+// session's storage, a monitor on it captures that session without
+// allocating.
 func TestWarmCaptureStorageRecordsWithoutAllocating(t *testing.T) {
 	store := capture.NewStore()
+	traffic := sessionTraffic(2000)
+	warm := newTestMonitor(store)
+	warm.capture(sessionTraffic(2 * len(traffic)))
+	warm.Release()
 	m := newTestMonitor(store)
-	traffic := sessionTraffic(3000)
-	session := func() {
-		m.store = store // Release leaves the store; rejoin it
-		m.capture(traffic)
-		m.Release()
-	}
-	session()
-	if n := testing.AllocsPerRun(5, session); n != 0 {
+	// AllocsPerRun captures the session twice: once to warm up, once
+	// measured.
+	if n := testing.AllocsPerRun(1, func() { m.capture(traffic) }); n != 0 {
 		t.Errorf("a session's capture on warm storage allocates %v times, want 0", n)
 	}
 }

@@ -132,7 +132,7 @@ func pairCampaign(name string) Campaign {
 // The cell's rate-over-time series is the figure.
 func fig13Campaign(sc Scale) Campaign {
 	spec := pairCampaign("fig13")
-	quarter := sc.QoEDur.Seconds() / 4
+	quarter := float64(sc.QoEDur.Seconds() / 4) // rounded: arm64 would fuse it into 2*quarter
 	spec.Traces = []trace.Spec{{
 		Name: "dip500k",
 		Square: &trace.SquareSpec{

@@ -251,24 +251,25 @@ func TestLagStudyLeavesLentFramePoolAlone(t *testing.T) {
 	}
 }
 
-// scribbleCaptures overwrites every record and RTP entry the store
-// parks, over their full capacity, with junk a reader would notice:
-// big packets in both directions stamped far past any session, so a
-// record read before it is overwritten moves a lag, a rate or a window.
+// scribbleCaptures overwrites every field of every record in every chunk
+// the store parks, inline RTP header included, with junk a reader would
+// notice: big RTP packets in both directions from an unknown endpoint,
+// stamped far past any session, so a record read before it is
+// overwritten moves a lag, a rate, a window or an endpoint count.
 func scribbleCaptures(s *capture.Store) {
-	records, chunks := s.Parked()
-	junkRTP := &capture.RTPInfo{SSRC: 0xbad, Seq: 0xbad, TS: 0xbad, PT: 0xbd}
-	future := time.Date(2100, 1, 1, 0, 0, 0, 0, time.UTC)
-	for _, r := range records {
-		r = r[:cap(r)]
-		for i := range r {
-			r[i] = capture.Record{Time: future, Dir: capture.Dir(i % 2), Len: 1400, RTP: junkRTP}
-		}
-	}
-	for _, c := range chunks {
-		c = c[:cap(c)]
+	future := time.Date(2100, 1, 1, 0, 0, 0, 0, time.UTC).UnixNano()
+	junk := capture.Endpoint{IP: capture.IPv4{203, 0, 113, 66}, Port: 0xbad}
+	for _, c := range s.Parked() {
 		for i := range c {
-			c[i] = *junkRTP
+			c[i] = capture.Record{
+				UnixNano: future + int64(i),
+				Dir:      capture.Dir(i % 2),
+				HasRTP:   true,
+				Src:      junk,
+				Dst:      junk,
+				Len:      1400,
+				RTP:      capture.RTPInfo{SSRC: 0xbad, Seq: 0xbad, TS: 0xbad, Marker: true, PT: 0x7d, KeyUnit: true},
+			}
 		}
 	}
 }
@@ -277,10 +278,11 @@ func scribbleCaptures(s *capture.Store) {
 // storage reuse rests on: a trace appends over its storage before any
 // read, so no record of an earlier cell is ever read. An unrelated QoE
 // study (another platform, motion class and meeting size) fills a
-// worker's capture store; then, with every parked record and RTP entry
+// worker's capture store; then, with every field of every parked record
 // overwritten with junk, a lag study and after it a QoE study on that
 // store must encode to the same cell bytes as the same studies on
-// private storage.
+// private storage. A store that hands out a chunk a live trace still
+// holds fails it too: two traces then write over each other.
 func TestReusedCaptureStorageCannotChangeResults(t *testing.T) {
 	tb := NewTestbed(42)
 	lag := func(stb *Testbed) any {
@@ -308,9 +310,8 @@ func TestReusedCaptureStorageCannotChangeResults(t *testing.T) {
 		key := "captures/" + c.name
 		want := encode(c.study(tb.Fork(key)))
 
-		if records, chunks := store.Parked(); len(records) == 0 || len(chunks) == 0 {
-			t.Fatalf("before the %s study the store parks %d record arrays and %d RTP chunks; the study would reuse none",
-				c.name, len(records), len(chunks))
+		if n := len(store.Parked()); n == 0 {
+			t.Fatalf("before the %s study the store parks no chunks; the study would reuse none", c.name)
 		}
 		scribbleCaptures(store)
 		stb := tb.Fork(key)

@@ -270,7 +270,7 @@ func CPUPercent(k platform.Kind, d Device, sc Scenario) float64 {
 			cpu += m.opportunistic
 		}
 		if sc.View == ViewFullScreen && sc.N > 3 && m.backgroundBufferCPU > 0 {
-			cpu += m.backgroundBufferCPU * float64(min(sc.N, 3+MaxVisibleTiles)-3)
+			cpu += float64(m.backgroundBufferCPU * float64(min(sc.N, 3+MaxVisibleTiles)-3))
 		}
 	}
 	if sc.CameraOn {
@@ -280,10 +280,10 @@ func CPUPercent(k platform.Kind, d Device, sc Scenario) float64 {
 			cpu += 50
 		}
 	}
-	cpu *= d.Efficiency
+	cpu = float64(cpu * d.Efficiency)
 	// Soft saturation at the device's envelope.
 	if cpu > d.SoftCapCPU {
-		cpu = d.SoftCapCPU + (cpu-d.SoftCapCPU)*0.1
+		cpu = d.SoftCapCPU + float64((cpu-d.SoftCapCPU)*0.1)
 	}
 	hardCap := float64(d.Cores * 100)
 	if cpu > hardCap {
@@ -298,7 +298,7 @@ func CPUSamples(k platform.Kind, d Device, sc Scenario, n int, rng *rand.Rand) *
 	med := CPUPercent(k, d, sc)
 	s := stats.NewSample(n)
 	for i := 0; i < n; i++ {
-		v := med + rng.NormFloat64()*med*0.06
+		v := med + float64(rng.NormFloat64()*med*0.06)
 		if v < 5 {
 			v = 5
 		}
@@ -325,7 +325,7 @@ const (
 func PowerWatts(k platform.Kind, d Device, sc Scenario) float64 {
 	cpu := CPUPercent(k, d, sc) / 100
 	rate := DataRateMbps(k, d, sc)
-	p := pIdle + pCallPath + pPerCore*cpu + pRadioBase + pPerMbps*rate
+	p := pIdle + pCallPath + float64(pPerCore*cpu) + pRadioBase + float64(pPerMbps*rate)
 	if sc.View != ViewScreenOff {
 		p += pScreen
 	}

@@ -28,6 +28,14 @@ type RatePolicy interface {
 	Floor() float64
 }
 
+// spread returns a session-to-session variance factor within ±width/2
+// of 1 from one uniform draw. The draw and the product are rounded
+// apart, so arm64 fuses neither into the sum after it (amd64 never
+// fuses), and every architecture gets amd64's bits.
+func spread(rng *rand.Rand, width float64) float64 {
+	return 1 + float64(width*(float64(rng.Float64())-0.5))
+}
+
 // --- Zoom ---
 
 type zoomPolicy struct{}
@@ -37,9 +45,9 @@ func NewZoomPolicy() RatePolicy { return zoomPolicy{} }
 
 func (zoomPolicy) InitialTarget(n int, p2p bool, rng *rand.Rand) float64 {
 	if p2p {
-		return 1_000_000 * (1 + 0.05*(rng.Float64()-0.5))
+		return 1_000_000 * spread(rng, 0.05)
 	}
-	return 700_000 * (1 + 0.05*(rng.Float64()-0.5))
+	return 700_000 * spread(rng, 0.05)
 }
 
 func (zoomPolicy) Adjust(cur, loss, goodput float64) float64 {
@@ -77,7 +85,7 @@ func NewWebexPolicy() RatePolicy { return webexPolicy{} }
 
 func (webexPolicy) InitialTarget(n int, p2p bool, rng *rand.Rand) float64 {
 	// Virtually constant across sessions and participant counts.
-	return 2_500_000 * (1 + 0.01*(rng.Float64()-0.5))
+	return 2_500_000 * spread(rng, 0.01)
 }
 
 func (webexPolicy) Adjust(cur, loss, goodput float64) float64 {
@@ -110,10 +118,10 @@ func NewMeetPolicy() RatePolicy { return meetPolicy{} }
 func (meetPolicy) InitialTarget(n int, p2p bool, rng *rand.Rand) float64 {
 	if n <= 2 {
 		// 1.6-2.0 Mbps two-party sessions (§4.3.1).
-		return 1_800_000 * (1 + 0.12*(rng.Float64()-0.5))
+		return 1_800_000 * spread(rng, 0.12)
 	}
 	// 0.4-0.6 Mbps multi-party, with the most dynamic variance.
-	return 500_000 * (1 + 0.4*(rng.Float64()-0.5))
+	return 500_000 * spread(rng, 0.4)
 }
 
 func (meetPolicy) Adjust(cur, loss, goodput float64) float64 {

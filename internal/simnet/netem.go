@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"math/rand"
 	"strconv"
 	"time"
 
@@ -154,6 +155,24 @@ type pipe struct {
 // randSource is the minimal random interface pipes need (test seam).
 type randSource struct {
 	f64 func() float64
+}
+
+// lossSource is a node's random-loss stream, shared by its two pipes.
+// It forks "simnet.loss.<node>" from the simulator on its first draw:
+// Fork depends only on the seed and the name, so a late fork yields the
+// stream an eager one would, and a node that never draws (most nodes
+// are lossless) never builds one.
+type lossSource struct {
+	sim  *Sim
+	node string
+	r    *rand.Rand // nil until the first draw
+}
+
+func (l *lossSource) f64() float64 {
+	if l.r == nil {
+		l.r = l.sim.Fork("simnet.loss." + l.node)
+	}
+	return l.r.Float64()
 }
 
 // tx returns the serialization time for a wire size, from the
@@ -346,6 +365,7 @@ type Node struct {
 	idx      int        // dense index in Network.byIndex
 	paths    []pairPath // per-destination path state, by destination idx
 	up, down *pipe
+	loss     *lossSource // the random-loss stream both pipes draw from
 	handlers map[int]Handler
 	taps     []Tap
 	sent     PipeStats // convenience aggregate (app-level)
@@ -588,18 +608,19 @@ func (n *Network) AddNode(cfg NodeConfig) *Node {
 	if _, dup := n.nodes[cfg.Name]; dup {
 		panic("simnet: duplicate node " + cfg.Name)
 	}
-	lrng := n.sim.Fork("simnet.loss." + cfg.Name)
 	node := &Node{
 		net:      n,
 		cfg:      cfg,
 		handlers: make(map[int]Handler),
+		loss:     &lossSource{sim: n.sim, node: cfg.Name},
 	}
+	lrng := &randSource{f64: node.loss.f64}
 	node.up = &pipe{
 		sim: n.sim, net: n,
 		name:    cfg.Name + "/up",
 		rateBps: cfg.UplinkBps, queueLimit: cfg.QueueBytes,
 		txTab: txTable(cfg.UplinkBps),
-		rng:   &randSource{f64: lrng.Float64},
+		rng:   lrng,
 		probe: n.pipeProbe,
 	}
 	node.down = &pipe{
@@ -608,7 +629,7 @@ func (n *Network) AddNode(cfg NodeConfig) *Node {
 		rateBps: cfg.DownlinkBps, queueLimit: cfg.QueueBytes,
 		txTab:    txTable(cfg.DownlinkBps),
 		lossProb: cfg.LossProb,
-		rng:      &randSource{f64: lrng.Float64},
+		rng:      lrng,
 		probe:    n.pipeProbe,
 	}
 	node.upThen = func(p *Packet) { n.propagate(node, p.dst, p) }

@@ -192,6 +192,72 @@ func TestSetDownlinkLoss(t *testing.T) {
 	}
 }
 
+// lossRun sends 600 numbered packets from a to b, turning b's ingress
+// loss on after the first 200 and off after the next 200, and returns
+// which packets b received. With eager set, b's loss stream is forked
+// at AddNode time, as a node's stream once was.
+func lossRun(eager bool) (got []bool, b *Node) {
+	s, n := newTestNet(125)
+	a := n.AddNode(NodeConfig{Name: "a", Region: geo.USEast})
+	b = n.AddNode(NodeConfig{Name: "b", Region: geo.USEast2})
+	if eager {
+		b.loss.r = s.Fork("simnet.loss.b")
+	}
+	got = make([]bool, 600)
+	b.Bind(5, func(p *Packet) { got[p.Payload.(int)] = true })
+	for i := range got {
+		switch i {
+		case 200:
+			b.SetDownlinkLoss(0.3)
+		case 400:
+			b.SetDownlinkLoss(0)
+		}
+		a.Send(&Packet{To: Addr{"b", 5}, Size: 100, Payload: i})
+		s.RunFor(time.Millisecond)
+	}
+	s.Run()
+	return got, b
+}
+
+// TestLossStreamForkedOnFirstDraw: a node forks its loss stream on its
+// first loss draw, not at AddNode. Loss turned on mid-run drops exactly
+// the packets an eagerly forked stream drops, and a node that never
+// draws never forks one.
+func TestLossStreamForkedOnFirstDraw(t *testing.T) {
+	lazy, b := lossRun(false)
+	eager, _ := lossRun(true)
+	drops := 0
+	for i := range lazy {
+		if lazy[i] != eager[i] {
+			t.Fatalf("packet %d: delivered %v with a late fork, %v with an eager one", i, lazy[i], eager[i])
+		}
+		if !lazy[i] {
+			drops++
+			if i < 200 || i >= 400 {
+				t.Errorf("packet %d dropped while loss was off", i)
+			}
+		}
+	}
+	if drops == 0 || int64(drops) != b.DownlinkStats().DropsRandom {
+		t.Errorf("%d packets missing, %d random drops counted; want the same nonzero count", drops, b.DownlinkStats().DropsRandom)
+	}
+	if b.up.rng != b.down.rng {
+		t.Error("the up and down pipes draw from different loss streams")
+	}
+
+	s, n := newTestNet(126)
+	x := n.AddNode(NodeConfig{Name: "x", Region: geo.USEast})
+	y := n.AddNode(NodeConfig{Name: "y", Region: geo.USWest})
+	y.Bind(5, func(*Packet) {})
+	for i := 0; i < 100; i++ {
+		x.Send(&Packet{To: Addr{"y", 5}, Size: 100})
+	}
+	s.Run()
+	if x.loss.r != nil || y.loss.r != nil {
+		t.Error("a lossless run forked a loss stream")
+	}
+}
+
 func TestTapSeesBothDirections(t *testing.T) {
 	s, n := newTestNet(1)
 	a := n.AddNode(NodeConfig{Name: "a", Region: geo.USEast})
