@@ -72,7 +72,7 @@ type Client struct {
 	reasm  *rtp.Reassembler
 	sent   []codec.EncodedFrame
 	sentAu []codec.AudioFrame
-	gotVid map[int]*codec.EncodedFrame
+	gotVid []*codec.EncodedFrame // complete arrivals, indexed by frame seq
 	gotAu  map[int]*codec.AudioFrame
 
 	feedEv, audEv, kaEv, repEv *simnet.Event
@@ -99,12 +99,11 @@ func New(net *simnet.Network, cfg Config) *Client {
 		QueueBytes: cfg.QueueBytes, LossProb: cfg.LossProb,
 	})
 	c := &Client{
-		cfg:    cfg,
-		sim:    net.Sim(),
-		node:   node,
-		reasm:  rtp.NewReassembler(5),
-		gotVid: make(map[int]*codec.EncodedFrame),
-		gotAu:  make(map[int]*codec.AudioFrame),
+		cfg:   cfg,
+		sim:   net.Sim(),
+		node:  node,
+		reasm: rtp.NewReassembler(5),
+		gotAu: make(map[int]*codec.AudioFrame),
 	}
 	c.Monitor = NewMonitor(node, cfg.Resolve, cfg.Capture)
 	return c
@@ -202,6 +201,9 @@ func (c *Client) onPacket(pkt *simnet.Packet) {
 	c.recvBytes += int64(pkt.Size)
 	vids, au := c.reasm.Push(rp)
 	for _, ef := range vids {
+		for len(c.gotVid) <= ef.Seq {
+			c.gotVid = append(c.gotVid, nil)
+		}
 		c.gotVid[ef.Seq] = ef
 	}
 	if au != nil {
@@ -274,7 +276,7 @@ func (c *Client) Reset() {
 		}
 	}
 	c.reasm = rtp.NewReassembler(5)
-	c.gotVid = make(map[int]*codec.EncodedFrame)
+	c.gotVid = nil
 	c.gotAu = make(map[int]*codec.AudioFrame)
 	c.sent = nil
 	c.sentAu = nil
@@ -289,8 +291,17 @@ func (c *Client) Reset() {
 // SentVideo returns the sender-side encoded-frame log.
 func (c *Client) SentVideo() []codec.EncodedFrame { return c.sent }
 
-// ReceivedVideo returns frames that arrived complete, by sender frame seq.
-func (c *Client) ReceivedVideo() map[int]*codec.EncodedFrame { return c.gotVid }
+// ReceivedVideo returns frames that arrived complete, by sender frame
+// seq. It builds a new map on every call.
+func (c *Client) ReceivedVideo() map[int]*codec.EncodedFrame {
+	m := make(map[int]*codec.EncodedFrame)
+	for seq, ef := range c.gotVid {
+		if ef != nil {
+			m[seq] = ef
+		}
+	}
+	return m
+}
 
 // Trace returns the client's packet capture.
 func (c *Client) Trace() *capture.Trace { return c.Monitor.Trace() }
@@ -352,7 +363,7 @@ func (c *Client) record(sender *Client, ref []*media.Frame) Recording {
 		switch {
 		case ef.Skipped:
 			rec.Displayed[i] = dec.Show(ef) // sender stalled: freeze, chain intact
-		case c.gotVid[ef.Seq] != nil:
+		case ef.Seq < len(c.gotVid) && c.gotVid[ef.Seq] != nil:
 			rec.Displayed[i] = dec.Show(c.gotVid[ef.Seq])
 		default:
 			rec.Displayed[i] = dec.Show(nil) // network loss

@@ -69,56 +69,72 @@ func TestForkedTestbedPoolIsolation(t *testing.T) {
 	}
 }
 
-// TestSchedulerWorkerBuffersNeverShared runs QoE units on three
-// scheduler workers and marks, under a mutex, each fork's entry and exit
-// on the qoe.Buffers, the media.FramePool and the capture.Store its
-// worker lent it: none may be held by two forks at once (under -race, a
-// shared one would also race), each worker owns at most one of each and
-// must reuse all three from cell to cell, and every result must equal
-// the same unit's result on a fork with private storage.
-func TestSchedulerWorkerBuffersNeverShared(t *testing.T) {
-	const workers = 3
-	tb := NewTestbed(42).SetParallelism(workers)
+// lendLog marks, under a mutex, each fork's entry and exit on the
+// qoe.Buffers, the media.FramePool and the capture.Store its worker lent
+// it, across every run it watches: none may be held by two forks at
+// once (under -race, a shared one would also race).
+type lendLog struct {
+	t      *testing.T
+	mu     sync.Mutex
+	holder map[any]string
+}
+
+// lendStudy is the QoE study unit i of a lendLog batch runs.
+func lendStudy(stb *Testbed, i int) *QoEStudyResult {
 	kinds := []platform.Kind{platform.Zoom, platform.Webex, platform.Meet}
-	study := func(stb *Testbed, i int) *QoEStudyResult {
-		return RunQoEStudy(stb, kinds[i%len(kinds)], geo.USEast, QoEReceiverRegions(geo.ZoneUS, 1+i%2),
-			media.MotionClass(i%2), TinyScale, QoEOpts{})
-	}
-	var (
-		mu     sync.Mutex
-		holder = make(map[any]string)
-		served = make(map[any]int)
-	)
-	units := make([]Unit, 9)
-	got := make([]*QoEStudyResult, len(units))
+	return RunQoEStudy(stb, kinds[i%len(kinds)], geo.USEast, QoEReceiverRegions(geo.ZoneUS, 1+i%2),
+		media.MotionClass(i%2), TinyScale, QoEOpts{})
+}
+
+// units returns len(got) lendStudy units keyed prefix/i that record into
+// l and into served (pool -> cells it served) and store their results
+// in got.
+func (l *lendLog) units(prefix string, served map[any]int, got []*QoEStudyResult) []Unit {
+	units := make([]Unit, len(got))
 	for i := range units {
-		i, key := i, fmt.Sprintf("bufs-iso/%d", i)
+		i, key := i, fmt.Sprintf("%s/%d", prefix, i)
 		units[i] = Unit{Key: key, Run: func(stb *Testbed) {
 			lent := []any{stb.qoeBufs, stb.frames, stb.captures}
-			mu.Lock()
+			l.mu.Lock()
 			if stb.qoeBufs == nil || stb.frames == nil || stb.captures == nil {
-				t.Errorf("fork %s lacks worker pools: buffers %p, frames %p, captures %p", key, stb.qoeBufs, stb.frames, stb.captures)
+				l.t.Errorf("fork %s lacks worker pools: buffers %p, frames %p, captures %p", key, stb.qoeBufs, stb.frames, stb.captures)
 			}
 			for _, b := range lent {
-				if prev, ok := holder[b]; ok {
-					t.Errorf("pool %p held by fork %s and fork %s at once", b, prev, key)
+				if prev, ok := l.holder[b]; ok {
+					l.t.Errorf("pool %p held by fork %s and fork %s at once", b, prev, key)
 				}
-				holder[b] = key
+				l.holder[b] = key
 				served[b]++
 			}
-			mu.Unlock()
+			l.mu.Unlock()
 
-			got[i] = study(stb, i)
+			got[i] = lendStudy(stb, i)
 
-			mu.Lock()
+			l.mu.Lock()
 			for _, b := range lent {
-				delete(holder, b)
+				delete(l.holder, b)
 			}
-			mu.Unlock()
+			l.mu.Unlock()
 		}}
 	}
-	(&Scheduler{TB: tb}).Run(units)
+	return units
+}
 
+// checkPrivate checks that every unit's result equals the same unit's
+// result on a fork with private storage.
+func checkPrivate(t *testing.T, tb *Testbed, units []Unit, got []*QoEStudyResult) {
+	t.Helper()
+	for i, u := range units {
+		if want := lendStudy(tb.Fork(u.Key), i); !reflect.DeepEqual(got[i], want) {
+			t.Errorf("unit %s: result on worker pools differs from private pools'", u.Key)
+		}
+	}
+}
+
+// countKits checks that served holds at most max pools of each kind,
+// and that one of each kind served a second cell when reuse is set.
+func countKits(t *testing.T, served map[any]int, max int, reuse bool) {
+	t.Helper()
 	for _, kind := range []string{"*qoe.Buffers", "*media.FramePool", "*capture.Store"} {
 		n, reused := 0, false
 		for b, cells := range served {
@@ -127,21 +143,78 @@ func TestSchedulerWorkerBuffersNeverShared(t *testing.T) {
 				reused = reused || cells > 1
 			}
 		}
-		if n > workers {
-			t.Errorf("%d %s for %d workers, want one per worker", n, kind, workers)
+		if n > max {
+			t.Errorf("%d %s for %d workers, want at most one per worker", n, kind, max)
 		}
-		if !reused {
+		if reuse && !reused {
 			t.Errorf("no worker reused its %s for a second cell", kind)
 		}
 	}
+}
+
+// TestSchedulerWorkerBuffersNeverShared runs QoE units through the
+// scheduler and checks the kit hand-off (see lendLog). On one testbed
+// with three workers, each worker owns at most one of each pool and
+// reuses all three from cell to cell. A second Run on that testbed,
+// after every parked capture record is overwritten with junk, lends
+// only pools the first Run lent, since its workers take the kits the
+// first Run parked. Then two Runs on two testbeds go at once. Every
+// result must equal the same unit's result on a fork with private
+// storage.
+func TestSchedulerWorkerBuffersNeverShared(t *testing.T) {
+	const workers = 3
+	l := &lendLog{t: t, holder: make(map[any]string)}
+	tb := NewTestbed(42).SetParallelism(workers)
+
+	first := make(map[any]int)
+	got := make([]*QoEStudyResult, 9)
+	units := l.units("bufs-iso", first, got)
+	(&Scheduler{TB: tb}).Run(units)
+	countKits(t, first, workers, true)
+	checkPrivate(t, tb, units, got)
+
+	parkedKits.Lock()
+	for _, p := range parkedKits.free {
+		scribbleCaptures(p.captures)
+	}
+	parkedKits.Unlock()
+	second := make(map[any]int)
+	got = make([]*QoEStudyResult, 6)
+	units = l.units("bufs-iso/again", second, got)
+	(&Scheduler{TB: tb}).Run(units)
+	for b := range second {
+		if first[b] == 0 {
+			t.Errorf("the second Run lent %T %p, which the first Run never lent", b, b)
+		}
+	}
+	countKits(t, second, workers, true)
+	checkPrivate(t, tb, units, got)
+
+	var wg sync.WaitGroup
+	concurrent := make(map[any]int)
+	for _, seed := range []int64{42, 43} {
+		tb := NewTestbed(seed).SetParallelism(2)
+		served := make(map[any]int)
+		got := make([]*QoEStudyResult, 4)
+		units := l.units(fmt.Sprintf("bufs-iso/seed=%d", seed), served, got)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			(&Scheduler{TB: tb}).Run(units)
+			checkPrivate(t, tb, units, got)
+			l.mu.Lock()
+			for b, n := range served {
+				concurrent[b] += n
+			}
+			l.mu.Unlock()
+		}()
+	}
+	wg.Wait()
+	countKits(t, concurrent, 2*2, false)
+
 	if fork := tb.Fork("x"); tb.qoeBufs != nil || fork.qoeBufs != nil || tb.frames != nil || fork.frames != nil ||
 		tb.captures != nil || fork.captures != nil {
 		t.Error("a testbed that is not a scheduler fork has worker pools")
-	}
-	for i, u := range units {
-		if want := study(tb.Fork(u.Key), i); !reflect.DeepEqual(got[i], want) {
-			t.Errorf("unit %s: result on worker pools differs from private pools'", u.Key)
-		}
 	}
 }
 

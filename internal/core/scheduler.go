@@ -94,16 +94,58 @@ type Scheduler struct {
 	TB *Testbed
 }
 
+// pools is one scheduler worker's storage, its kit: the QoE scorer's
+// float buffers, the QoE host's frame pixel storage and the clients'
+// capture records. A worker lends its kit to every fork it runs, one
+// fork at a time.
+type pools struct {
+	bufs     *qoe.Buffers
+	frames   *media.FramePool
+	captures *capture.Store
+}
+
+// parkedKits is the process-wide free list of kits whose worker has
+// finished. Every entry point builds a fresh testbed per artifact or per
+// unit, so kits outlive the testbed to be reused at all. A kit changes
+// hands only through the mutex, between runs, and holds no more than
+// one worker's peak, so the list never keeps more storage than the
+// process held while the most workers ran at once.
+var parkedKits struct {
+	sync.Mutex
+	free []pools
+}
+
+// takeKit hands a worker the most recently parked kit, or a new one.
+func takeKit() pools {
+	parkedKits.Lock()
+	defer parkedKits.Unlock()
+	if n := len(parkedKits.free); n > 0 {
+		p := parkedKits.free[n-1]
+		parkedKits.free = parkedKits.free[:n-1]
+		return p
+	}
+	return pools{qoe.NewBuffers(), media.NewFramePool(), capture.NewStore()}
+}
+
+// parkKit returns a finished worker's kit to the free list.
+func parkKit(p pools) {
+	parkedKits.Lock()
+	parkedKits.free = append(parkedKits.free, p)
+	parkedKits.Unlock()
+}
+
 // Run executes every unit and waits for completion. A panicking unit is
 // re-panicked on the caller's goroutine after the pool drains.
 //
-// Each worker (and the serial loop) owns one qoe.Buffers, one
-// media.FramePool and one capture.Store and lends all three to every
-// fork it runs, one fork at a time, so the scorer's float buffers, the
-// QoE host's frame pixel storage and the clients' capture records pass
-// from cell to cell without crossing goroutines. Storage comes back
-// dirty and every producer overwrites it before reading, so which
-// cells ran earlier on a worker never reaches a result.
+// Each worker (and the serial loop) takes one kit (see pools) from the
+// process-wide free list, lends it to every fork it runs, one fork at a
+// time, and parks it when it finishes, so the scorer's float buffers,
+// the QoE host's frame pixel storage and the clients' capture records
+// pass from cell to cell, and from run to run, with one owner at a
+// time. Storage comes back dirty and every producer overwrites it
+// before reading, so which kit a worker draws and which cells ran on it
+// before never reach a result. A worker whose unit panicked drops its
+// kit: the unit may have left it half-updated.
 func (s *Scheduler) Run(units []Unit) {
 	if len(units) == 0 {
 		return
@@ -112,22 +154,17 @@ func (s *Scheduler) Run(units []Unit) {
 	if workers > len(units) {
 		workers = len(units)
 	}
-	type pools struct {
-		bufs     *qoe.Buffers
-		frames   *media.FramePool
-		captures *capture.Store
-	}
-	newPools := func() pools { return pools{qoe.NewBuffers(), media.NewFramePool(), capture.NewStore()} }
 	fork := func(u Unit, p pools) *Testbed {
 		stb := s.TB.Fork(u.Key)
 		stb.qoeBufs, stb.frames, stb.captures = p.bufs, p.frames, p.captures
 		return stb
 	}
 	if workers <= 1 {
-		p := newPools()
+		p := takeKit()
 		for _, u := range units {
 			u.Run(fork(u, p))
 		}
+		parkKit(p)
 		return
 	}
 	var (
@@ -140,12 +177,14 @@ func (s *Scheduler) Run(units []Unit) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			p := newPools()
+			p := takeKit()
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= len(units) {
+					parkKit(p)
 					return
 				}
+				ok := false
 				func() {
 					defer func() {
 						if r := recover(); r != nil {
@@ -160,7 +199,11 @@ func (s *Scheduler) Run(units []Unit) {
 						}
 					}()
 					units[i].Run(fork(units[i], p))
+					ok = true
 				}()
+				if !ok {
+					return // drop the kit
+				}
 			}
 		}()
 	}

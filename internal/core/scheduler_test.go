@@ -85,20 +85,56 @@ func TestSchedulerRunsEveryUnitOnce(t *testing.T) {
 	}
 }
 
+// A panicking unit re-panics on the caller's goroutine, and its worker
+// drops its kit: the pools lent to the unit are never parked, so no
+// later Run, serial or parallel, lends them again.
 func TestSchedulerPropagatesPanic(t *testing.T) {
 	tb := NewTestbed(8).SetParallelism(4)
-	defer func() {
-		if r := recover(); r != "boom" {
-			t.Errorf("recovered %v, want \"boom\"", r)
-		}
+	var bad pools
+	func() {
+		defer func() {
+			if r := recover(); r != "boom" {
+				t.Errorf("recovered %v, want \"boom\"", r)
+			}
+		}()
+		(&Scheduler{TB: tb}).Run([]Unit{
+			{Key: "ok", Run: func(*Testbed) {}},
+			{Key: "bad", Run: func(stb *Testbed) {
+				bad = pools{stb.qoeBufs, stb.frames, stb.captures}
+				panic("boom")
+			}},
+			{Key: "ok2", Run: func(*Testbed) {}},
+			{Key: "ok3", Run: func(*Testbed) {}},
+			{Key: "ok4", Run: func(*Testbed) {}},
+		})
 	}()
-	(&Scheduler{TB: tb}).Run([]Unit{
-		{Key: "ok", Run: func(*Testbed) {}},
-		{Key: "bad", Run: func(*Testbed) { panic("boom") }},
-		{Key: "ok2", Run: func(*Testbed) {}},
-		{Key: "ok3", Run: func(*Testbed) {}},
-		{Key: "ok4", Run: func(*Testbed) {}},
-	})
+	if bad.bufs == nil || bad.frames == nil || bad.captures == nil {
+		t.Fatalf("the panicking unit ran without a full kit: %+v", bad)
+	}
+	shares := func(p pools) bool {
+		return p.bufs == bad.bufs || p.frames == bad.frames || p.captures == bad.captures
+	}
+	parkedKits.Lock()
+	for _, p := range parkedKits.free {
+		if shares(p) {
+			t.Error("the panicking unit's kit was parked")
+		}
+	}
+	parkedKits.Unlock()
+	for _, workers := range []int{4, 1} {
+		var mu sync.Mutex
+		units := make([]Unit, 8)
+		for i := range units {
+			units[i] = Unit{Key: "after/" + strconv.Itoa(i), Run: func(stb *Testbed) {
+				mu.Lock()
+				defer mu.Unlock()
+				if shares(pools{stb.qoeBufs, stb.frames, stb.captures}) {
+					t.Errorf("workers=%d: a later Run lent the panicking unit's pools", workers)
+				}
+			}}
+		}
+		(&Scheduler{TB: NewTestbed(8).SetParallelism(workers)}).Run(units)
+	}
 }
 
 // runMemoized must compute each key once and serve repeats from the

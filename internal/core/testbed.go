@@ -73,11 +73,12 @@ type Testbed struct {
 	// qoeBufs is the QoE scorer's float-buffer pool, frames the QoE
 	// host's frame pixel storage and captures the clients' capture
 	// storage (trace records and RTP header chunks) of QoE and lag
-	// studies. Scheduler.Run sets all three on each fork to the stores
-	// of the worker running that fork, so storage passes from cell to
-	// cell on one goroutine; Fork does not copy them, and nil (any
-	// testbed that is not a scheduler fork) means each study runs on
-	// private storage.
+	// studies. Scheduler.Run sets all three on each fork to the kit of
+	// the worker running that fork, taken from the process-wide free
+	// list (see parkedKits), so storage passes from cell to cell and
+	// from run to run with one owner at a time; Fork does not copy
+	// them, and nil (any testbed that is not a scheduler fork) means
+	// each study runs on private storage.
 	qoeBufs  *qoe.Buffers
 	frames   *media.FramePool
 	captures *capture.Store

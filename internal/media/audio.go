@@ -35,27 +35,27 @@ func NewSpeech(seconds float64, seed int64) *AudioClip {
 	rng := rand.New(rand.NewSource(seed))
 	n := int(seconds * DefaultAudioRate)
 	c := &AudioClip{Rate: DefaultAudioRate, Samples: make([]float64, n)}
-	f0 := 110 + rng.Float64()*60 // speaker fundamental
+	f0 := 110 + float64(rng.Float64()*60) // speaker fundamental
 	phase := [4]float64{}
 	for i := 0; i < n; i++ {
 		t := float64(i) / DefaultAudioRate
 		// Syllable envelope at ~4 Hz; word pauses at ~0.8 Hz.
-		syll := 0.5 + 0.5*math.Sin(2*math.Pi*4*t+1.3)
-		word := math.Sin(2*math.Pi*0.8*t + 0.4)
+		syll := 0.5 + float64(0.5*math.Sin(float64(2*math.Pi*4*t)+1.3))
+		word := math.Sin(float64(2*math.Pi*0.8*t) + 0.4)
 		env := syll
 		if word < -0.55 {
 			env = 0 // pause between words
 		}
 		// Slow pitch wobble.
-		pitch := f0 * (1 + 0.05*math.Sin(2*math.Pi*0.6*t))
+		pitch := f0 * (1 + float64(0.05*math.Sin(2*math.Pi*0.6*t)))
 		var s float64
 		amps := [4]float64{1.0, 0.6, 0.35, 0.2}
 		for h := 0; h < 4; h++ {
 			phase[h] += 2 * math.Pi * pitch * float64(h+1) / DefaultAudioRate
-			s += amps[h] * math.Sin(phase[h])
+			s += float64(amps[h] * math.Sin(phase[h]))
 		}
 		// Aspiration noise.
-		s += rng.NormFloat64() * 0.02
+		s += float64(rng.NormFloat64() * 0.02)
 		c.Samples[i] = s * env * 0.3
 	}
 	return c

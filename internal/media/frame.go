@@ -199,7 +199,7 @@ func (f *Frame) ResizeInto(g *Frame) {
 	xr := float64(f.W-1) / float64(maxInt(w-1, 1))
 	yr := float64(f.H-1) / float64(maxInt(h-1, 1))
 	for y := 0; y < h; y++ {
-		sy := float64(y) * yr
+		sy := float64(float64(y) * yr)
 		y0 := int(sy)
 		fy := sy - float64(y0)
 		y1 := y0 + 1
@@ -207,17 +207,17 @@ func (f *Frame) ResizeInto(g *Frame) {
 			y1 = f.H - 1
 		}
 		for x := 0; x < w; x++ {
-			sx := float64(x) * xr
+			sx := float64(float64(x) * xr)
 			x0 := int(sx)
 			fx := sx - float64(x0)
 			x1 := x0 + 1
 			if x1 >= f.W {
 				x1 = f.W - 1
 			}
-			v := (1-fx)*(1-fy)*float64(f.At(x0, y0)) +
-				fx*(1-fy)*float64(f.At(x1, y0)) +
-				(1-fx)*fy*float64(f.At(x0, y1)) +
-				fx*fy*float64(f.At(x1, y1))
+			v := float64((1-fx)*(1-fy)*float64(f.At(x0, y0))) +
+				float64(fx*(1-fy)*float64(f.At(x1, y0))) +
+				float64((1-fx)*fy*float64(f.At(x0, y1))) +
+				float64(fx*fy*float64(f.At(x1, y1)))
 			g.Set(x, y, uint8(math.Round(v)))
 		}
 	}

@@ -79,19 +79,19 @@ func (s *lowMotionSource) Next() *Frame {
 	copy(f.Pix, s.bg.Pix)
 	tSec := float64(s.t) / float64(s.p.FPS)
 	// Head: ellipse around center, bobbing a little (~1% of height).
-	cx := float64(w) / 2
-	cy := float64(h)*0.45 + math.Sin(tSec*2*math.Pi*0.5)*float64(h)*0.01
+	cx := float64(float64(w) / 2)
+	cy := float64(float64(h)*0.45) + float64(math.Sin(tSec*2*math.Pi*0.5)*float64(h)*0.01)
 	rx, ry := float64(w)*0.12, float64(h)*0.2
 	drawEllipse(f, cx, cy, rx, ry, 190)
 	// Shoulders.
 	drawEllipse(f, cx, float64(h)*0.95, float64(w)*0.3, float64(h)*0.25, 150)
 	// Mouth region flickers while "talking" (tiny area).
-	mouth := uint8(120 + 60*math.Sin(tSec*2*math.Pi*3))
-	drawEllipse(f, cx, cy+ry*0.45, rx*0.3, ry*0.1, mouth)
+	mouth := uint8(120 + float64(60*math.Sin(tSec*2*math.Pi*3)))
+	drawEllipse(f, cx, cy+float64(ry*0.45), rx*0.3, ry*0.1, mouth)
 	// Occasional hand gesture: a bright blob sweeping for ~1s every ~7s.
 	phase := math.Mod(tSec, 7)
 	if phase < 1 {
-		gx := cx + (phase-0.5)*float64(w)*0.3
+		gx := cx + float64((phase-0.5)*float64(w)*0.3)
 		drawEllipse(f, gx, float64(h)*0.8, float64(w)*0.05, float64(h)*0.06, 210)
 	}
 	// Sensor noise.
@@ -149,7 +149,7 @@ func (s *highMotionSource) Next() *Frame {
 	s.world.cropInto(f, off, 0)
 	// A foreground "guide" walking: high-contrast blob moving against pan.
 	tSec := float64(s.t) / float64(s.p.FPS)
-	gx := float64(w) * (0.2 + 0.6*math.Abs(math.Sin(tSec*0.7)))
+	gx := float64(w) * (0.2 + float64(0.6*math.Abs(math.Sin(tSec*0.7))))
 	drawEllipse(f, gx, float64(h)*0.7, float64(w)*0.06, float64(h)*0.18, 230)
 	addNoise(f, s.rng, 2.0)
 	s.t++
@@ -245,15 +245,15 @@ func Record(src Source, n int) []*Frame {
 // sinusoidal variation plus seeded speckle, clamped to [0,255].
 func textured(w, h int, base uint8, amp float64, rng *rand.Rand) *Frame {
 	f := NewFrame(w, h)
-	phix := rng.Float64() * 2 * math.Pi
-	phiy := rng.Float64() * 2 * math.Pi
-	fx := 2 + rng.Float64()*4
-	fy := 2 + rng.Float64()*4
+	phix := float64(float64(rng.Float64()) * 2 * math.Pi)
+	phiy := float64(float64(rng.Float64()) * 2 * math.Pi)
+	fx := 2 + float64(rng.Float64()*4)
+	fy := 2 + float64(rng.Float64()*4)
 	for y := 0; y < h; y++ {
-		sy := math.Sin(float64(y)/float64(h)*fy*2*math.Pi + phiy)
+		sy := math.Sin(float64(float64(float64(y)/float64(h)*fy)*2*math.Pi) + phiy)
 		for x := 0; x < w; x++ {
-			sx := math.Sin(float64(x)/float64(w)*fx*2*math.Pi + phix)
-			v := float64(base) + amp*0.5*(sx+sy)
+			sx := math.Sin(float64(float64(float64(x)/float64(w)*fx)*2*math.Pi) + phix)
+			v := float64(base) + float64(amp*0.5*(sx+sy))
 			f.Set(x, y, clamp8(v))
 		}
 	}
@@ -269,7 +269,7 @@ func drawEllipse(f *Frame, cx, cy, rx, ry float64, v uint8) {
 		dy := (float64(y) - cy) / ry
 		for x := x0; x <= x1; x++ {
 			dx := (float64(x) - cx) / rx
-			if dx*dx+dy*dy <= 1 {
+			if float64(dx*dx)+float64(dy*dy) <= 1 {
 				f.Set(x, y, v)
 			}
 		}
@@ -278,7 +278,7 @@ func drawEllipse(f *Frame, cx, cy, rx, ry float64, v uint8) {
 
 func addNoise(f *Frame, rng *rand.Rand, std float64) {
 	for i := range f.Pix {
-		v := float64(f.Pix[i]) + rng.NormFloat64()*std
+		v := float64(f.Pix[i]) + float64(rng.NormFloat64()*std)
 		f.Pix[i] = clamp8(v)
 	}
 }

@@ -142,7 +142,7 @@ type Stats struct {
 type Reassembler struct {
 	depth   int // how many newer frames may complete before giving up
 	pend    map[int]*assembly
-	doneSeq map[int]bool
+	doneSeq []uint64 // bitset over frame seq: finished or abandoned
 	maxSeen int
 	stats   Stats
 	lastPkt uint16
@@ -198,6 +198,22 @@ func (r *Reassembler) release(a *assembly) {
 	r.freeAsm = append(r.freeAsm, a)
 }
 
+// done reports whether frame seq has been closed (completed or
+// abandoned). Frame seqs count up from 0 within a stream.
+func (r *Reassembler) done(seq int) bool {
+	w := seq >> 6
+	return w < len(r.doneSeq) && r.doneSeq[w]&(1<<uint(seq&63)) != 0
+}
+
+// close marks frame seq finished, growing the bitset to cover it.
+func (r *Reassembler) close(seq int) {
+	w := seq >> 6
+	for len(r.doneSeq) <= w {
+		r.doneSeq = append(r.doneSeq, 0)
+	}
+	r.doneSeq[w] |= 1 << uint(seq&63)
+}
+
 // NewReassembler creates a reassembler. depth is the completion window in
 // frames (default 5).
 func NewReassembler(depth int) *Reassembler {
@@ -207,7 +223,6 @@ func NewReassembler(depth int) *Reassembler {
 	return &Reassembler{
 		depth:   depth,
 		pend:    make(map[int]*assembly),
-		doneSeq: make(map[int]bool),
 		maxSeen: -1,
 	}
 }
@@ -234,7 +249,7 @@ func (r *Reassembler) Push(pkt *Packet) (videos []*codec.EncodedFrame, audio *co
 		return nil, nil
 	}
 	fseq := ef.Seq
-	if r.doneSeq[fseq] {
+	if r.done(fseq) {
 		return nil, nil // fragment of a finished or abandoned frame
 	}
 	a := r.pend[fseq]
@@ -249,7 +264,7 @@ func (r *Reassembler) Push(pkt *Packet) (videos []*codec.EncodedFrame, audio *co
 	if a.ngot == a.count {
 		delete(r.pend, fseq)
 		r.release(a)
-		r.doneSeq[fseq] = true
+		r.close(fseq)
 		r.stats.FramesComplete++
 		videos = append(videos, ef)
 	}
@@ -259,7 +274,7 @@ func (r *Reassembler) Push(pkt *Packet) (videos []*codec.EncodedFrame, audio *co
 		if s < r.maxSeen-r.depth {
 			delete(r.pend, s)
 			r.release(old)
-			r.doneSeq[s] = true
+			r.close(s)
 			r.stats.FramesDropped++
 		}
 	}

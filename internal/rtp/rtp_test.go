@@ -216,3 +216,135 @@ func TestPacketizerDefaults(t *testing.T) {
 		t.Errorf("bytes = %d", pkts[0].Bytes)
 	}
 }
+
+// refReassembler is a map-based reassembler: the oracle for
+// TestReassemblerMatchesMapReference. It keeps every fragment index and
+// every closed frame seq in a map.
+type refReassembler struct {
+	depth   int
+	pend    map[int]map[int]bool // frame seq -> fragment indices seen
+	done    map[int]bool         // finished or abandoned frame seqs
+	maxSeen int
+	stats   Stats
+	lastPkt uint16
+	havePkt bool
+}
+
+func (r *refReassembler) push(pkt *Packet) (*codec.EncodedFrame, *codec.AudioFrame) {
+	r.stats.Packets++
+	if r.havePkt && pkt.Info.Seq != r.lastPkt+1 {
+		r.stats.PacketGaps++
+	}
+	r.lastPkt, r.havePkt = pkt.Info.Seq, true
+	if pkt.Data.Audio != nil {
+		return nil, pkt.Data.Audio
+	}
+	ef := pkt.Data.Video
+	if r.done[ef.Seq] {
+		return nil, nil
+	}
+	frags := r.pend[ef.Seq]
+	if frags == nil {
+		frags = make(map[int]bool)
+		r.pend[ef.Seq] = frags
+	}
+	frags[pkt.Data.FragIndex] = true
+	if ef.Seq > r.maxSeen {
+		r.maxSeen = ef.Seq
+	}
+	var complete *codec.EncodedFrame
+	if len(frags) == pkt.Data.FragCount {
+		delete(r.pend, ef.Seq)
+		r.done[ef.Seq] = true
+		r.stats.FramesComplete++
+		complete = ef
+	}
+	for s := range r.pend {
+		if s < r.maxSeen-r.depth {
+			delete(r.pend, s)
+			r.done[s] = true
+			r.stats.FramesDropped++
+		}
+	}
+	return complete, nil
+}
+
+// TestReassemblerMatchesMapReference delivers random streams, with
+// fragments lost, duplicated, reordered within and beyond the window
+// (so late fragments reach abandoned and finished frames), interleaved
+// with audio and spanning many bitset words and frames wider than the
+// 64-fragment mask, and checks that every push completes the same
+// frames as the map-based reference, with the same Stats throughout.
+func TestReassemblerMatchesMapReference(t *testing.T) {
+	late, dropped, wide := 0, 0, 0
+	for seed := int64(1); seed <= 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		pz := NewPacketizer(9, 1200, 30)
+		var stream []*Packet
+		frames := 50 + rng.Intn(250)
+		for i := 0; i < frames; i++ {
+			bytes := 100 + rng.Intn(6000)
+			if rng.Intn(40) == 0 {
+				bytes = 70000 + rng.Intn(30000) // more than 64 fragments
+				wide++
+			}
+			stream = append(stream, pz.Video(frameOfBits(i, 8*bytes, i%30 == 0))...)
+			if rng.Intn(3) == 0 {
+				stream = append(stream, pz.Audio(&codec.AudioFrame{Seq: i, Bits: 800}))
+			}
+		}
+		var delivered []*Packet
+		for _, pk := range stream {
+			switch x := rng.Float64(); {
+			case x < 0.08: // lost
+			case x < 0.14: // duplicated
+				delivered = append(delivered, pk, pk)
+			default:
+				delivered = append(delivered, pk)
+			}
+		}
+		for i := range delivered {
+			// Mostly local reordering; now and then a packet arrives far
+			// behind, after the window has closed its frame.
+			reach := 4
+			if rng.Intn(25) == 0 {
+				reach = 200
+			}
+			if j := i + rng.Intn(reach+1); j < len(delivered) {
+				delivered[i], delivered[j] = delivered[j], delivered[i]
+			}
+		}
+
+		depth := 1 + rng.Intn(6)
+		r := NewReassembler(depth)
+		ref := &refReassembler{depth: depth, pend: map[int]map[int]bool{}, done: map[int]bool{}, maxSeen: -1}
+		for n, pk := range delivered {
+			if pk.Data.Video != nil && ref.done[pk.Data.Video.Seq] {
+				late++
+			}
+			vids, au := r.Push(pk)
+			want, wantAu := ref.push(pk)
+			if len(vids) > 1 {
+				t.Fatalf("seed %d push %d: one fragment completed %d frames", seed, n, len(vids))
+			}
+			var got *codec.EncodedFrame
+			if len(vids) == 1 {
+				got = vids[0]
+			}
+			if got != want || au != wantAu {
+				t.Fatalf("seed %d push %d: completed %v audio %v, reference completed %v audio %v", seed, n, got, au, want, wantAu)
+			}
+			if got := r.StatsSnapshot(); got != ref.stats {
+				t.Fatalf("seed %d push %d: stats %+v, reference %+v", seed, n, got, ref.stats)
+			}
+		}
+		ref.stats.FramesDropped += len(ref.pend)
+		if got := r.Flush(); got != ref.stats {
+			t.Fatalf("seed %d: flushed stats %+v, reference %+v", seed, got, ref.stats)
+		}
+		dropped += ref.stats.FramesDropped
+	}
+	if late == 0 || dropped == 0 || wide == 0 {
+		t.Errorf("streams exercised %d late fragments, %d abandoned frames and %d wide frames; want some of each", late, dropped, wide)
+	}
+}
