@@ -45,6 +45,13 @@ type Config struct {
 	// of any view of it) must happen before then. The store stays with
 	// the client's goroutine until then. nil allocates the storage.
 	Capture *capture.Store
+	// Packets, when set, lends the client's packetizers their packet
+	// storage, and Release hands it back. A relay hands one packet to
+	// every receiver, and a packet may sit in a pending simulator event
+	// after its session ends, so Release only once nothing will run the
+	// session's simulator again, and keep the store with the client's
+	// goroutine until then. nil allocates each frame's packets.
+	Packets *rtp.Store
 	// Resolve maps remote node names to IPs for the traffic monitor.
 	Resolve Resolver
 	// Probe, when set, observes media-pipeline events in sim time — the
@@ -68,6 +75,7 @@ type Client struct {
 	att    *platform.Attachment
 	enc    *codec.VideoEncoder
 	pktzr  *rtp.Packetizer
+	pktzrs []*rtp.Packetizer // every packetizer made, for Release
 	src    media.Source
 	reasm  *rtp.Reassembler
 	sent   []codec.EncodedFrame
@@ -148,7 +156,7 @@ func (c *Client) Start() {
 			Seed:      c.cfg.Seed + 1,
 		}, c.cfg.Frames)
 		c.att.OnTarget(func(bps float64) { c.enc.SetTargetBps(bps) })
-		c.pktzr = rtp.NewPacketizer(uint32(c.cfg.Seed)+1000, rtp.DefaultMTU, c.src.FPS())
+		c.newPacketizer(c.src.FPS())
 		interval := time.Second / time.Duration(c.src.FPS())
 		c.feedEv = c.sim.Every(interval, c.feedVideoFrame)
 	}
@@ -159,7 +167,7 @@ func (c *Client) Start() {
 		aenc := codec.NewAudioEncoder(c.att.Session().AudioBps())
 		c.sentAu = aenc.Encode(c.cfg.AudioClip)
 		if c.pktzr == nil {
-			c.pktzr = rtp.NewPacketizer(uint32(c.cfg.Seed)+1000, rtp.DefaultMTU, 30)
+			c.newPacketizer(30)
 		}
 		i := 0
 		c.audEv = c.sim.Every(time.Duration(codec.AudioFrameDur*float64(time.Second)), func() {
@@ -180,6 +188,12 @@ func (c *Client) Start() {
 	})
 	// Receiver feedback at 1 Hz.
 	c.repEv = c.sim.Every(time.Second, c.reportStats)
+}
+
+// newPacketizer starts a new RTP stream on the client's packet storage.
+func (c *Client) newPacketizer(fps int) {
+	c.pktzr = rtp.NewPacketizerOn(uint32(c.cfg.Seed)+1000, rtp.DefaultMTU, fps, c.cfg.Packets)
+	c.pktzrs = append(c.pktzrs, c.pktzr)
 }
 
 // feedVideoFrame encodes and transmits one frame tick.
@@ -257,10 +271,10 @@ func (c *Client) Stop() {
 // Reset clears per-session media state so the client (and its node, with
 // the accumulated capture) can join the next session, as the paper's VMs
 // do across their 20-session campaigns. The traffic trace is preserved
-// until Monitor.Release. A client on a lent pool (Config.Frames) hands
-// back the storage of the session's reconstructions, then of its source
-// frames, leaving every one without pixels; it panics if a frame is
-// still pending.
+// until Release. A client on a lent pool (Config.Frames) hands back the
+// storage of the session's reconstructions, then of its source frames,
+// leaving every one without pixels, then its motion source's own
+// background (media.Release); it panics if a frame is still pending.
 func (c *Client) Reset() {
 	if c.running {
 		panic("client: Reset while running")
@@ -273,6 +287,7 @@ func (c *Client) Reset() {
 			for i := range c.sent {
 				p.Put(c.sent[i].Source)
 			}
+			media.Release(c.src)
 		}
 	}
 	c.reasm = rtp.NewReassembler(5)
@@ -286,6 +301,18 @@ func (c *Client) Reset() {
 	c.probeGaps = 0
 	c.probeDrops = 0
 	c.att = nil
+}
+
+// Release ends the storage lifetime of the client's traffic trace
+// (Monitor.Release) and of every RTP packet it has sent (see
+// Config.Packets), so no view of the trace and no packet may be read
+// again. What the client captures or sends afterwards lands on new
+// storage.
+func (c *Client) Release() {
+	c.Monitor.Release()
+	for _, p := range c.pktzrs {
+		p.Release()
+	}
 }
 
 // SentVideo returns the sender-side encoded-frame log.

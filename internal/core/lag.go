@@ -52,6 +52,7 @@ func RunLagStudy(tb *Testbed, kind platform.Kind, host geo.Region, others []geo.
 		Seed:        tb.seed + 100,
 		Resolve:     resolve,
 		Capture:     tb.captures,
+		Packets:     tb.packets,
 	})
 	recvs := make([]*client.Client, len(others))
 	for i, r := range others {
@@ -62,6 +63,7 @@ func RunLagStudy(tb *Testbed, kind platform.Kind, host geo.Region, others []geo.
 			Seed:    tb.seed + 200 + int64(i),
 			Resolve: resolve,
 			Capture: tb.captures,
+			Packets: tb.packets,
 		})
 	}
 
@@ -158,10 +160,11 @@ func RunLagStudy(tb *Testbed, kind platform.Kind, host geo.Region, others []geo.
 		res.Fig2.SentT, res.Fig2.SentS = capture.SizeSeries(hostT, capture.Out)
 		res.Fig2.RecvT, res.Fig2.RecvS = capture.SizeSeries(recvT, capture.In)
 	}
-	// Every trace read is done: the traces' storage goes back to the
-	// running worker's capture store (see Testbed.captures).
+	// Every trace read is done and the study's simulator will not run
+	// again: the traces' and packets' storage goes back to the running
+	// worker's stores (see Testbed.captures).
 	for _, c := range all {
-		c.Monitor.Release()
+		c.Release()
 	}
 	return res
 }

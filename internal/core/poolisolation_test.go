@@ -9,9 +9,11 @@ import (
 	"time"
 
 	"github.com/vcabench/vcabench/internal/capture"
+	"github.com/vcabench/vcabench/internal/codec"
 	"github.com/vcabench/vcabench/internal/geo"
 	"github.com/vcabench/vcabench/internal/media"
 	"github.com/vcabench/vcabench/internal/platform"
+	"github.com/vcabench/vcabench/internal/rtp"
 	"github.com/vcabench/vcabench/internal/simnet"
 )
 
@@ -22,12 +24,13 @@ import (
 // surface the same pointer under two fork keys (and, independently, as
 // a data race under -race, since each fork's pool is unsynchronized by
 // design — single-owner determinism is the whole point of not using
-// sync.Pool). Three stores do pass between forks, one fork at a time on
+// sync.Pool). Four stores do pass between forks, one fork at a time on
 // one scheduler worker: the QoE scorer's buffers, the media.FramePool
 // that holds the QoE host's frame pixel storage (an encoder's private
-// resize-ladder pool never leaves its encoder) and the capture.Store
-// that holds the clients' trace records and RTP header chunks.
-// TestSchedulerWorkerBuffersNeverShared checks those three.
+// resize-ladder pool never leaves its encoder), the capture.Store that
+// holds the clients' trace records and RTP header chunks, and the
+// rtp.Store that holds the packets they send.
+// TestSchedulerWorkerBuffersNeverShared checks those four.
 func TestForkedTestbedPoolIsolation(t *testing.T) {
 	tb := NewTestbed(42)
 	var (
@@ -70,9 +73,9 @@ func TestForkedTestbedPoolIsolation(t *testing.T) {
 }
 
 // lendLog marks, under a mutex, each fork's entry and exit on the
-// qoe.Buffers, the media.FramePool and the capture.Store its worker lent
-// it, across every run it watches: none may be held by two forks at
-// once (under -race, a shared one would also race).
+// qoe.Buffers, the media.FramePool, the capture.Store and the rtp.Store
+// its worker lent it, across every run it watches: none may be held by
+// two forks at once (under -race, a shared one would also race).
 type lendLog struct {
 	t      *testing.T
 	mu     sync.Mutex
@@ -94,10 +97,11 @@ func (l *lendLog) units(prefix string, served map[any]int, got []*QoEStudyResult
 	for i := range units {
 		i, key := i, fmt.Sprintf("%s/%d", prefix, i)
 		units[i] = Unit{Key: key, Run: func(stb *Testbed) {
-			lent := []any{stb.qoeBufs, stb.frames, stb.captures}
+			lent := []any{stb.qoeBufs, stb.frames, stb.captures, stb.packets}
 			l.mu.Lock()
-			if stb.qoeBufs == nil || stb.frames == nil || stb.captures == nil {
-				l.t.Errorf("fork %s lacks worker pools: buffers %p, frames %p, captures %p", key, stb.qoeBufs, stb.frames, stb.captures)
+			if stb.qoeBufs == nil || stb.frames == nil || stb.captures == nil || stb.packets == nil {
+				l.t.Errorf("fork %s lacks worker pools: buffers %p, frames %p, captures %p, packets %p",
+					key, stb.qoeBufs, stb.frames, stb.captures, stb.packets)
 			}
 			for _, b := range lent {
 				if prev, ok := l.holder[b]; ok {
@@ -135,7 +139,7 @@ func checkPrivate(t *testing.T, tb *Testbed, units []Unit, got []*QoEStudyResult
 // and that one of each kind served a second cell when reuse is set.
 func countKits(t *testing.T, served map[any]int, max int, reuse bool) {
 	t.Helper()
-	for _, kind := range []string{"*qoe.Buffers", "*media.FramePool", "*capture.Store"} {
+	for _, kind := range []string{"*qoe.Buffers", "*media.FramePool", "*capture.Store", "*rtp.Store"} {
 		n, reused := 0, false
 		for b, cells := range served {
 			if fmt.Sprintf("%T", b) == kind {
@@ -155,12 +159,12 @@ func countKits(t *testing.T, served map[any]int, max int, reuse bool) {
 // TestSchedulerWorkerBuffersNeverShared runs QoE units through the
 // scheduler and checks the kit hand-off (see lendLog). On one testbed
 // with three workers, each worker owns at most one of each pool and
-// reuses all three from cell to cell. A second Run on that testbed,
-// after every parked capture record is overwritten with junk, lends
-// only pools the first Run lent, since its workers take the kits the
-// first Run parked. Then two Runs on two testbeds go at once. Every
-// result must equal the same unit's result on a fork with private
-// storage.
+// reuses all four from cell to cell. A second Run on that testbed,
+// after every parked capture record, packet and frame buffer is
+// overwritten with junk, lends only pools the first Run lent, since its
+// workers take the kits the first Run parked. Then two Runs on two
+// testbeds go at once. Every result must equal the same unit's result
+// on a fork with private storage.
 func TestSchedulerWorkerBuffersNeverShared(t *testing.T) {
 	const workers = 3
 	l := &lendLog{t: t, holder: make(map[any]string)}
@@ -176,6 +180,8 @@ func TestSchedulerWorkerBuffersNeverShared(t *testing.T) {
 	parkedKits.Lock()
 	for _, p := range parkedKits.free {
 		scribbleCaptures(p.captures)
+		scribblePackets(p.packets)
+		scribbleFrames(p.frames)
 	}
 	parkedKits.Unlock()
 	second := make(map[any]int)
@@ -213,7 +219,7 @@ func TestSchedulerWorkerBuffersNeverShared(t *testing.T) {
 	countKits(t, concurrent, 2*2, false)
 
 	if fork := tb.Fork("x"); tb.qoeBufs != nil || fork.qoeBufs != nil || tb.frames != nil || fork.frames != nil ||
-		tb.captures != nil || fork.captures != nil {
+		tb.captures != nil || fork.captures != nil || tb.packets != nil || fork.packets != nil {
 		t.Error("a testbed that is not a scheduler fork has worker pools")
 	}
 }
@@ -250,28 +256,32 @@ func TestReusedFrameStorageCannotChangeResults(t *testing.T) {
 		other := tb.Fork("frames/other")
 		other.frames = pool
 		RunQoEStudy(other, platform.Zoom, geo.USEast, QoEReceiverRegions(geo.ZoneUS, 1), unrelated, TinyScale, QoEOpts{})
-		parked := pool.Parked()
-		if full := sc.Profile.W * sc.Profile.H; parked[full] == 0 {
+		if full := sc.Profile.W * sc.Profile.H; pool.Parked()[full] == 0 {
 			t.Fatalf("no %d-pixel storage parked after the unrelated study; the rerun would reuse none", full)
 		}
-		for pix, count := range parked {
-			dirty := make([]*media.Frame, count)
-			for i := range dirty {
-				dirty[i] = pool.Get(pix, 1)
-				for j := range dirty[i].Pix {
-					dirty[i].Pix[j] = 0xA5
-				}
-			}
-			for _, f := range dirty {
-				pool.Put(f)
-			}
-		}
+		scribbleFrames(pool)
 
 		stb := tb.Fork("frames/study")
 		stb.frames = pool
 		if got := study(stb); !reflect.DeepEqual(got, want) {
 			t.Errorf("%v study on reused 0xA5-filled storage differs from the same study on a private pool:\n got %+v\nwant %+v",
 				motion, got, want)
+		}
+	}
+}
+
+// scribbleFrames fills every buffer pool parks with 0xA5.
+func scribbleFrames(pool *media.FramePool) {
+	for pix, count := range pool.Parked() {
+		dirty := make([]*media.Frame, count)
+		for i := range dirty {
+			dirty[i] = pool.Get(pix, 1)
+			for j := range dirty[i].Pix {
+				dirty[i].Pix[j] = 0xA5
+			}
+		}
+		for _, f := range dirty {
+			pool.Put(f)
 		}
 	}
 }
@@ -391,6 +401,83 @@ func TestReusedCaptureStorageCannotChangeResults(t *testing.T) {
 		stb.captures = store
 		if got := encode(c.study(stb)); !bytes.Equal(got, want) {
 			t.Errorf("%s study on reused junk-filled capture storage encodes differently from the same study on private storage",
+				c.name)
+		}
+	}
+}
+
+// scribblePackets overwrites every slot of every chunk the store parks
+// with a junk packet a receiver would notice: a big keyframe fragment
+// of a frame no sender made, under a foreign SSRC.
+func scribblePackets(s *rtp.Store) {
+	frame := &codec.EncodedFrame{Seq: 3, Bits: 8 * 1400, Keyframe: true}
+	payload := rtp.Payload{Video: frame, FragIndex: 0, FragCount: 1}
+	for _, c := range s.Parked() {
+		for i := range c.Ptrs {
+			c.Payloads[i] = payload
+			c.Packets[i] = rtp.Packet{
+				Info:  capture.RTPInfo{SSRC: 0xbad, Seq: 0xbad, TS: 0xbad, Marker: true, PT: rtp.PTVideo, KeyUnit: true},
+				Bytes: 1400,
+				Data:  &c.Payloads[i],
+			}
+			c.Ptrs[i] = &c.Packets[i]
+		}
+	}
+}
+
+// TestReusedPacketStorageCannotChangeResults pins the contract RTP
+// packet and source background reuse rest on: a packetizer writes every
+// slot of a packet before anyone reads it, a motion source writes every
+// pixel of its background or world before copying from it, and neither
+// goes back while a reader can reach it. An unrelated high-motion QoE
+// study (another platform and meeting size) fills a worker's packet
+// store and frame pool; then, with every parked packet and pixel
+// overwritten with junk, a lag study and fig12 cells of both motion
+// classes on that storage must encode to the same cell bytes as the
+// same studies on private storage.
+func TestReusedPacketStorageCannotChangeResults(t *testing.T) {
+	tb := NewTestbed(42)
+	qoeStudy := func(motion media.MotionClass) func(*Testbed) any {
+		return func(stb *Testbed) any {
+			return RunQoEStudy(stb, platform.Webex, geo.USEast, QoEReceiverRegions(geo.ZoneUS, 2), motion, TinyScale, QoEOpts{})
+		}
+	}
+	encode := func(v any) []byte {
+		b, err := encodeCell(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+
+	packets, frames := rtp.NewStore(), media.NewFramePool()
+	other := tb.Fork("packets/other")
+	other.packets, other.frames = packets, frames
+	RunQoEStudy(other, platform.Meet, geo.USEast, QoEReceiverRegions(geo.ZoneUS, 1), media.HighMotion, TinyScale, QoEOpts{})
+	world := 3 * TinyScale.Profile.W * TinyScale.Profile.H
+	for _, c := range []struct {
+		name  string
+		study func(*Testbed) any
+	}{
+		{"lag", func(stb *Testbed) any {
+			return RunLagStudy(stb, platform.Zoom, geo.USEast, []geo.Region{geo.USWest, geo.USCentral}, TinyScale)
+		}},
+		{"qoe-high", qoeStudy(media.HighMotion)},
+		{"qoe-low", qoeStudy(media.LowMotion)},
+	} {
+		key := "packets/" + c.name
+		want := encode(c.study(tb.Fork(key)))
+
+		if len(packets.Parked()) == 0 || frames.Parked()[world] == 0 {
+			t.Fatalf("before the %s study the kit parks %d packet chunks and %d worlds; the study would reuse none",
+				c.name, len(packets.Parked()), frames.Parked()[world])
+		}
+		scribblePackets(packets)
+		scribbleFrames(frames)
+		stb := tb.Fork(key)
+		stb.packets, stb.frames = packets, frames
+		if got := encode(c.study(stb)); !bytes.Equal(got, want) {
+			t.Errorf("%s study on reused junk-filled packet and frame storage encodes differently from the same study on private storage",
 				c.name)
 		}
 	}

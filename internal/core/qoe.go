@@ -117,6 +117,7 @@ func RunQoEStudyWithSetup(tb *Testbed, kind platform.Kind, host geo.Region, recv
 		Resolve:    resolve,
 		Frames:     frames,
 		Capture:    tb.captures,
+		Packets:    tb.packets,
 	})
 	recvs := make([]*client.Client, len(recvRegions))
 	for i, r := range recvRegions {
@@ -129,6 +130,7 @@ func RunQoEStudyWithSetup(tb *Testbed, kind platform.Kind, host geo.Region, recv
 			Resolve: resolve,
 			Probe:   tb.clientProbe(name),
 			Capture: tb.captures,
+			Packets: tb.packets,
 		}
 		if opts.DownlinkCapBps > 0 || opts.Trace != nil {
 			// tc-tbf style: a short buffer, so overload surfaces as loss
@@ -239,10 +241,11 @@ func RunQoEStudyWithSetup(tb *Testbed, kind platform.Kind, host geo.Region, recv
 		}
 		tb.Sim.RunFor(2 * time.Second)
 	}
-	// Every trace read is done: the traces' storage goes back to the
-	// running worker's capture store (see Testbed.captures).
+	// Every trace read is done and the study's simulator will not run
+	// again: the traces' and packets' storage goes back to the running
+	// worker's stores (see Testbed.captures).
 	for _, c := range all {
-		c.Monitor.Release()
+		c.Release()
 	}
 	if binBytes != nil {
 		res.RateBin = rateBinWidth

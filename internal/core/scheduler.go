@@ -13,6 +13,7 @@ import (
 	"github.com/vcabench/vcabench/internal/media"
 	"github.com/vcabench/vcabench/internal/obs"
 	"github.com/vcabench/vcabench/internal/qoe"
+	"github.com/vcabench/vcabench/internal/rtp"
 )
 
 // This file is the campaign scheduler: the paper's evaluation is a set
@@ -95,13 +96,14 @@ type Scheduler struct {
 }
 
 // pools is one scheduler worker's storage, its kit: the QoE scorer's
-// float buffers, the QoE host's frame pixel storage and the clients'
-// capture records. A worker lends its kit to every fork it runs, one
-// fork at a time.
+// float buffers, the QoE host's frame pixel storage, the clients'
+// capture records and their RTP packets. A worker lends its kit to
+// every fork it runs, one fork at a time.
 type pools struct {
 	bufs     *qoe.Buffers
 	frames   *media.FramePool
 	captures *capture.Store
+	packets  *rtp.Store
 }
 
 // parkedKits is the process-wide free list of kits whose worker has
@@ -124,7 +126,7 @@ func takeKit() pools {
 		parkedKits.free = parkedKits.free[:n-1]
 		return p
 	}
-	return pools{qoe.NewBuffers(), media.NewFramePool(), capture.NewStore()}
+	return pools{qoe.NewBuffers(), media.NewFramePool(), capture.NewStore(), rtp.NewStore()}
 }
 
 // parkKit returns a finished worker's kit to the free list.
@@ -140,9 +142,9 @@ func parkKit(p pools) {
 // Each worker (and the serial loop) takes one kit (see pools) from the
 // process-wide free list, lends it to every fork it runs, one fork at a
 // time, and parks it when it finishes, so the scorer's float buffers,
-// the QoE host's frame pixel storage and the clients' capture records
-// pass from cell to cell, and from run to run, with one owner at a
-// time. Storage comes back dirty and every producer overwrites it
+// the QoE host's frame pixel storage, the clients' capture records and
+// their RTP packets pass from cell to cell, and from run to run, with
+// one owner at a time. Storage comes back dirty and every producer overwrites it
 // before reading, so which kit a worker draws and which cells ran on it
 // before never reach a result. A worker whose unit panicked drops its
 // kit: the unit may have left it half-updated.
@@ -156,7 +158,7 @@ func (s *Scheduler) Run(units []Unit) {
 	}
 	fork := func(u Unit, p pools) *Testbed {
 		stb := s.TB.Fork(u.Key)
-		stb.qoeBufs, stb.frames, stb.captures = p.bufs, p.frames, p.captures
+		stb.qoeBufs, stb.frames, stb.captures, stb.packets = p.bufs, p.frames, p.captures, p.packets
 		return stb
 	}
 	if workers <= 1 {

@@ -85,6 +85,11 @@ func TestSchedulerRunsEveryUnitOnce(t *testing.T) {
 	}
 }
 
+// kitOf returns the pools a scheduler lent stb.
+func kitOf(stb *Testbed) pools {
+	return pools{stb.qoeBufs, stb.frames, stb.captures, stb.packets}
+}
+
 // A panicking unit re-panics on the caller's goroutine, and its worker
 // drops its kit: the pools lent to the unit are never parked, so no
 // later Run, serial or parallel, lends them again.
@@ -100,7 +105,7 @@ func TestSchedulerPropagatesPanic(t *testing.T) {
 		(&Scheduler{TB: tb}).Run([]Unit{
 			{Key: "ok", Run: func(*Testbed) {}},
 			{Key: "bad", Run: func(stb *Testbed) {
-				bad = pools{stb.qoeBufs, stb.frames, stb.captures}
+				bad = kitOf(stb)
 				panic("boom")
 			}},
 			{Key: "ok2", Run: func(*Testbed) {}},
@@ -108,11 +113,11 @@ func TestSchedulerPropagatesPanic(t *testing.T) {
 			{Key: "ok4", Run: func(*Testbed) {}},
 		})
 	}()
-	if bad.bufs == nil || bad.frames == nil || bad.captures == nil {
+	if bad.bufs == nil || bad.frames == nil || bad.captures == nil || bad.packets == nil {
 		t.Fatalf("the panicking unit ran without a full kit: %+v", bad)
 	}
 	shares := func(p pools) bool {
-		return p.bufs == bad.bufs || p.frames == bad.frames || p.captures == bad.captures
+		return p.bufs == bad.bufs || p.frames == bad.frames || p.captures == bad.captures || p.packets == bad.packets
 	}
 	parkedKits.Lock()
 	for _, p := range parkedKits.free {
@@ -128,7 +133,7 @@ func TestSchedulerPropagatesPanic(t *testing.T) {
 			units[i] = Unit{Key: "after/" + strconv.Itoa(i), Run: func(stb *Testbed) {
 				mu.Lock()
 				defer mu.Unlock()
-				if shares(pools{stb.qoeBufs, stb.frames, stb.captures}) {
+				if shares(kitOf(stb)) {
 					t.Errorf("workers=%d: a later Run lent the panicking unit's pools", workers)
 				}
 			}}

@@ -22,6 +22,7 @@ import (
 	"github.com/vcabench/vcabench/internal/obs"
 	"github.com/vcabench/vcabench/internal/platform"
 	"github.com/vcabench/vcabench/internal/qoe"
+	"github.com/vcabench/vcabench/internal/rtp"
 	"github.com/vcabench/vcabench/internal/simnet"
 )
 
@@ -71,9 +72,13 @@ type Testbed struct {
 	diagDocs map[string]*diag.CellDiag
 
 	// qoeBufs is the QoE scorer's float-buffer pool, frames the QoE
-	// host's frame pixel storage and captures the clients' capture
-	// storage (trace records and RTP header chunks) of QoE and lag
-	// studies. Scheduler.Run sets all three on each fork to the kit of
+	// host's frame pixel storage (its frames, reconstructions and
+	// source background), captures the clients' capture storage (trace
+	// records and RTP header chunks) and packets the storage of the RTP
+	// packets they send, of QoE and lag studies. A study hands its
+	// captures and packets back only when it ends (client.Release): a
+	// packet may sit in a pending event after its session. Scheduler.Run
+	// sets all four on each fork to the kit of
 	// the worker running that fork, taken from the process-wide free
 	// list (see parkedKits), so storage passes from cell to cell and
 	// from run to run with one owner at a time; Fork does not copy
@@ -82,6 +87,7 @@ type Testbed struct {
 	qoeBufs  *qoe.Buffers
 	frames   *media.FramePool
 	captures *capture.Store
+	packets  *rtp.Store
 }
 
 // NewTestbed creates a testbed seeded for reproducibility. The core

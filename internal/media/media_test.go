@@ -492,3 +492,55 @@ func TestFlashNextAllocFree(t *testing.T) {
 		t.Errorf("flash Next allocates %.2f objects/op after the first call, want 0", avg)
 	}
 }
+
+// TestPooledSourceBackgroundsAreRecycled runs both motion feeds on a
+// pool that parks one dirty buffer of their background's size, the
+// high-motion one across three scene cuts, and checks that every frame
+// equals the unpooled feed's, that the background is built on that
+// buffer and every scene's world on the last one's storage, and that
+// Release parks the background while leaving the frames intact.
+func TestPooledSourceBackgroundsAreRecycled(t *testing.T) {
+	p := QuickProfile
+	cuts := 3
+	n := cuts*4*p.FPS + 5 // highMotionSource cuts every 4 s
+	for class, bgPix := range map[MotionClass]int{LowMotion: p.W * p.H, HighMotion: 3 * p.W * p.H} {
+		want := Record(NewSource(class, p, 9), n)
+		pool := NewFramePool()
+		dirty := pool.Get(bgPix, 1)
+		for j := range dirty.Pix {
+			dirty.Pix[j] = 0xA5
+		}
+		first := &dirty.Pix[0]
+		pool.Put(dirty)
+		src := NewSourceOn(class, p, 9, pool)
+		var last *Frame
+		for i := range want {
+			if last != nil {
+				pool.Put(last)
+			}
+			last = src.Next()
+			if !bytes.Equal(last.Pix, want[i].Pix) {
+				t.Fatalf("%v frame %d: pooled pixels differ from unpooled", class, i)
+			}
+			var bg *Frame
+			switch s := src.(type) {
+			case *lowMotionSource:
+				bg = s.bg
+			case *highMotionSource:
+				bg = s.world
+			}
+			if &bg.Pix[0] != first {
+				t.Fatalf("%v frame %d: the background left the dirty storage it was built on", class, i)
+			}
+		}
+		before := pool.Parked()[bgPix]
+		Release(src)
+		Release(src)
+		if got := pool.Parked()[bgPix]; got != before+1 {
+			t.Errorf("%v: Release parked %d %d-pixel buffers, want 1", class, got-before, bgPix)
+		}
+		if !bytes.Equal(last.Pix, want[n-1].Pix) {
+			t.Errorf("%v: Release changed the last frame's pixels", class)
+		}
+	}
+}

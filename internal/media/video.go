@@ -58,7 +58,7 @@ type lowMotionSource struct {
 	t    int
 	rng  *rand.Rand
 	bg   *Frame
-	pool *FramePool // storage of the frames Next returns; nil allocates
+	pool *FramePool // storage of bg and of the frames Next returns; nil allocates
 }
 
 // NewLowMotion creates the talking-head feed.
@@ -66,8 +66,16 @@ func NewLowMotion(p Profile, seed int64) Source { return newLowMotion(p, seed, n
 
 func newLowMotion(p Profile, seed int64, pool *FramePool) Source {
 	s := &lowMotionSource{p: p, rng: rand.New(rand.NewSource(seed)), pool: pool}
-	s.bg = textured(p.W, p.H, 96, 40, s.rng) // mid-gray room with texture
+	s.bg = pool.Get(p.W, p.H)
+	textured(s.bg, 96, 40, s.rng, nil) // mid-gray room with texture
 	return s
+}
+
+func (s *lowMotionSource) release() {
+	if s.bg != nil && s.pool != nil {
+		s.pool.Put(s.bg)
+		s.bg = nil
+	}
 }
 
 func (s *lowMotionSource) Dims() (int, int) { return s.p.W, s.p.H }
@@ -110,7 +118,8 @@ type highMotionSource struct {
 	world    *Frame // wide panorama we pan across
 	scene    int
 	cutEvery int        // frames between scene cuts
-	pool     *FramePool // storage of the frames Next returns; nil allocates
+	pool     *FramePool // storage of world and of the frames Next returns; nil allocates
+	sx       []float64  // textured's column scratch, one world row wide
 }
 
 // NewHighMotion creates the tour-guide feed.
@@ -130,10 +139,23 @@ func newHighMotion(p Profile, seed int64, pool *FramePool) Source {
 func (s *highMotionSource) Dims() (int, int) { return s.p.W, s.p.H }
 func (s *highMotionSource) FPS() int         { return s.p.FPS }
 
+// newScene builds the next world on the storage of the last one, which
+// no frame aliases: Next copies out of the world.
 func (s *highMotionSource) newScene() {
 	base := uint8(60 + s.rng.Intn(120))
-	s.world = textured(s.p.W*3, s.p.H, base, 70, s.rng)
+	if s.world != nil {
+		s.pool.Put(s.world)
+	}
+	s.world = s.pool.Get(s.p.W*3, s.p.H)
+	s.sx = textured(s.world, base, 70, s.rng, s.sx)
 	s.scene++
+}
+
+func (s *highMotionSource) release() {
+	if s.world != nil && s.pool != nil {
+		s.pool.Put(s.world)
+		s.world = nil
+	}
 }
 
 func (s *highMotionSource) Next() *Frame {
@@ -232,6 +254,19 @@ func NewSourceOn(class MotionClass, p Profile, seed int64, pool *FramePool) Sour
 	return newHighMotion(p, seed, pool)
 }
 
+// Release hands the storage a motion source built on a pool
+// (NewSourceOn) keeps for itself, its background or the world it pans
+// across, back to that pool and sets the frame's Pix to nil. The
+// source must not make another frame. Every frame it made copies from
+// that storage and never aliases it, so those frames stay intact.
+// Release of any other source, of one on nil storage, or a second time
+// does nothing.
+func Release(src Source) {
+	if r, ok := src.(interface{ release() }); ok {
+		r.release()
+	}
+}
+
 // Record captures n frames from a source into a slice (test/QoE helper).
 func Record(src Source, n int) []*Frame {
 	out := make([]*Frame, n)
@@ -241,23 +276,32 @@ func Record(src Source, n int) []*Frame {
 	return out
 }
 
-// textured builds a frame of smooth low-frequency texture: base luma with
-// sinusoidal variation plus seeded speckle, clamped to [0,255].
-func textured(w, h int, base uint8, amp float64, rng *rand.Rand) *Frame {
-	f := NewFrame(w, h)
+// textured writes every pixel of f with smooth low-frequency texture:
+// base luma with sinusoidal variation plus seeded speckle, clamped to
+// [0,255]. The column sines depend on x alone, so they are computed
+// once per call into sx, which grows to f.W and is returned for reuse.
+func textured(f *Frame, base uint8, amp float64, rng *rand.Rand, sx []float64) []float64 {
+	w, h := f.W, f.H
 	phix := float64(float64(rng.Float64()) * 2 * math.Pi)
 	phiy := float64(float64(rng.Float64()) * 2 * math.Pi)
 	fx := 2 + float64(rng.Float64()*4)
 	fy := 2 + float64(rng.Float64()*4)
+	if cap(sx) < w {
+		sx = make([]float64, w)
+	}
+	sx = sx[:w]
+	for x := range sx {
+		sx[x] = math.Sin(float64(float64(float64(x)/float64(w)*fx)*2*math.Pi) + phix)
+	}
 	for y := 0; y < h; y++ {
 		sy := math.Sin(float64(float64(float64(y)/float64(h)*fy)*2*math.Pi) + phiy)
-		for x := 0; x < w; x++ {
-			sx := math.Sin(float64(float64(float64(x)/float64(w)*fx)*2*math.Pi) + phix)
-			v := float64(base) + float64(amp*0.5*(sx+sy))
-			f.Set(x, y, clamp8(v))
+		row := f.Pix[y*w : (y+1)*w]
+		for x := range row {
+			v := float64(base) + float64(amp*0.5*(sx[x]+sy))
+			row[x] = clamp8(v)
 		}
 	}
-	return f
+	return sx
 }
 
 func drawEllipse(f *Frame, cx, cy, rx, ry float64, v uint8) {

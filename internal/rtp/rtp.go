@@ -49,23 +49,72 @@ type Packetizer struct {
 	fps  int
 	seq  uint16
 	ts   uint32
+
+	// store lends the fragments' storage; nil allocates each frame's.
+	// held lists the chunks taken from it, the one being filled first,
+	// and used counts the slots of that one already handed out.
+	store *Store
+	held  *Chunk
+	used  int
 }
 
 // NewPacketizer creates a packetizer for one media stream. fps is the
-// video frame cadence driving the RTP timestamp advance.
+// video frame cadence driving the RTP timestamp advance. Its packets'
+// storage is allocated.
 func NewPacketizer(ssrc uint32, mtu, fps int) *Packetizer {
+	return NewPacketizerOn(ssrc, mtu, fps, nil)
+}
+
+// NewPacketizerOn is NewPacketizer with every packet's storage taken
+// from store until Release; a nil store allocates it. The packets are
+// the same either way.
+func NewPacketizerOn(ssrc uint32, mtu, fps int, store *Store) *Packetizer {
 	if mtu <= HeaderLen {
 		mtu = DefaultMTU
 	}
 	if fps <= 0 {
 		fps = 30
 	}
-	return &Packetizer{ssrc: ssrc, mtu: mtu, fps: fps}
+	return &Packetizer{ssrc: ssrc, mtu: mtu, fps: fps, store: store}
+}
+
+// slots returns storage for count packets: a view into the packetizer's
+// current chunk, or into a new one when that has too little room left.
+// On nil storage, or for more packets than a chunk holds, it allocates
+// three slabs (pointer slice, packets, payloads) instead of 1+2*count
+// objects; the fragments live and die together, so batching costs no
+// retention. The slots come back dirty: the caller writes every one.
+func (p *Packetizer) slots(count int) ([]*Packet, []Packet, []Payload) {
+	if p.store == nil || count > ChunkLen {
+		return make([]*Packet, count), make([]Packet, count), make([]Payload, count)
+	}
+	if p.held == nil || p.used+count > ChunkLen {
+		c := p.store.take()
+		c.next, p.held, p.used = p.held, c, 0
+	}
+	c, lo, hi := p.held, p.used, p.used+count
+	p.used = hi
+	return c.Ptrs[lo:hi:hi], c.Packets[lo:hi:hi], c.Payloads[lo:hi:hi]
+}
+
+// Release ends the storage lifetime of every packet p made: the chunks
+// go back to p's store, so no packet p returned may be read again, by
+// any receiver or from any pending event. p then leaves the store: a
+// packet made after Release is allocated, never put on a chunk given
+// back. On nil storage it does nothing.
+func (p *Packetizer) Release() {
+	for c := p.held; c != nil; {
+		next := c.next
+		p.store.put(c)
+		c = next
+	}
+	p.store, p.held, p.used = nil, nil, 0
 }
 
 // Video fragments an encoded video frame. Skipped frames produce no
 // packets (the sender has nothing to send) but still advance the RTP
-// timestamp, as a real encoder's clock does.
+// timestamp, as a real encoder's clock does. On a store, the returned
+// slice is a view into the store's chunk, valid until Release.
 func (p *Packetizer) Video(ef *codec.EncodedFrame) []*Packet {
 	ts := p.ts
 	p.ts += uint32(VideoClockHz / p.fps)
@@ -78,12 +127,7 @@ func (p *Packetizer) Video(ef *codec.EncodedFrame) []*Packet {
 	if count == 0 {
 		count = 1
 	}
-	// One frame's fragments are allocated as three slabs (pointer slice,
-	// packets, payloads) instead of 1+2*count individual objects; the
-	// fragments live and die together, so batching costs no retention.
-	pkts := make([]*Packet, count)
-	backing := make([]Packet, count)
-	payloads := make([]Payload, count)
+	pkts, backing, payloads := p.slots(count)
 	remaining := mediaBytes
 	for i := 0; i < count; i++ {
 		frag := maxFrag
@@ -110,9 +154,21 @@ func (p *Packetizer) Video(ef *codec.EncodedFrame) []*Packet {
 	return pkts
 }
 
-// Audio wraps one coded audio frame (always a single packet).
+// Audio wraps one coded audio frame (always a single packet). On a
+// store, the packet lives on the store's chunk until Release.
 func (p *Packetizer) Audio(af *codec.AudioFrame) *Packet {
-	pkt := &Packet{
+	var (
+		pkt *Packet
+		pl  *Payload
+	)
+	if p.store == nil {
+		pkt, pl = new(Packet), new(Payload)
+	} else {
+		_, pkts, pls := p.slots(1)
+		pkt, pl = &pkts[0], &pls[0]
+	}
+	*pl = Payload{Audio: af, FragIndex: 0, FragCount: 1}
+	*pkt = Packet{
 		Info: capture.RTPInfo{
 			SSRC:   p.ssrc,
 			Seq:    p.seq,
@@ -121,7 +177,7 @@ func (p *Packetizer) Audio(af *codec.AudioFrame) *Packet {
 			PT:     PTAudio,
 		},
 		Bytes: HeaderLen + (af.Bits+7)/8,
-		Data:  &Payload{Audio: af, FragIndex: 0, FragCount: 1},
+		Data:  pl,
 	}
 	p.seq++
 	p.ts += uint32(float64(VideoClockHz) * codec.AudioFrameDur)
@@ -147,28 +203,26 @@ type Reassembler struct {
 	stats   Stats
 	lastPkt uint16
 	havePkt bool
-	freeAsm []*assembly // recycled assemblies (finished or abandoned)
+	freeAsm []*assembly            // recycled assemblies (finished or abandoned)
+	one     [1]*codec.EncodedFrame // Push's result storage
 }
 
 type assembly struct {
 	frame *codec.EncodedFrame
-	got   uint64       // fragment-arrival bitmask when count <= 64
-	big   map[int]bool // fallback for frames wider than the bitmask
-	ngot  int          // distinct fragments seen
+	got   uint64   // fragment-arrival bitmask when count <= 64
+	wide  []uint64 // arrival bitset of a frame wider than the mask; its storage outlives reuse
+	ngot  int      // distinct fragments seen
 	count int
 }
 
 // add records fragment i's arrival, ignoring duplicates.
 func (a *assembly) add(i int) {
-	if a.big != nil {
-		if !a.big[i] {
-			a.big[i] = true
-			a.ngot++
-		}
-		return
+	mask, bit := &a.got, uint64(1)<<uint(i&63)
+	if a.count > 64 {
+		mask = &a.wide[i>>6]
 	}
-	if bit := uint64(1) << uint(i); a.got&bit == 0 {
-		a.got |= bit
+	if *mask&bit == 0 {
+		*mask |= bit
 		a.ngot++
 	}
 }
@@ -179,14 +233,20 @@ func (r *Reassembler) newAssembly(ef *codec.EncodedFrame, count int) *assembly {
 	if k := len(r.freeAsm); k > 0 {
 		a = r.freeAsm[k-1]
 		r.freeAsm = r.freeAsm[:k-1]
-		*a = assembly{}
+		*a = assembly{wide: a.wide}
 	} else {
 		a = &assembly{}
 	}
 	a.frame = ef
 	a.count = count
 	if count > 64 {
-		a.big = make(map[int]bool, count)
+		n := (count + 63) >> 6
+		if cap(a.wide) < n {
+			a.wide = make([]uint64, n)
+		} else {
+			a.wide = a.wide[:n]
+			clear(a.wide)
+		}
 	}
 	return a
 }
@@ -194,7 +254,6 @@ func (r *Reassembler) newAssembly(ef *codec.EncodedFrame, count int) *assembly {
 // release recycles an assembly whose frame seq has been closed.
 func (r *Reassembler) release(a *assembly) {
 	a.frame = nil
-	a.big = nil
 	r.freeAsm = append(r.freeAsm, a)
 }
 
@@ -228,8 +287,9 @@ func NewReassembler(depth int) *Reassembler {
 }
 
 // Push consumes one arriving packet and returns any video frames that
-// completed as a result (in frame order). Audio packets complete
-// immediately and are returned via the second result.
+// completed as a result (in frame order); the slice is valid until the
+// next Push. Audio packets complete immediately and are returned via
+// the second result.
 func (r *Reassembler) Push(pkt *Packet) (videos []*codec.EncodedFrame, audio *codec.AudioFrame) {
 	r.stats.Packets++
 	if r.havePkt && pkt.Info.Seq != r.lastPkt+1 {
@@ -258,7 +318,8 @@ func (r *Reassembler) Push(pkt *Packet) (videos []*codec.EncodedFrame, audio *co
 		r.pend[fseq] = a
 	}
 	a.add(pkt.Data.FragIndex)
-	if fseq > r.maxSeen {
+	advanced := fseq > r.maxSeen
+	if advanced {
 		r.maxSeen = fseq
 	}
 	if a.ngot == a.count {
@@ -266,16 +327,21 @@ func (r *Reassembler) Push(pkt *Packet) (videos []*codec.EncodedFrame, audio *co
 		r.release(a)
 		r.close(fseq)
 		r.stats.FramesComplete++
-		videos = append(videos, ef)
+		r.one[0] = ef
+		videos = r.one[:]
 	}
 	// Abandon frames the window has moved past; close them so late
-	// fragments cannot re-open (and re-count) them.
-	for s, old := range r.pend {
-		if s < r.maxSeen-r.depth {
-			delete(r.pend, s)
-			r.release(old)
-			r.close(s)
-			r.stats.FramesDropped++
+	// fragments cannot re-open (and re-count) them. Every other pending
+	// frame was inside the window after the last Push, so only a window
+	// that advanced or a frame opened behind it can leave one outside.
+	if advanced || fseq < r.maxSeen-r.depth {
+		for s, old := range r.pend {
+			if s < r.maxSeen-r.depth {
+				delete(r.pend, s)
+				r.release(old)
+				r.close(s)
+				r.stats.FramesDropped++
+			}
 		}
 	}
 	return videos, nil

@@ -348,3 +348,37 @@ func TestReassemblerMatchesMapReference(t *testing.T) {
 		t.Errorf("streams exercised %d late fragments, %d abandoned frames and %d wide frames; want some of each", late, dropped, wide)
 	}
 }
+
+// TestWideFramesReuseAssemblies sends only frames wider than the
+// 64-fragment mask, some with fragments lost, so every assembly the
+// reassembler recycles comes back with the fragment bitset of a frame
+// that completed or was abandoned. Every push must complete the same
+// frames as the map-based reference, with the same Stats.
+func TestWideFramesReuseAssemblies(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	pz := NewPacketizer(9, 1200, 30)
+	r := NewReassembler(2)
+	ref := &refReassembler{depth: 2, pend: map[int]map[int]bool{}, done: map[int]bool{}, maxSeen: -1}
+	complete := 0
+	for i := 0; i < 60; i++ {
+		for _, pk := range pz.Video(frameOfBits(i, 8*(70000+rng.Intn(60000)), false)) {
+			if rng.Intn(80) == 0 {
+				continue // lost: the frame is abandoned with some bits set
+			}
+			vids, _ := r.Push(pk)
+			want, _ := ref.push(pk)
+			if got := len(vids); got > 1 || (got == 1) != (want != nil) || (got == 1 && vids[0] != want) {
+				t.Fatalf("frame %d fragment %d: completed %v, reference %v", i, pk.Data.FragIndex, vids, want)
+			}
+			if got := r.StatsSnapshot(); got != ref.stats {
+				t.Fatalf("frame %d: stats %+v, reference %+v", i, got, ref.stats)
+			}
+			if want != nil {
+				complete++
+			}
+		}
+	}
+	if complete == 0 || ref.stats.FramesDropped == 0 {
+		t.Errorf("%d frames completed and %d were abandoned; want some of each", complete, ref.stats.FramesDropped)
+	}
+}
