@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -208,52 +207,6 @@ func checkRepeatHit(t *testing.T, tel *obs.Telemetry, first any, repeat func() a
 		t.Errorf("repeat ran %d units locally, want 0", got-runs)
 	}
 	checkFreshDecode(t, first, again)
-}
-
-// renderParallel renders one experiment at an explicit worker count.
-func renderParallel(t *testing.T, id string, workers int) string {
-	t.Helper()
-	e, ok := Lookup(id)
-	if !ok {
-		t.Fatalf("missing experiment %s", id)
-	}
-	var sb strings.Builder
-	e.Run(NewTestbed(42).SetParallelism(workers), TinyScale, &sb)
-	return sb.String()
-}
-
-// The campaign scheduler's core contract: same seed => same artifact
-// bytes, whether the campaign runs serially or on four workers.
-func TestLagFigureParallelDeterminism(t *testing.T) {
-	serial := renderParallel(t, "fig4", 1)
-	parallel := renderParallel(t, "fig4", 4)
-	if serial != parallel {
-		t.Errorf("fig4 output differs between 1 and 4 workers:\n--- serial ---\n%s\n--- parallel ---\n%s", serial, parallel)
-	}
-	if len(serial) < 100 {
-		t.Errorf("fig4 output suspiciously short:\n%s", serial)
-	}
-}
-
-func TestFig12SweepParallelDeterminism(t *testing.T) {
-	serial := renderParallel(t, "fig12", 1)
-	parallel := renderParallel(t, "fig12", 4)
-	if serial != parallel {
-		t.Errorf("fig12 output differs between 1 and 4 workers:\n--- serial ---\n%s\n--- parallel ---\n%s", serial, parallel)
-	}
-	if len(serial) < 100 {
-		t.Errorf("fig12 output suspiciously short:\n%s", serial)
-	}
-}
-
-// The ablation arms run through the scheduler too; make sure the
-// counterfactual variant lands on the right shard at any worker count.
-func TestAblationParallelDeterminism(t *testing.T) {
-	serial := renderParallel(t, "ablate-p2p", 1)
-	parallel := renderParallel(t, "ablate-p2p", 4)
-	if serial != parallel {
-		t.Errorf("ablate-p2p output differs between 1 and 4 workers:\n%s\nvs\n%s", serial, parallel)
-	}
 }
 
 // Campaign sharing: figures drawn from the same campaign (fig4 lag CDFs

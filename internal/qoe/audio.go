@@ -45,13 +45,21 @@ func fft(x []complex128) {
 			w := complex(1, 0)
 			for j := 0; j < length/2; j++ {
 				u := x[i+j]
-				v := x[i+j+length/2] * w
+				v := cmul(x[i+j+length/2], w)
 				x[i+j] = u + v
 				x[i+j+length/2] = u - v
-				w *= wl
+				w = cmul(w, wl)
 			}
 		}
 	}
+}
+
+// cmul is x*y as Go computes a complex128 product, with each of its
+// four real products rounded on its own so arm64 cannot fuse one into
+// the add or subtract that follows.
+func cmul(x, y complex128) complex128 {
+	return complex(float64(real(x)*real(y))-float64(imag(x)*imag(y)),
+		float64(real(x)*imag(y))+float64(imag(x)*real(y)))
 }
 
 // spectrogram returns band-energy frames in dB, clamped to specFloor.
@@ -72,7 +80,7 @@ func spectrogram(c *media.AudioClip) [][]float64 {
 	binHz := float64(c.Rate) / specWindow
 	hann := make([]float64, specWindow)
 	for i := range hann {
-		hann[i] = 0.5 - 0.5*math.Cos(2*math.Pi*float64(i)/float64(specWindow-1))
+		hann[i] = 0.5 - float64(0.5*math.Cos(2*math.Pi*float64(i)/float64(specWindow-1)))
 	}
 	var out [][]float64
 	buf := make([]complex128, specWindow)
@@ -90,11 +98,11 @@ func spectrogram(c *media.AudioClip) [][]float64 {
 			}
 			var e float64
 			for k := lo; k < hi && k < specWindow/2; k++ {
-				e += real(buf[k])*real(buf[k]) + imag(buf[k])*imag(buf[k])
+				e += float64(real(buf[k])*real(buf[k])) + float64(imag(buf[k])*imag(buf[k]))
 			}
 			db := float64(specFloor)
 			if e > 0 {
-				db = 10 * math.Log10(e)
+				db = 10 * log10(e)
 				if db < specFloor {
 					db = specFloor
 				}
@@ -157,14 +165,14 @@ func nsim(ref, deg [][]float64) float64 {
 			d := clamp(deg[t][b]) - floor
 			// Luminance-style similarity on band energies plus a local
 			// structure term across the band axis.
-			lum := (2*r*d + c1) / (r*r + d*d + c1)
+			lum := (float64(2*r*d) + c1) / (float64(r*r) + float64(d*d) + c1)
 			var sr, sd float64
 			if b > 0 {
 				sr = clamp(ref[t][b]) - clamp(ref[t][b-1])
 				sd = clamp(deg[t][b]) - clamp(deg[t][b-1])
 			}
-			str := (2*sr*sd + c2) / (sr*sr + sd*sd + c2)
-			sum += lum * str
+			str := (float64(2*sr*sd) + c2) / (float64(sr*sr) + float64(sd*sd) + c2)
+			sum += float64(lum * str)
 			cnt++
 		}
 	}
@@ -195,7 +203,7 @@ func MOSLQO(ref, deg *media.AudioClip) float64 {
 	// Map similarity to the MOS scale. The exponent sharpens the top of
 	// the scale so that transparent coding lands near 4.2-4.8 and heavy
 	// degradation falls quickly below 3.
-	mos := 1 + 4*math.Pow(s, 4)
+	mos := 1 + float64(4*math.Pow(s, 4))
 	if mos > 5 {
 		mos = 5
 	}

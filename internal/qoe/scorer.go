@@ -1,10 +1,6 @@
 package qoe
 
-import (
-	"math"
-
-	"github.com/vcabench/vcabench/internal/media"
-)
+import "github.com/vcabench/vcabench/internal/media"
 
 // Scorer computes the per-frame video metrics of a session with
 // memoization that never changes an output bit:
@@ -137,9 +133,9 @@ func (sc *Scorer) vifStats(f *media.Frame) *imgStats {
 
 // denLogFor returns (building on first use) the cached reference-side
 // VIF denominator logs for one pyramid scale of st:
-// log10(1 + max(0, sxx-mu^2)/sigma^2), elementwise. The inputs are the
-// already-cached scale stats, so the cached values are bit-identical to
-// what vifPair's loop computed inline before.
+// log10(1 + max(0, sxx-mu^2)/sigma^2), elementwise. It writes the
+// arguments into the cache buffer, then takes their logs in place with
+// log10Vec.
 func (sc *Scorer) denLogFor(st *imgStats, s int) *fimg {
 	if st.denLog[s] == nil {
 		v := &st.vif[s]
@@ -147,12 +143,13 @@ func (sc *Scorer) denLogFor(st *imgStats, s int) *fimg {
 		mu, sxx := v.mu.v, v.sxx.v
 		for i := range dl.v {
 			mx := mu[i]
-			vx := sxx[i] - mx*mx
+			vx := sxx[i] - float64(mx*mx)
 			if vx < 0 {
 				vx = 0
 			}
-			dl.v[i] = math.Log10(1 + vx/vifSigmaNsq)
+			dl.v[i] = 1 + float64(vx/vifSigmaNsq)
 		}
+		log10Vec(dl.v, dl.v)
 		st.denLog[s] = dl
 	}
 	return st.denLog[s]

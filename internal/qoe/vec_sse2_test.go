@@ -14,3 +14,14 @@ func TestVecKernelsSSE2Path(t *testing.T) {
 	defer func() { useAVX2 = true }()
 	TestVecKernelsBitIdentical(t)
 }
+
+// TestLog10ScalarPath forces log10Vec onto math.Log10 alone, the path
+// of an amd64 machine without AVX2.
+func TestLog10ScalarPath(t *testing.T) {
+	if !useAVX2 {
+		t.Skip("already on the scalar path")
+	}
+	useAVX2 = false
+	defer func() { useAVX2 = true }()
+	TestLog10MatchesArchLog(t)
+}

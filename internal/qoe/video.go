@@ -2,7 +2,6 @@ package qoe
 
 import (
 	"fmt"
-	"math"
 
 	"github.com/vcabench/vcabench/internal/media"
 )
@@ -18,13 +17,13 @@ func PSNR(ref, dist *media.Frame) float64 {
 	var se float64
 	for i := range ref.Pix {
 		d := float64(ref.Pix[i]) - float64(dist.Pix[i])
-		se += d * d
+		se += float64(d * d)
 	}
 	mse := se / float64(len(ref.Pix))
 	if mse == 0 {
 		return PSNRCap
 	}
-	v := 10 * math.Log10(255*255/mse)
+	v := 10 * log10(255*255/mse)
 	if v > PSNRCap {
 		v = PSNRCap
 	}
@@ -67,11 +66,11 @@ func (sc *Scorer) ssimPair(ref, dist *media.Frame) float64 {
 	var sum float64
 	for i := range mux {
 		mx, my := mux[i], muy[i]
-		vx := sxxv[i] - mx*mx
-		vy := syyv[i] - my*my
-		cxy := sxy.v[i] - mx*my
-		sum += ((2*mx*my + c1) * (2*cxy + c2)) /
-			((mx*mx + my*my + c1) * (vx + vy + c2))
+		vx := sxxv[i] - float64(mx*mx)
+		vy := syyv[i] - float64(my*my)
+		cxy := sxy.v[i] - float64(mx*my)
+		sum += ((float64(2*mx*my) + c1) * (2*cxy + c2)) /
+			((float64(mx*mx) + float64(my*my) + c1) * (vx + vy + c2))
 	}
 	sc.pool.put(sxy)
 	return sum / float64(len(mux))
@@ -90,16 +89,16 @@ func globalSSIM(ref, dist *media.Frame) float64 {
 	for i := range ref.Pix {
 		dx := float64(ref.Pix[i]) - mx
 		dy := float64(dist.Pix[i]) - my
-		vx += dx * dx
-		vy += dy * dy
-		cxy += dx * dy
+		vx += float64(dx * dx)
+		vy += float64(dy * dy)
+		cxy += float64(dx * dy)
 	}
 	vx /= n
 	vy /= n
 	cxy /= n
 	c1 := (ssimK1 * ssimL) * (ssimK1 * ssimL)
 	c2 := (ssimK2 * ssimL) * (ssimK2 * ssimL)
-	return ((2*mx*my + c1) * (2*cxy + c2)) / ((mx*mx + my*my + c1) * (vx + vy + c2))
+	return ((float64(2*mx*my) + c1) * (2*cxy + c2)) / ((float64(mx*mx) + float64(my*my) + c1) * (vx + vy + c2))
 }
 
 // vifSigmaNsq is the visual noise variance of the VIF model.
@@ -137,12 +136,17 @@ func (sc *Scorer) vifPair(ref, dist *media.Frame) float64 {
 		// same element order the inline computation used — identical
 		// values added in identical order, hence identical bits.
 		dlv := sc.denLogFor(sx, s).v
+		// Each element's numerator argument replaces its cross term once
+		// read, and log10Vec then takes the logs of the whole buffer. num
+		// and den add their terms in element order, as a loop taking each
+		// log in turn would, so batching the logs moves no bit.
+		arg := sxy.v[:len(mux)]
 		const eps = 1e-10
 		for i := range mux {
 			mx, my := mux[i], muy[i]
-			vx := sxxv[i] - mx*mx
-			vy := syyv[i] - my*my
-			cxy := sxy.v[i] - mx*my
+			vx := sxxv[i] - float64(mx*mx)
+			vy := syyv[i] - float64(my*my)
+			cxy := arg[i] - float64(mx*my)
 			if vx < 0 {
 				vx = 0
 			}
@@ -150,7 +154,7 @@ func (sc *Scorer) vifPair(ref, dist *media.Frame) float64 {
 				vy = 0
 			}
 			g := cxy / (vx + eps)
-			svsq := vy - g*cxy
+			svsq := vy - float64(g*cxy)
 			if vx < eps {
 				g = 0
 				svsq = vy
@@ -166,7 +170,11 @@ func (sc *Scorer) vifPair(ref, dist *media.Frame) float64 {
 			if svsq < eps {
 				svsq = eps
 			}
-			num += math.Log10(1 + g*g*vx/(svsq+vifSigmaNsq))
+			arg[i] = 1 + g*g*vx/(svsq+vifSigmaNsq)
+		}
+		log10Vec(arg, arg)
+		for i, l := range arg {
+			num += l
 			den += dlv[i]
 		}
 		sc.pool.put(sxy)
