@@ -6,6 +6,7 @@ import (
 	"github.com/vcabench/vcabench/internal/capture"
 	"github.com/vcabench/vcabench/internal/codec"
 	"github.com/vcabench/vcabench/internal/geo"
+	"github.com/vcabench/vcabench/internal/kit"
 	"github.com/vcabench/vcabench/internal/media"
 	"github.com/vcabench/vcabench/internal/platform"
 	"github.com/vcabench/vcabench/internal/rtp"
@@ -31,27 +32,23 @@ type Config struct {
 	SendAudio   bool
 	AudioClip   *media.AudioClip // required when SendAudio
 	Seed        int64
-	// Frames, when set, lends the client's video its pixel storage:
-	// the frames of its own motion source (not an explicit VideoSource)
-	// and its encoder's reconstructions and resize-ladder transients
-	// come from it. Reset hands every one back and sets its Pix to nil,
-	// so every frame of the session must be settled (RecordSession)
-	// and read before then. The pool stays with the client's goroutine
-	// while the client lives. nil allocates each frame.
-	Frames *media.FramePool
-	// Capture, when set, lends the traffic monitor its trace storage:
-	// the record array and the RTP header chunks come from it, and
-	// Monitor.Release hands them back, so every read of the trace (and
-	// of any view of it) must happen before then. The store stays with
-	// the client's goroutine until then. nil allocates the storage.
-	Capture *capture.Store
-	// Packets, when set, lends the client's packetizers their packet
-	// storage, and Release hands it back. A relay hands one packet to
-	// every receiver, and a packet may sit in a pending simulator event
-	// after its session ends, so Release only once nothing will run the
-	// session's simulator again, and keep the store with the client's
-	// goroutine until then. nil allocates each frame's packets.
-	Packets *rtp.Store
+	// Kit lends the client storage; a nil member keeps that storage
+	// private. Frames holds its video's pixels: the frames of its own
+	// motion source (not an explicit VideoSource) and its encoder's
+	// reconstructions and resize-ladder transients. Reset hands every
+	// one back and sets its Pix to nil, so every frame of the session
+	// must be settled (RecordSession) and read before then. Capture
+	// holds the traffic monitor's trace: the record array and the RTP
+	// header chunks, which Release hands back, so every read of the
+	// trace (and of any view of it) must happen before then. Packets
+	// holds the packets of the client's packetizers, which Release
+	// hands back too: a relay hands one packet to every receiver, and a
+	// packet may sit in a pending simulator event after its session
+	// ends, so Release only once nothing will run the session's
+	// simulator again. The storage stays with the client's goroutine
+	// while the client holds it. Kit.QoE and Kit.Sim are not the
+	// client's to use.
+	Kit kit.Kit
 	// Resolve maps remote node names to IPs for the traffic monitor.
 	Resolve Resolver
 	// Probe, when set, observes media-pipeline events in sim time — the
@@ -113,7 +110,7 @@ func New(net *simnet.Network, cfg Config) *Client {
 		reasm: rtp.NewReassembler(5),
 		gotAu: make(map[int]*codec.AudioFrame),
 	}
-	c.Monitor = NewMonitor(node, cfg.Resolve, cfg.Capture)
+	c.Monitor = NewMonitor(node, cfg.Resolve, cfg.Kit.Capture)
 	return c
 }
 
@@ -147,14 +144,14 @@ func (c *Client) Start() {
 	if c.cfg.SendVideo {
 		c.src = c.cfg.VideoSource
 		if c.src == nil {
-			c.src = media.NewSourceOn(c.cfg.VideoClass, c.cfg.Profile, c.cfg.Seed, c.cfg.Frames)
+			c.src = media.NewSourceOn(c.cfg.VideoClass, c.cfg.Profile, c.cfg.Seed, c.cfg.Kit.Frames)
 		}
 		c.enc = codec.NewVideoEncoderOn(codec.VideoEncoderConfig{
 			FPS:       c.src.FPS(),
 			TargetBps: c.att.Target(),
 			BitScale:  codec.BitScaleFor(c.cfg.Profile),
 			Seed:      c.cfg.Seed + 1,
-		}, c.cfg.Frames)
+		}, c.cfg.Kit.Frames)
 		c.att.OnTarget(func(bps float64) { c.enc.SetTargetBps(bps) })
 		c.newPacketizer(c.src.FPS())
 		interval := time.Second / time.Duration(c.src.FPS())
@@ -192,7 +189,7 @@ func (c *Client) Start() {
 
 // newPacketizer starts a new RTP stream on the client's packet storage.
 func (c *Client) newPacketizer(fps int) {
-	c.pktzr = rtp.NewPacketizerOn(uint32(c.cfg.Seed)+1000, rtp.DefaultMTU, fps, c.cfg.Packets)
+	c.pktzr = rtp.NewPacketizerOn(uint32(c.cfg.Seed)+1000, rtp.DefaultMTU, fps, c.cfg.Kit.Packets)
 	c.pktzrs = append(c.pktzrs, c.pktzr)
 }
 
@@ -271,7 +268,7 @@ func (c *Client) Stop() {
 // Reset clears per-session media state so the client (and its node, with
 // the accumulated capture) can join the next session, as the paper's VMs
 // do across their 20-session campaigns. The traffic trace is preserved
-// until Release. A client on a lent pool (Config.Frames) hands back the
+// until Release. A client on a lent pool (Config.Kit.Frames) hands back the
 // storage of the session's reconstructions, then of its source frames,
 // leaving every one without pixels, then its motion source's own
 // background (media.Release); it panics if a frame is still pending.
@@ -279,7 +276,7 @@ func (c *Client) Reset() {
 	if c.running {
 		panic("client: Reset while running")
 	}
-	if p := c.cfg.Frames; p != nil && c.enc != nil {
+	if p := c.cfg.Kit.Frames; p != nil && c.enc != nil {
 		// Reconstructions first: Recycle panics on a pending frame,
 		// whose build would still read its source.
 		c.enc.Recycle(c.sent)
@@ -305,7 +302,7 @@ func (c *Client) Reset() {
 
 // Release ends the storage lifetime of the client's traffic trace
 // (Monitor.Release) and of every RTP packet it has sent (see
-// Config.Packets), so no view of the trace and no packet may be read
+// Config.Kit), so no view of the trace and no packet may be read
 // again. What the client captures or sends afterwards lands on new
 // storage.
 func (c *Client) Release() {

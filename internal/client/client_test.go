@@ -8,6 +8,7 @@ import (
 	"github.com/vcabench/vcabench/internal/capture"
 	"github.com/vcabench/vcabench/internal/codec"
 	"github.com/vcabench/vcabench/internal/geo"
+	"github.com/vcabench/vcabench/internal/kit"
 	"github.com/vcabench/vcabench/internal/media"
 	"github.com/vcabench/vcabench/internal/platform"
 	"github.com/vcabench/vcabench/internal/qoe"
@@ -339,7 +340,7 @@ func pooledSession(t *testing.T, src media.Source, pool *media.FramePool) (*Clie
 	const stride = 5
 	host := Config{
 		Name: "rc-host", Region: geo.USEast,
-		SendVideo: true, VideoSource: src, VideoClass: media.HighMotion, Seed: 31, Frames: pool,
+		SendVideo: true, VideoSource: src, VideoClass: media.HighMotion, Seed: 31, Kit: kit.Kit{Frames: pool},
 	}
 	recvs := []Config{
 		{Name: "rc-lossy", Region: geo.USWest, LossProb: 0.03, Seed: 32},

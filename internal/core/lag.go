@@ -43,6 +43,10 @@ func RunLagStudy(tb *Testbed, kind platform.Kind, host geo.Region, others []geo.
 	pf := tb.Platform(kind)
 	resolve := tb.Resolver()
 
+	// The flash feed is an explicit source and a lag study never builds
+	// a reconstruction, so the host's encoder keeps its frames private.
+	hostKit := tb.kit
+	hostKit.Frames = nil
 	hostClient := client.New(tb.Net, client.Config{
 		Name:        tb.uniqueName("lag-" + string(pf.Kind()) + "-host"),
 		Region:      host,
@@ -51,8 +55,7 @@ func RunLagStudy(tb *Testbed, kind platform.Kind, host geo.Region, others []geo.
 		Profile:     sc.Profile,
 		Seed:        tb.seed + 100,
 		Resolve:     resolve,
-		Capture:     tb.captures,
-		Packets:     tb.packets,
+		Kit:         hostKit,
 	})
 	recvs := make([]*client.Client, len(others))
 	for i, r := range others {
@@ -62,8 +65,7 @@ func RunLagStudy(tb *Testbed, kind platform.Kind, host geo.Region, others []geo.
 			Profile: sc.Profile,
 			Seed:    tb.seed + 200 + int64(i),
 			Resolve: resolve,
-			Capture: tb.captures,
-			Packets: tb.packets,
+			Kit:     tb.kit,
 		})
 	}
 
@@ -161,11 +163,8 @@ func RunLagStudy(tb *Testbed, kind platform.Kind, host geo.Region, others []geo.
 		res.Fig2.RecvT, res.Fig2.RecvS = capture.SizeSeries(recvT, capture.In)
 	}
 	// Every trace read is done and the study's simulator will not run
-	// again: the traces' and packets' storage goes back to the running
-	// worker's stores (see Testbed.captures).
-	for _, c := range all {
-		c.Release()
-	}
+	// again: its storage goes back to the running worker's kit.
+	tb.endStudy(all)
 	return res
 }
 

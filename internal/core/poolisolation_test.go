@@ -11,6 +11,7 @@ import (
 	"github.com/vcabench/vcabench/internal/capture"
 	"github.com/vcabench/vcabench/internal/codec"
 	"github.com/vcabench/vcabench/internal/geo"
+	"github.com/vcabench/vcabench/internal/kit"
 	"github.com/vcabench/vcabench/internal/media"
 	"github.com/vcabench/vcabench/internal/platform"
 	"github.com/vcabench/vcabench/internal/rtp"
@@ -24,13 +25,14 @@ import (
 // surface the same pointer under two fork keys (and, independently, as
 // a data race under -race, since each fork's pool is unsynchronized by
 // design — single-owner determinism is the whole point of not using
-// sync.Pool). Four stores do pass between forks, one fork at a time on
-// one scheduler worker: the QoE scorer's buffers, the media.FramePool
-// that holds the QoE host's frame pixel storage (an encoder's private
-// resize-ladder pool never leaves its encoder), the capture.Store that
-// holds the clients' trace records and RTP header chunks, and the
-// rtp.Store that holds the packets they send.
-// TestSchedulerWorkerBuffersNeverShared checks those four.
+// sync.Pool). A bare fork runs on private storage. A scheduler worker's
+// kit does pass between forks, one fork at a time: the QoE scorer's
+// buffers, the media.FramePool that holds the QoE host's frame pixel
+// storage (an encoder's private resize-ladder pool never leaves its
+// encoder), the capture.Store that holds the clients' trace records and
+// RTP header chunks, the rtp.Store that holds the packets they send and
+// the simnet.Store that holds the simulator's events and packets.
+// TestSchedulerWorkerBuffersNeverShared checks those five.
 func TestForkedTestbedPoolIsolation(t *testing.T) {
 	tb := NewTestbed(42)
 	var (
@@ -72,9 +74,8 @@ func TestForkedTestbedPoolIsolation(t *testing.T) {
 	}
 }
 
-// lendLog marks, under a mutex, each fork's entry and exit on the
-// qoe.Buffers, the media.FramePool, the capture.Store and the rtp.Store
-// its worker lent it, across every run it watches: none may be held by
+// lendLog marks, under a mutex, each fork's entry and exit on the five
+// members of the kit its worker lent it, across every run it watches: none may be held by
 // two forks at once (under -race, a shared one would also race).
 type lendLog struct {
 	t      *testing.T
@@ -97,11 +98,11 @@ func (l *lendLog) units(prefix string, served map[any]int, got []*QoEStudyResult
 	for i := range units {
 		i, key := i, fmt.Sprintf("%s/%d", prefix, i)
 		units[i] = Unit{Key: key, Run: func(stb *Testbed) {
-			lent := []any{stb.qoeBufs, stb.frames, stb.captures, stb.packets}
+			k := stb.kit
+			lent := []any{k.QoE, k.Frames, k.Capture, k.Packets, k.Sim}
 			l.mu.Lock()
-			if stb.qoeBufs == nil || stb.frames == nil || stb.captures == nil || stb.packets == nil {
-				l.t.Errorf("fork %s lacks worker pools: buffers %p, frames %p, captures %p, packets %p",
-					key, stb.qoeBufs, stb.frames, stb.captures, stb.packets)
+			if k.QoE == nil || k.Frames == nil || k.Capture == nil || k.Packets == nil || k.Sim == nil {
+				l.t.Errorf("fork %s lacks worker pools: %+v", key, k)
 			}
 			for _, b := range lent {
 				if prev, ok := l.holder[b]; ok {
@@ -139,7 +140,7 @@ func checkPrivate(t *testing.T, tb *Testbed, units []Unit, got []*QoEStudyResult
 // and that one of each kind served a second cell when reuse is set.
 func countKits(t *testing.T, served map[any]int, max int, reuse bool) {
 	t.Helper()
-	for _, kind := range []string{"*qoe.Buffers", "*media.FramePool", "*capture.Store", "*rtp.Store"} {
+	for _, kind := range []string{"*qoe.Buffers", "*media.FramePool", "*capture.Store", "*rtp.Store", "*simnet.Store"} {
 		n, reused := 0, false
 		for b, cells := range served {
 			if fmt.Sprintf("%T", b) == kind {
@@ -159,9 +160,9 @@ func countKits(t *testing.T, served map[any]int, max int, reuse bool) {
 // TestSchedulerWorkerBuffersNeverShared runs QoE units through the
 // scheduler and checks the kit hand-off (see lendLog). On one testbed
 // with three workers, each worker owns at most one of each pool and
-// reuses all four from cell to cell. A second Run on that testbed,
-// after every parked capture record, packet and frame buffer is
-// overwritten with junk, lends only pools the first Run lent, since its
+// reuses all five from cell to cell. A second Run on that testbed,
+// after every parked capture record, RTP packet, frame buffer,
+// simulator event and simulator packet is overwritten with junk, lends only pools the first Run lent, since its
 // workers take the kits the first Run parked. Then two Runs on two
 // testbeds go at once. Every result must equal the same unit's result
 // on a fork with private storage.
@@ -179,9 +180,10 @@ func TestSchedulerWorkerBuffersNeverShared(t *testing.T) {
 
 	parkedKits.Lock()
 	for _, p := range parkedKits.free {
-		scribbleCaptures(p.captures)
-		scribblePackets(p.packets)
-		scribbleFrames(p.frames)
+		scribbleCaptures(p.Capture)
+		scribblePackets(p.Packets)
+		scribbleFrames(p.Frames)
+		scribbleSim(p.Sim)
 	}
 	parkedKits.Unlock()
 	second := make(map[any]int)
@@ -218,8 +220,7 @@ func TestSchedulerWorkerBuffersNeverShared(t *testing.T) {
 	wg.Wait()
 	countKits(t, concurrent, 2*2, false)
 
-	if fork := tb.Fork("x"); tb.qoeBufs != nil || fork.qoeBufs != nil || tb.frames != nil || fork.frames != nil ||
-		tb.captures != nil || fork.captures != nil || tb.packets != nil || fork.packets != nil {
+	if fork := tb.Fork("x"); tb.kit != (kit.Kit{}) || fork.kit != (kit.Kit{}) {
 		t.Error("a testbed that is not a scheduler fork has worker pools")
 	}
 }
@@ -254,7 +255,7 @@ func TestReusedFrameStorageCannotChangeResults(t *testing.T) {
 
 		pool := media.NewFramePool()
 		other := tb.Fork("frames/other")
-		other.frames = pool
+		other.kit.Frames = pool
 		RunQoEStudy(other, platform.Zoom, geo.USEast, QoEReceiverRegions(geo.ZoneUS, 1), unrelated, TinyScale, QoEOpts{})
 		if full := sc.Profile.W * sc.Profile.H; pool.Parked()[full] == 0 {
 			t.Fatalf("no %d-pixel storage parked after the unrelated study; the rerun would reuse none", full)
@@ -262,7 +263,7 @@ func TestReusedFrameStorageCannotChangeResults(t *testing.T) {
 		scribbleFrames(pool)
 
 		stb := tb.Fork("frames/study")
-		stb.frames = pool
+		stb.kit.Frames = pool
 		if got := study(stb); !reflect.DeepEqual(got, want) {
 			t.Errorf("%v study on reused 0xA5-filled storage differs from the same study on a private pool:\n got %+v\nwant %+v",
 				motion, got, want)
@@ -294,7 +295,7 @@ func TestWarmFramePoolAddsNoStorage(t *testing.T) {
 	pool := media.NewFramePool()
 	run := func() map[int]int {
 		stb := tb.Fork("frames/warm")
-		stb.frames = pool
+		stb.kit.Frames = pool
 		RunQoEStudy(stb, platform.Meet, geo.USEast, QoEReceiverRegions(geo.ZoneUS, 2), media.HighMotion, twoSessionScale(), QoEOpts{})
 		return pool.Parked()
 	}
@@ -324,7 +325,7 @@ func TestLagStudyLeavesLentFramePoolAlone(t *testing.T) {
 	want := study(tb.Fork("frames/lag"))
 	pool := media.NewFramePool()
 	stb := tb.Fork("frames/lag")
-	stb.frames = pool
+	stb.kit.Frames = pool
 	got := study(stb)
 	if parked := pool.Parked(); len(parked) != 0 {
 		t.Errorf("lag study returned storage to the lent pool: %v", parked)
@@ -384,7 +385,7 @@ func TestReusedCaptureStorageCannotChangeResults(t *testing.T) {
 
 	store := capture.NewStore()
 	other := tb.Fork("captures/other")
-	other.captures = store
+	other.kit.Capture = store
 	RunQoEStudy(other, platform.Meet, geo.USEast, QoEReceiverRegions(geo.ZoneUS, 1), media.HighMotion, TinyScale, QoEOpts{})
 	for _, c := range []struct {
 		name  string
@@ -398,7 +399,7 @@ func TestReusedCaptureStorageCannotChangeResults(t *testing.T) {
 		}
 		scribbleCaptures(store)
 		stb := tb.Fork(key)
-		stb.captures = store
+		stb.kit.Capture = store
 		if got := encode(c.study(stb)); !bytes.Equal(got, want) {
 			t.Errorf("%s study on reused junk-filled capture storage encodes differently from the same study on private storage",
 				c.name)
@@ -425,16 +426,36 @@ func scribblePackets(s *rtp.Store) {
 	}
 }
 
+// scribbleSim marks every event slot the store parks cancelled, so an
+// event handed out without being rewritten never fires, and overwrites
+// every parked packet with a junk datagram a receiver would notice: a
+// big packet between unknown nodes, stamped far past any session, that
+// carries a foreign RTP packet.
+func scribbleSim(s *simnet.Store) {
+	future := time.Date(2100, 1, 1, 0, 0, 0, 0, time.UTC)
+	junk := simnet.Addr{Node: "junk", Port: 0xbad}
+	payload := &rtp.Packet{Info: capture.RTPInfo{SSRC: 0xbad, Seq: 0xbad, PT: rtp.PTVideo, KeyUnit: true}, Bytes: 1400}
+	events, packets := s.Parked()
+	for _, e := range events {
+		e.Cancel()
+	}
+	for _, p := range packets {
+		*p = simnet.Packet{From: junk, To: junk, Size: 1400, Payload: payload, SentAt: future, ArrivedAt: future}
+	}
+}
+
 // TestReusedPacketStorageCannotChangeResults pins the contract RTP
-// packet and source background reuse rest on: a packetizer writes every
-// slot of a packet before anyone reads it, a motion source writes every
-// pixel of its background or world before copying from it, and neither
-// goes back while a reader can reach it. An unrelated high-motion QoE
-// study (another platform and meeting size) fills a worker's packet
-// store and frame pool; then, with every parked packet and pixel
-// overwritten with junk, a lag study and fig12 cells of both motion
-// classes on that storage must encode to the same cell bytes as the
-// same studies on private storage.
+// packet, source background and simulator storage reuse rest on: a
+// packetizer writes every slot of a packet before anyone reads it, a
+// motion source writes every pixel of its background or world before
+// copying from it, the simulator writes every event and packet whole
+// before handing it out, and none goes back while a reader can reach
+// it. An unrelated high-motion QoE study (another platform and meeting
+// size) fills a worker's packet store, frame pool and simulator store;
+// then, with every parked packet, pixel and event overwritten with
+// junk, a lag study and fig12 cells of both motion classes on that
+// storage must encode to the same cell bytes as the same studies on
+// private storage.
 func TestReusedPacketStorageCannotChangeResults(t *testing.T) {
 	tb := NewTestbed(42)
 	qoeStudy := func(motion media.MotionClass) func(*Testbed) any {
@@ -450,10 +471,8 @@ func TestReusedPacketStorageCannotChangeResults(t *testing.T) {
 		return b
 	}
 
-	packets, frames := rtp.NewStore(), media.NewFramePool()
-	other := tb.Fork("packets/other")
-	other.packets, other.frames = packets, frames
-	RunQoEStudy(other, platform.Meet, geo.USEast, QoEReceiverRegions(geo.ZoneUS, 1), media.HighMotion, TinyScale, QoEOpts{})
+	k := kit.Kit{Packets: rtp.NewStore(), Frames: media.NewFramePool(), Sim: simnet.NewStore()}
+	RunQoEStudy(tb.forkOn("packets/other", k), platform.Meet, geo.USEast, QoEReceiverRegions(geo.ZoneUS, 1), media.HighMotion, TinyScale, QoEOpts{})
 	world := 3 * TinyScale.Profile.W * TinyScale.Profile.H
 	for _, c := range []struct {
 		name  string
@@ -468,16 +487,16 @@ func TestReusedPacketStorageCannotChangeResults(t *testing.T) {
 		key := "packets/" + c.name
 		want := encode(c.study(tb.Fork(key)))
 
-		if len(packets.Parked()) == 0 || frames.Parked()[world] == 0 {
-			t.Fatalf("before the %s study the kit parks %d packet chunks and %d worlds; the study would reuse none",
-				c.name, len(packets.Parked()), frames.Parked()[world])
+		events, packets := k.Sim.Parked()
+		if len(k.Packets.Parked()) == 0 || k.Frames.Parked()[world] == 0 || len(events) == 0 || len(packets) == 0 {
+			t.Fatalf("before the %s study the kit parks %d packet chunks, %d worlds, %d events and %d simulator packets; the study would reuse none",
+				c.name, len(k.Packets.Parked()), k.Frames.Parked()[world], len(events), len(packets))
 		}
-		scribblePackets(packets)
-		scribbleFrames(frames)
-		stb := tb.Fork(key)
-		stb.packets, stb.frames = packets, frames
-		if got := encode(c.study(stb)); !bytes.Equal(got, want) {
-			t.Errorf("%s study on reused junk-filled packet and frame storage encodes differently from the same study on private storage",
+		scribblePackets(k.Packets)
+		scribbleFrames(k.Frames)
+		scribbleSim(k.Sim)
+		if got := encode(c.study(tb.forkOn(key, k))); !bytes.Equal(got, want) {
+			t.Errorf("%s study on reused junk-filled packet, frame and simulator storage encodes differently from the same study on private storage",
 				c.name)
 		}
 	}

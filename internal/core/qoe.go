@@ -99,11 +99,11 @@ func RunQoEStudyWithSetup(tb *Testbed, kind platform.Kind, host geo.Region, recv
 		clip = media.NewSpeech(sc.QoEDur.Seconds(), tb.seed+11)
 	}
 	// The host's frames live on the running worker's pixel storage (see
-	// Testbed.frames), or on a private pool that recycles from session
-	// to session; the host's Reset hands each session's storage back.
-	frames := tb.frames
-	if frames == nil {
-		frames = media.NewFramePool()
+	// Testbed.kit), or on a private pool that recycles from session to
+	// session; the host's Reset hands each session's storage back.
+	hostKit := tb.kit
+	if hostKit.Frames == nil {
+		hostKit.Frames = media.NewFramePool()
 	}
 	hostClient := client.New(tb.Net, client.Config{
 		Name:       tb.uniqueName("qoe-" + string(pf.Kind()) + "-host"),
@@ -115,9 +115,7 @@ func RunQoEStudyWithSetup(tb *Testbed, kind platform.Kind, host geo.Region, recv
 		AudioClip:  clip,
 		Seed:       tb.seed + 300,
 		Resolve:    resolve,
-		Frames:     frames,
-		Capture:    tb.captures,
-		Packets:    tb.packets,
+		Kit:        hostKit,
 	})
 	recvs := make([]*client.Client, len(recvRegions))
 	for i, r := range recvRegions {
@@ -129,8 +127,7 @@ func RunQoEStudyWithSetup(tb *Testbed, kind platform.Kind, host geo.Region, recv
 			Seed:    tb.seed + 400 + int64(i),
 			Resolve: resolve,
 			Probe:   tb.clientProbe(name),
-			Capture: tb.captures,
-			Packets: tb.packets,
+			Kit:     tb.kit,
 		}
 		if opts.DownlinkCapBps > 0 || opts.Trace != nil {
 			// tc-tbf style: a short buffer, so overload surfaces as loss
@@ -158,8 +155,8 @@ func RunQoEStudyWithSetup(tb *Testbed, kind platform.Kind, host geo.Region, recv
 	// frame's stats go back to the scorer's buffer pool right after its
 	// last slot. No output bit changes. The scorer lives and dies with
 	// this call, on this goroutine; its float buffers are the running
-	// worker's (see Testbed.qoeBufs).
-	scorer := qoe.NewScorerOn(tb.qoeBufs)
+	// worker's (see Testbed.kit).
+	scorer := qoe.NewScorerOn(tb.kit.QoE)
 
 	// A trace-driven cell bins every receiver's downlink bytes over
 	// session time; bins average across sessions × receivers at the end.
@@ -242,11 +239,8 @@ func RunQoEStudyWithSetup(tb *Testbed, kind platform.Kind, host geo.Region, recv
 		tb.Sim.RunFor(2 * time.Second)
 	}
 	// Every trace read is done and the study's simulator will not run
-	// again: the traces' and packets' storage goes back to the running
-	// worker's stores (see Testbed.captures).
-	for _, c := range all {
-		c.Release()
-	}
+	// again: its storage goes back to the running worker's kit.
+	tb.endStudy(all)
 	if binBytes != nil {
 		res.RateBin = rateBinWidth
 		res.RateOverTime = make([]float64, len(binBytes))

@@ -9,11 +9,8 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"github.com/vcabench/vcabench/internal/capture"
-	"github.com/vcabench/vcabench/internal/media"
+	"github.com/vcabench/vcabench/internal/kit"
 	"github.com/vcabench/vcabench/internal/obs"
-	"github.com/vcabench/vcabench/internal/qoe"
-	"github.com/vcabench/vcabench/internal/rtp"
 )
 
 // This file is the campaign scheduler: the paper's evaluation is a set
@@ -43,8 +40,11 @@ func shardSeed(base int64, key string) int64 {
 // shardSeed(tb.seed, unitKey). Instantiated platforms do not carry
 // over — a fork always provisions its own. Forks default to serial
 // scheduling so nested campaigns don't multiply workers.
-func (tb *Testbed) Fork(unitKey string) *Testbed {
-	ntb := NewTestbed(shardSeed(tb.seed, unitKey))
+func (tb *Testbed) Fork(unitKey string) *Testbed { return tb.forkOn(unitKey, kit.Kit{}) }
+
+// forkOn is Fork on a scheduler worker's kit (see Testbed.kit).
+func (tb *Testbed) forkOn(unitKey string, k kit.Kit) *Testbed {
+	ntb := newTestbed(shardSeed(tb.seed, unitKey), k)
 	ntb.parallelism = 1
 	// Telemetry rides along so nested campaign work on the fork reports
 	// into the same registry and tracer; it never influences results.
@@ -80,7 +80,10 @@ func (tb *Testbed) Parallelism() int { return tb.parallelism }
 
 // Unit is one independent campaign shard: a canonical key (which names
 // its store entry and derives its seed) and the work itself,
-// executed against a testbed forked for that key.
+// executed against a testbed forked for that key. A unit runs at most
+// one study on its fork: the study's end hands the fork's simulator
+// storage back to the worker's kit, and the simulator never runs
+// again.
 type Unit struct {
 	Key string
 	Run func(stb *Testbed)
@@ -95,17 +98,6 @@ type Scheduler struct {
 	TB *Testbed
 }
 
-// pools is one scheduler worker's storage, its kit: the QoE scorer's
-// float buffers, the QoE host's frame pixel storage, the clients'
-// capture records and their RTP packets. A worker lends its kit to
-// every fork it runs, one fork at a time.
-type pools struct {
-	bufs     *qoe.Buffers
-	frames   *media.FramePool
-	captures *capture.Store
-	packets  *rtp.Store
-}
-
 // parkedKits is the process-wide free list of kits whose worker has
 // finished. Every entry point builds a fresh testbed per artifact or per
 // unit, so kits outlive the testbed to be reused at all. A kit changes
@@ -114,40 +106,41 @@ type pools struct {
 // process held while the most workers ran at once.
 var parkedKits struct {
 	sync.Mutex
-	free []pools
+	free []kit.Kit
 }
 
 // takeKit hands a worker the most recently parked kit, or a new one.
-func takeKit() pools {
+func takeKit() kit.Kit {
 	parkedKits.Lock()
 	defer parkedKits.Unlock()
 	if n := len(parkedKits.free); n > 0 {
-		p := parkedKits.free[n-1]
+		k := parkedKits.free[n-1]
 		parkedKits.free = parkedKits.free[:n-1]
-		return p
+		return k
 	}
-	return pools{qoe.NewBuffers(), media.NewFramePool(), capture.NewStore(), rtp.NewStore()}
+	return kit.New()
 }
 
 // parkKit returns a finished worker's kit to the free list.
-func parkKit(p pools) {
+func parkKit(k kit.Kit) {
 	parkedKits.Lock()
-	parkedKits.free = append(parkedKits.free, p)
+	parkedKits.free = append(parkedKits.free, k)
 	parkedKits.Unlock()
 }
 
 // Run executes every unit and waits for completion. A panicking unit is
 // re-panicked on the caller's goroutine after the pool drains.
 //
-// Each worker (and the serial loop) takes one kit (see pools) from the
-// process-wide free list, lends it to every fork it runs, one fork at a
-// time, and parks it when it finishes, so the scorer's float buffers,
-// the QoE host's frame pixel storage, the clients' capture records and
-// their RTP packets pass from cell to cell, and from run to run, with
-// one owner at a time. Storage comes back dirty and every producer overwrites it
-// before reading, so which kit a worker draws and which cells ran on it
-// before never reach a result. A worker whose unit panicked drops its
-// kit: the unit may have left it half-updated.
+// Each worker (and the serial loop) takes one kit (see kit.Kit) from
+// the process-wide free list, builds every fork it runs on it, one fork
+// at a time, and parks it when it finishes, so the scorer's float
+// buffers, the QoE host's frame pixel storage, the clients' capture
+// records and RTP packets, and the simulator's events and packets pass
+// from cell to cell, and from run to run, with one owner at a time.
+// Storage comes back dirty and every producer overwrites it before
+// reading, so which kit a worker draws and which cells ran on it before
+// never reach a result. A worker whose unit panicked drops its kit: the
+// unit may have left it half-updated.
 func (s *Scheduler) Run(units []Unit) {
 	if len(units) == 0 {
 		return
@@ -156,17 +149,12 @@ func (s *Scheduler) Run(units []Unit) {
 	if workers > len(units) {
 		workers = len(units)
 	}
-	fork := func(u Unit, p pools) *Testbed {
-		stb := s.TB.Fork(u.Key)
-		stb.qoeBufs, stb.frames, stb.captures, stb.packets = p.bufs, p.frames, p.captures, p.packets
-		return stb
-	}
 	if workers <= 1 {
-		p := takeKit()
+		k := takeKit()
 		for _, u := range units {
-			u.Run(fork(u, p))
+			u.Run(s.TB.forkOn(u.Key, k))
 		}
-		parkKit(p)
+		parkKit(k)
 		return
 	}
 	var (
@@ -179,11 +167,11 @@ func (s *Scheduler) Run(units []Unit) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			p := takeKit()
+			k := takeKit()
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= len(units) {
-					parkKit(p)
+					parkKit(k)
 					return
 				}
 				ok := false
@@ -200,7 +188,7 @@ func (s *Scheduler) Run(units []Unit) {
 							next.Store(int64(len(units)))
 						}
 					}()
-					units[i].Run(fork(units[i], p))
+					units[i].Run(s.TB.forkOn(units[i].Key, k))
 					ok = true
 				}()
 				if !ok {

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"github.com/vcabench/vcabench/internal/kit"
 	"github.com/vcabench/vcabench/internal/obs"
 	"github.com/vcabench/vcabench/internal/platform"
 )
@@ -84,17 +85,12 @@ func TestSchedulerRunsEveryUnitOnce(t *testing.T) {
 	}
 }
 
-// kitOf returns the pools a scheduler lent stb.
-func kitOf(stb *Testbed) pools {
-	return pools{stb.qoeBufs, stb.frames, stb.captures, stb.packets}
-}
-
 // A panicking unit re-panics on the caller's goroutine, and its worker
 // drops its kit: the pools lent to the unit are never parked, so no
 // later Run, serial or parallel, lends them again.
 func TestSchedulerPropagatesPanic(t *testing.T) {
 	tb := NewTestbed(8).SetParallelism(4)
-	var bad pools
+	var bad kit.Kit
 	func() {
 		defer func() {
 			if r := recover(); r != "boom" {
@@ -104,7 +100,7 @@ func TestSchedulerPropagatesPanic(t *testing.T) {
 		(&Scheduler{TB: tb}).Run([]Unit{
 			{Key: "ok", Run: func(*Testbed) {}},
 			{Key: "bad", Run: func(stb *Testbed) {
-				bad = kitOf(stb)
+				bad = stb.kit
 				panic("boom")
 			}},
 			{Key: "ok2", Run: func(*Testbed) {}},
@@ -112,11 +108,11 @@ func TestSchedulerPropagatesPanic(t *testing.T) {
 			{Key: "ok4", Run: func(*Testbed) {}},
 		})
 	}()
-	if bad.bufs == nil || bad.frames == nil || bad.captures == nil || bad.packets == nil {
+	if bad.QoE == nil || bad.Frames == nil || bad.Capture == nil || bad.Packets == nil || bad.Sim == nil {
 		t.Fatalf("the panicking unit ran without a full kit: %+v", bad)
 	}
-	shares := func(p pools) bool {
-		return p.bufs == bad.bufs || p.frames == bad.frames || p.captures == bad.captures || p.packets == bad.packets
+	shares := func(k kit.Kit) bool {
+		return k.QoE == bad.QoE || k.Frames == bad.Frames || k.Capture == bad.Capture || k.Packets == bad.Packets || k.Sim == bad.Sim
 	}
 	parkedKits.Lock()
 	for _, p := range parkedKits.free {
@@ -132,7 +128,7 @@ func TestSchedulerPropagatesPanic(t *testing.T) {
 			units[i] = Unit{Key: "after/" + strconv.Itoa(i), Run: func(stb *Testbed) {
 				mu.Lock()
 				defer mu.Unlock()
-				if shares(kitOf(stb)) {
+				if shares(stb.kit) {
 					t.Errorf("workers=%d: a later Run lent the panicking unit's pools", workers)
 				}
 			}}

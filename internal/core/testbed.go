@@ -18,11 +18,10 @@ import (
 	"github.com/vcabench/vcabench/internal/client"
 	"github.com/vcabench/vcabench/internal/diag"
 	"github.com/vcabench/vcabench/internal/geo"
+	"github.com/vcabench/vcabench/internal/kit"
 	"github.com/vcabench/vcabench/internal/media"
 	"github.com/vcabench/vcabench/internal/obs"
 	"github.com/vcabench/vcabench/internal/platform"
-	"github.com/vcabench/vcabench/internal/qoe"
-	"github.com/vcabench/vcabench/internal/rtp"
 	"github.com/vcabench/vcabench/internal/simnet"
 )
 
@@ -71,23 +70,16 @@ type Testbed struct {
 	diagRec  *diag.Recorder
 	diagDocs map[string]*diag.CellDiag
 
-	// qoeBufs is the QoE scorer's float-buffer pool, frames the QoE
-	// host's frame pixel storage (its frames, reconstructions and
-	// source background), captures the clients' capture storage (trace
-	// records and RTP header chunks) and packets the storage of the RTP
-	// packets they send, of QoE and lag studies. A study hands its
-	// captures and packets back only when it ends (client.Release): a
-	// packet may sit in a pending event after its session. Scheduler.Run
-	// sets all four on each fork to the kit of
-	// the worker running that fork, taken from the process-wide free
-	// list (see parkedKits), so storage passes from cell to cell and
-	// from run to run with one owner at a time; Fork does not copy
-	// them, and nil (any testbed that is not a scheduler fork) means
-	// each study runs on private storage.
-	qoeBufs  *qoe.Buffers
-	frames   *media.FramePool
-	captures *capture.Store
-	packets  *rtp.Store
+	// kit is the storage of the scheduler worker running this fork
+	// (see Scheduler.Run and parkedKits), so storage passes from cell to
+	// cell and from run to run with one owner at a time. The fork's
+	// simulator and network run on kit.Sim from the start (forkOn); its
+	// study lends the rest to its scorer and clients, and hands the
+	// traces, the packets and the simulator's storage back only when it
+	// ends (endStudy): a packet may sit in a pending event after its
+	// session. Fork does not copy it, and the zero kit (any testbed that
+	// is not a scheduler fork) means each study runs on private storage.
+	kit kit.Kit
 }
 
 // NewTestbed creates a testbed seeded for reproducibility. The core
@@ -95,15 +87,33 @@ type Testbed struct {
 // one-way propagation), which is what makes cross-continental relay
 // detours cost quality and not just latency (the mechanism behind
 // Meet's European QoE edge in Fig 16).
-func NewTestbed(seed int64) *Testbed {
-	sim := simnet.NewSim(seed)
+func NewTestbed(seed int64) *Testbed { return newTestbed(seed, kit.Kit{}) }
+
+// newTestbed is NewTestbed on a worker's kit.
+func newTestbed(seed int64, k kit.Kit) *Testbed {
+	sim := simnet.NewSimOn(seed, k.Sim)
 	return &Testbed{
+		kit:         k,
 		Sim:         sim,
 		Net:         simnet.NewNetwork(sim, simnet.NetworkConfig{DistLossPer100ms: 0.002}),
 		seed:        seed,
 		platforms:   make(map[platform.Kind]*platform.Platform),
 		parallelism: runtime.GOMAXPROCS(0),
 		store:       new(memStore),
+	}
+}
+
+// endStudy ends the storage lifetime of a study whose every read is
+// done: each client's trace and sent packets (client.Release) and, on a
+// worker's kit, the simulator's events and packets (simnet.Sim.Release),
+// after which the fork's simulator never runs again. A testbed on
+// private storage keeps its simulator for another study.
+func (tb *Testbed) endStudy(clients []*client.Client) {
+	for _, c := range clients {
+		c.Release()
+	}
+	if tb.kit.Sim != nil {
+		tb.Sim.Release()
 	}
 }
 

@@ -48,7 +48,7 @@ func (f *Frame) Clone() *Frame {
 // Put takes back only storage this pool handed out and has not taken
 // back since. A QoE session's source frames and reconstructions come
 // from its scheduler worker's pool and return at session end (see
-// client.Config.Frames); an encoder's resize-ladder transients return
+// client.Config.Kit); an encoder's resize-ladder transients return
 // as soon as they are consumed. A source may return the same immutable
 // frame twice (see Source); that is one frame seen twice, not recycled
 // storage.

@@ -3,6 +3,8 @@ package media
 import (
 	"bytes"
 	"math"
+	"reflect"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -460,26 +462,43 @@ func flashReference(w, h int) *Frame {
 // TestFlashFeedReturnsTwoFrames pins the shared-frame flash feed: over
 // several periods, Next returns exactly two distinct frames, the blank
 // one all black and the flash one the reference checkerboard, each on
-// the ticks IsFlashFrame names.
+// the ticks IsFlashFrame names. Four feeds of one geometry run at once
+// (under -race, a write to a shared image would race), and all four
+// return the same two frames.
 func TestFlashFeedReturnsTwoFrames(t *testing.T) {
 	p := Profile{W: 30, H: 22, FPS: 10}
 	const period = 0.5
-	src := NewFlash(p, period)
 	blank, flash := NewFrame(p.W, p.H), flashReference(p.W, p.H)
-	seen := make(map[*Frame]bool)
-	for i := 0; i < 3*flashPeriodFrames(p, period); i++ {
-		f := src.Next()
-		seen[f] = true
-		want := blank
-		if IsFlashFrame(p, period, i) {
-			want = flash
-		}
-		if f.W != p.W || f.H != p.H || string(f.Pix) != string(want.Pix) {
-			t.Fatalf("tick %d (flash=%v): frame differs from the reference", i, IsFlashFrame(p, period, i))
-		}
+	seen := make([]map[*Frame]bool, 4)
+	var wg sync.WaitGroup
+	for k := range seen {
+		seen[k] = make(map[*Frame]bool)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			src := NewFlash(p, period)
+			for i := 0; i < 3*flashPeriodFrames(p, period); i++ {
+				f := src.Next()
+				seen[k][f] = true
+				want := blank
+				if IsFlashFrame(p, period, i) {
+					want = flash
+				}
+				if f.W != p.W || f.H != p.H || string(f.Pix) != string(want.Pix) {
+					t.Errorf("feed %d, tick %d (flash=%v): frame differs from the reference", k, i, IsFlashFrame(p, period, i))
+					return
+				}
+			}
+		}()
 	}
-	if len(seen) != 2 {
-		t.Errorf("feed returned %d distinct frames over three periods, want 2", len(seen))
+	wg.Wait()
+	for k := range seen {
+		if len(seen[k]) != 2 {
+			t.Errorf("feed %d returned %d distinct frames over three periods, want 2", k, len(seen[k]))
+		}
+		if !reflect.DeepEqual(seen[k], seen[0]) {
+			t.Errorf("feed %d returned other frames than feed 0; feeds of one geometry share theirs", k)
+		}
 	}
 }
 

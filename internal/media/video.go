@@ -3,6 +3,7 @@ package media
 import (
 	"math"
 	"math/rand"
+	"sync"
 )
 
 // Source produces a deterministic stream of frames at a fixed rate.
@@ -185,13 +186,41 @@ const FlashFrames = 2
 
 // flashSource is the lag-probe feed: blank frames with a bright image for
 // FlashFrames frames once per period (paper: two-second periodicity).
-// The feed has only two distinct images, so it builds each once, on the
+// The feed has only two distinct images, a pure function of the
+// geometry, and nothing writes to a source frame, so every feed of one
+// geometry shares one read-only pair (flashImages), fetched on the
 // first Next, and returns one of the two on every tick.
 type flashSource struct {
 	p            Profile
 	t            int
 	periodFr     int
 	blank, flash *Frame
+}
+
+// flashPairs holds the flash feed's blank and checkerboard images per
+// geometry ([2]int{W, H} → *[2]*Frame), built once for the process.
+var flashPairs sync.Map
+
+// flashImages returns the flash feed's blank and checkerboard images of
+// w×h. Two sources that race to build one geometry both build it, and
+// both keep the pair stored first.
+func flashImages(w, h int) (blank, flash *Frame) {
+	key := [2]int{w, h}
+	v, ok := flashPairs.Load(key)
+	if !ok {
+		// A high-detail flash image: checkerboard (incompressible burst).
+		board := NewFrame(w, h)
+		for y := 0; y < h; y++ {
+			for x := 0; x < w; x++ {
+				if (x/4+y/4)%2 == 0 {
+					board.Set(x, y, 235)
+				}
+			}
+		}
+		v, _ = flashPairs.LoadOrStore(key, &[2]*Frame{NewFrame(w, h), board})
+	}
+	pair := v.(*[2]*Frame)
+	return pair[0], pair[1]
 }
 
 // NewFlash creates the Fig-2 feed. period is in seconds of content time.
@@ -214,16 +243,7 @@ func (s *flashSource) FPS() int         { return s.p.FPS }
 
 func (s *flashSource) Next() *Frame {
 	if s.blank == nil {
-		s.blank = NewFrame(s.p.W, s.p.H)
-		// A high-detail flash image: checkerboard (incompressible burst).
-		s.flash = NewFrame(s.p.W, s.p.H)
-		for y := 0; y < s.p.H; y++ {
-			for x := 0; x < s.p.W; x++ {
-				if (x/4+y/4)%2 == 0 {
-					s.flash.Set(x, y, 235)
-				}
-			}
-		}
+		s.blank, s.flash = flashImages(s.p.W, s.p.H)
 	}
 	f := s.blank
 	if s.t%s.periodFr < FlashFrames {

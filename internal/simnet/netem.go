@@ -503,11 +503,6 @@ type Network struct {
 	lrng      *randSource
 	distDrops int64
 	pipeProbe PipeProbe
-	// freePkts is the packet free-list behind NewPacket. Per-network —
-	// and so per-testbed, per-goroutine — which keeps reuse deterministic
-	// and race-free without locks (forked testbeds build their own
-	// Network and never share one).
-	freePkts []*Packet
 }
 
 type randSourceN struct {
@@ -550,7 +545,10 @@ func NewNetwork(sim *Sim, cfg NetworkConfig) *Network {
 	}
 }
 
-// NewPacket returns a zeroed packet from the network's free-list. Pooled
+// NewPacket returns a zeroed packet from the simulator's packet
+// free-list. The list belongs to the Sim — and so to one testbed on one
+// goroutine — which keeps reuse deterministic and race-free without
+// locks; a Sim on a Store takes it from the store (see Store). Pooled
 // packets are recycled by the simulator once fully delivered (after the
 // destination handler returns) or dropped, so senders must treat them as
 // consumed by Send/SendAt, and handlers must not retain them past the
@@ -558,10 +556,11 @@ func NewNetwork(sim *Sim, cfg NetworkConfig) *Network {
 // should allocate Packet literals instead — the simulator never recycles
 // packets it did not pool.
 func (n *Network) NewPacket() *Packet {
-	if k := len(n.freePkts); k > 0 {
-		p := n.freePkts[k-1]
-		n.freePkts = n.freePkts[:k-1]
-		p.pooled = true
+	s := n.sim
+	if k := len(s.pkts); k > 0 {
+		p := s.pkts[k-1]
+		s.pkts = s.pkts[:k-1]
+		*p = Packet{pooled: true}
 		return p
 	}
 	return &Packet{pooled: true}
@@ -575,7 +574,7 @@ func (n *Network) release(p *Packet) {
 		return
 	}
 	*p = Packet{}
-	n.freePkts = append(n.freePkts, p)
+	n.sim.pkts = append(n.sim.pkts, p)
 }
 
 // DistanceDrops reports packets lost to distance-dependent path loss.

@@ -26,9 +26,12 @@ var Epoch = time.Date(2021, time.April, 1, 0, 0, 0, 0, time.UTC)
 // Event is a scheduled callback. Cancel prevents a pending event from
 // firing; cancelling an already-fired event is a no-op.
 //
-// Events handed out by At/After live in per-Sim append-only slabs: they
-// are batch-allocated but never reused, so a stale handle can never
-// observe (or cancel) an unrelated later event. Internal payload events
+// Events handed out by At/After live in append-only slabs: one Sim
+// hands out each slab slot once, so a stale handle can never observe
+// (or cancel) an unrelated later event of its Sim. A Sim built on a
+// Store (NewSimOn) gives its slabs back when it is released (Release),
+// and a later Sim on that store hands the slots out again, so a handle
+// is valid only until its Sim is released. Internal payload events
 // (pcall) are recycled through a free-list instead — those are never
 // exposed, so no stale handle to them can exist.
 type Event struct {
@@ -127,9 +130,46 @@ func (q *eventQueue) pop() *Event {
 }
 
 // eventChunkSize is the slab granularity: one allocation serves this many
-// scheduled events. Chunks are abandoned to the GC as their events die
-// (events die roughly in time order, so chunks drain front to back).
+// scheduled events. A Sim on private storage abandons chunks to the GC
+// as their events die (events die roughly in time order, so chunks
+// drain front to back).
 const eventChunkSize = 256
+
+// maxStoreSlabs bounds the slabs a Sim keeps for its Store, about 1.2 MB
+// of events; it abandons later ones to the GC as a private Sim does, so
+// a long simulation neither holds all its events to its end nor leaves
+// them parked after it.
+const maxStoreSlabs = 64
+
+// Store is the storage a Sim and its Networks run on, passed from Sim
+// to Sim: the event slabs, the backing arrays of the payload-event free
+// list and of the event queue, and the packet free list behind
+// Network.NewPacket. It has one owner at a time: a Sim built on it
+// (NewSimOn) takes everything it parks, and Release hands that back
+// zeroed, so parked storage pins no callback, argument or payload. A
+// Sim writes every slot whole before using it, so what a store parks
+// never reaches a result.
+type Store struct {
+	slabs [][]Event  // each with len 0
+	free  []*Event   // len 0
+	queue eventQueue // len 0
+	pkts  []*Packet
+}
+
+// NewStore returns an empty store.
+func NewStore() *Store { return &Store{} }
+
+// Parked returns every event slot of the slabs s parks and the packets
+// it parks.
+func (s *Store) Parked() (events []*Event, packets []*Packet) {
+	for _, slab := range s.slabs {
+		slab = slab[:cap(slab)]
+		for i := range slab {
+			events = append(events, &slab[i])
+		}
+	}
+	return events, s.pkts
+}
 
 // Sim is the discrete-event engine: a virtual clock plus an event queue.
 type Sim struct {
@@ -147,9 +187,19 @@ type Sim struct {
 	// lazily when they reach the front.)
 	live int
 	// chunk is the current event slab (see eventChunkSize); free is the
-	// free-list of recycled internal payload events.
+	// free-list of recycled internal payload events; pkts is the packet
+	// free-list behind Network.NewPacket, shared by the Sim's Networks.
 	chunk []Event
 	free  []*Event
+	pkts  []*Packet
+	// store, when set, is the Store the Sim took its storage from and
+	// gives it back to (Release): spare holds the parked slabs it has
+	// not used yet, and slabs every slab it has filled, up to
+	// maxStoreSlabs. released marks a Sim that Release ended.
+	store    *Store
+	spare    [][]Event
+	slabs    [][]Event
+	released bool
 	// stepProbe, when set, observes every executed event: the virtual
 	// instant it ran at and the number of live events still pending after
 	// it was popped. Nil (the default) costs one branch per step.
@@ -163,11 +213,51 @@ func (s *Sim) SetStepProbe(p func(at time.Time, depth int)) { s.stepProbe = p }
 
 // NewSim creates a simulator with its clock at Epoch. All randomness in
 // the simulation derives from seed.
-func NewSim(seed int64) *Sim {
-	return &Sim{
+func NewSim(seed int64) *Sim { return NewSimOn(seed, nil) }
+
+// NewSimOn is NewSim with the simulator's events and its Networks'
+// packets drawn from store (see Store) until Release; nil keeps them
+// private. Which storage a Sim runs on never changes what it does.
+func NewSimOn(seed int64, store *Store) *Sim {
+	s := &Sim{
 		nowT: Epoch,
 		seed: seed,
 	}
+	if store != nil {
+		s.store = store
+		s.spare, s.free, s.queue, s.pkts = store.slabs, store.free, store.queue, store.pkts
+		*store = Store{}
+	}
+	return s
+}
+
+// errReleased is the panic for running or scheduling on a Sim after
+// Release.
+const errReleased = "simnet: Sim used after Release"
+
+// Release ends the Sim and hands its storage back to the Store it was
+// built on (NewSimOn), zeroed. Pending events never fire; stepping,
+// running or scheduling on the Sim panics from then on, and every
+// handle At and After returned is void, since a later Sim on the store
+// hands its slot out again. Release on private storage only ends the
+// Sim; a second Release does nothing.
+func (s *Sim) Release() {
+	if s.released {
+		return
+	}
+	s.released = true
+	clear(s.queue[:cap(s.queue)])
+	clear(s.free[:cap(s.free)])
+	clear(s.pkts[len(s.pkts):cap(s.pkts)]) // packets handed out since parking
+	// Only a Sim on a store keeps slabs.
+	for _, slab := range s.slabs {
+		clear(slab[:cap(slab)])
+		s.spare = append(s.spare, slab[:0])
+	}
+	if st := s.store; st != nil {
+		st.slabs, st.free, st.queue, st.pkts = s.spare, s.free[:0], s.queue[:0], s.pkts
+	}
+	s.queue, s.free, s.pkts, s.chunk, s.spare, s.slabs = nil, nil, nil, nil, nil, nil
 }
 
 // Now returns the current virtual time.
@@ -219,15 +309,34 @@ func (s *Sim) Fork(name string) *rand.Rand {
 // alloc returns a zeroed Event from the current slab chunk.
 func (s *Sim) alloc() *Event {
 	if len(s.chunk) == cap(s.chunk) {
-		s.chunk = make([]Event, 0, eventChunkSize)
+		s.newChunk()
 	}
 	s.chunk = append(s.chunk, Event{sim: s})
 	return &s.chunk[len(s.chunk)-1]
 }
 
+// newChunk starts a new slab: a spare one the store parked, or a new
+// one, kept for the store while it has room (see maxStoreSlabs).
+func (s *Sim) newChunk() {
+	if n := len(s.spare); n > 0 {
+		s.chunk = s.spare[n-1]
+		s.spare[n-1] = nil
+		s.spare = s.spare[:n-1]
+	} else {
+		s.chunk = make([]Event, 0, eventChunkSize)
+	}
+	if s.store != nil && len(s.slabs) < maxStoreSlabs {
+		s.slabs = append(s.slabs, s.chunk)
+	}
+}
+
 // schedule assigns the next sequence number and queues e at clock key
-// at. Scheduling in the past is a programming error and panics.
+// at. Scheduling in the past, or on a released Sim, is a programming
+// error and panics.
 func (s *Sim) schedule(e *Event, at int64) {
+	if s.released {
+		panic(errReleased)
+	}
 	if at < s.now {
 		panic("simnet: scheduling event in the past")
 	}
@@ -308,6 +417,9 @@ func (s *Sim) Every(period time.Duration, fn func()) *Event {
 // Step executes the single earliest pending event. It reports whether an
 // event was executed.
 func (s *Sim) Step() bool {
+	if s.released {
+		panic(errReleased)
+	}
 	for len(s.queue) > 0 {
 		e := s.queue.pop()
 		if e.cancelled {
@@ -347,6 +459,9 @@ func (s *Sim) Run() {
 // the int64-nanosecond horizon runs every pending event and leaves the
 // clock at the horizon.
 func (s *Sim) RunUntil(t time.Time) {
+	if s.released {
+		panic(errReleased)
+	}
 	limit := int64(t.Sub(Epoch)) // saturates on overflow
 	for len(s.queue) > 0 {
 		// Peek.
