@@ -9,6 +9,13 @@
 //	vcabench -campaign spec.json [-json results.json] [-cache DIR]
 //	vcabench -campaign spec.json -workers http://a:8547,http://b:8547
 //
+// One testbed serves the whole invocation, configured by -seed,
+// -parallel, -cache, -workers, -diag-out and the observability flags
+// alike for -run and -campaign. IDs in one -run list therefore share
+// units: fig14 and fig15 read the US sweep fig12 computed, and Figs
+// 2-11 share the lag campaigns, from the testbed's cell store. The
+// bytes are those of each ID run alone.
+//
 // -parallel bounds the campaign worker pool (0 = one worker per CPU,
 // 1 = serial; negative counts are rejected). Output is byte-identical
 // at any worker count.
@@ -72,13 +79,13 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 
 	"github.com/vcabench/vcabench"
@@ -169,6 +176,11 @@ func main() {
 	o := startObs(*traceOut, *metrics, *cpuProf, *memProf)
 	defer o.finish()
 
+	// One testbed for the whole invocation (see the package comment).
+	tb := vcabench.NewTestbedParallel(*seed, *parallel)
+	if o.tel != nil {
+		tb.WithTelemetry(o.tel)
+	}
 	var st *vcabench.Store
 	if *cacheDir != "" {
 		var err error
@@ -184,11 +196,13 @@ func main() {
 			o.finish()
 			os.Exit(1)
 		}
+		tb.WithStore(st)
 		defer reportCache(st)
 	}
 
 	pool := openPool(*workers, o.tel)
 	if pool != nil {
+		tb.WithDispatcher(pool)
 		defer reportCluster(pool)
 	}
 
@@ -200,66 +214,57 @@ func main() {
 			o.finish()
 			os.Exit(1)
 		}
+		tb.WithDiagnostics()
 	}
 
+	var err error
 	if *campaign != "" {
-		if err := runCampaign(*campaign, *jsonOut, *seed, sc, *parallel, *repeats, *diagOut, st, pool, o.tel); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			reportCache(st)
-			reportCluster(pool)
-			o.finish()
-			os.Exit(1)
-		}
-		return
+		err = runCampaign(tb, *campaign, *jsonOut, sc, *repeats)
+	} else {
+		err = runIDs(tb, *run, sc)
 	}
+	// Artifacts of the experiments that rendered land even when a later
+	// ID is unknown; a requested one that fails to land must not exit 0.
+	for _, d := range tb.DiagResults() {
+		if werr := writeDiag(*diagOut, d); werr != nil && err == nil {
+			err = fmt.Errorf("vcabench: -diag-out: %w", werr)
+		}
+	}
+	if serr := tb.StoreErr(); serr != nil {
+		// The output rendered fully; only caching failed.
+		fmt.Fprintln(os.Stderr, "vcabench: warning: persisting results failed:", serr)
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		reportCache(st)
+		reportCluster(pool)
+		o.finish()
+		os.Exit(1)
+	}
+}
 
-	ids := strings.Split(*run, ",")
-	if *run == "all" {
+// runIDs renders the experiments of a comma-separated ID list ("all"
+// for every one) on tb, in order.
+func runIDs(tb *vcabench.Testbed, list string, sc vcabench.Scale) error {
+	exps := vcabench.List()
+	ids := strings.Split(list, ",")
+	if list == "all" {
 		ids = ids[:0]
-		for _, e := range vcabench.List() {
+		for _, e := range exps {
 			ids = append(ids, e.ID)
-		}
-	}
-	opts := vcabench.RunOpts{Workers: *parallel, Telemetry: o.tel}
-	if st != nil {
-		// A typed-nil *Store must not become a non-nil CellStore.
-		opts.Store = st
-	}
-	if pool != nil {
-		opts.Dispatcher = pool
-	}
-	var diagErr error
-	if *diagOut != "" {
-		dir := *diagOut
-		opts.Diagnostics = func(d *vcabench.CellDiag) {
-			if err := writeDiag(dir, d); err != nil && diagErr == nil {
-				diagErr = err
-			}
 		}
 	}
 	for _, id := range ids {
 		id = strings.TrimSpace(id)
-		fmt.Printf("=== %s (scale=%s, seed=%d) ===\n", id, sc.Name, *seed)
-		err := vcabench.RunWithOpts(id, *seed, sc, opts, os.Stdout)
-		if errors.Is(err, vcabench.ErrStore) {
-			// The artifact rendered fully; only caching failed.
-			fmt.Fprintln(os.Stderr, "vcabench: warning:", err)
-			err = nil
+		fmt.Printf("=== %s (scale=%s, seed=%d) ===\n", id, sc.Name, tb.Seed())
+		i := slices.IndexFunc(exps, func(e vcabench.Experiment) bool { return e.ID == id })
+		if i < 0 {
+			return fmt.Errorf("vcabench: unknown experiment %q (use List)", id)
 		}
-		if err == nil && diagErr != nil {
-			// A requested diagnostics artifact that failed to land on
-			// disk must not exit 0.
-			err = fmt.Errorf("vcabench: -diag-out: %w", diagErr)
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			reportCache(st)
-			reportCluster(pool)
-			o.finish()
-			os.Exit(1)
-		}
+		exps[i].Run(tb, sc, os.Stdout)
 		fmt.Println()
 	}
+	return nil
 }
 
 // obsSession owns the run's observability outputs. finish flushes them
@@ -416,10 +421,9 @@ func writeDiag(dir string, d *vcabench.CellDiag) error {
 	return os.WriteFile(filepath.Join(dir, name), data, 0o644)
 }
 
-// runCampaign loads a spec file, runs the grid and writes the text
-// table to stdout plus, optionally, JSON results to jsonPath and
-// per-cell diagnostics artifacts to diagDir.
-func runCampaign(specPath, jsonPath string, seed int64, sc vcabench.Scale, workers, repeats int, diagDir string, st *vcabench.Store, pool *vcabench.Pool, tel *vcabench.Telemetry) error {
+// runCampaign loads a spec file, runs the grid on tb and writes the
+// text table to stdout plus, optionally, JSON results to jsonPath.
+func runCampaign(tb *vcabench.Testbed, specPath, jsonPath string, sc vcabench.Scale, repeats int) error {
 	data, err := os.ReadFile(specPath)
 	if err != nil {
 		return fmt.Errorf("vcabench: %w", err)
@@ -435,32 +439,9 @@ func runCampaign(specPath, jsonPath string, seed int64, sc vcabench.Scale, worke
 			return fmt.Errorf("vcabench: -repeats %d: %w", repeats, err)
 		}
 	}
-	tb := vcabench.NewTestbedParallel(seed, workers)
-	if st != nil {
-		tb.WithStore(st)
-	}
-	if pool != nil {
-		tb.WithDispatcher(pool)
-	}
-	if tel != nil {
-		tb.WithTelemetry(tel)
-	}
-	if diagDir != "" {
-		tb.WithDiagnostics()
-	}
 	res, err := vcabench.RunCampaign(tb, spec, sc)
 	if err != nil {
 		return fmt.Errorf("vcabench: %w", err)
-	}
-	if diagDir != "" {
-		for _, d := range tb.DiagResults() {
-			if err := writeDiag(diagDir, d); err != nil {
-				return fmt.Errorf("vcabench: -diag-out: %w", err)
-			}
-		}
-	}
-	if serr := tb.StoreErr(); serr != nil {
-		fmt.Fprintln(os.Stderr, "vcabench: warning: persisting results failed:", serr)
 	}
 	// With -json -, stdout is the machine-readable document; keep it
 	// parseable by skipping the human table.

@@ -433,7 +433,7 @@ func TestKeyframeSkipsMotionMeasureExactly(t *testing.T) {
 		cfg := VideoEncoderConfig{FPS: p.FPS, GOP: 13, TargetBps: bps, BitScale: BitScaleFor(p), Seed: 3}
 		enc := NewVideoEncoder(cfg)
 		ref := &madAlwaysEncoder{cfg: enc.cfg}
-		src := media.NewHighMotion(p, 9)
+		src := media.NewSource(media.HighMotion, p, 9)
 		var forced, cuts, skips int
 		for i := 0; i < 30*p.FPS; i++ {
 			f := src.Next()

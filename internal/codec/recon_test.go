@@ -23,8 +23,8 @@ func reconCases() []reconCase {
 		name string
 		src  func() media.Source
 	}{
-		{"low-motion", func() media.Source { return media.NewLowMotion(p, 11) }},
-		{"high-motion", func() media.Source { return media.NewHighMotion(p, 12) }},
+		{"low-motion", func() media.Source { return media.NewSource(media.LowMotion, p, 11) }},
+		{"high-motion", func() media.Source { return media.NewSource(media.HighMotion, p, 12) }},
 		{"flash", func() media.Source { return media.NewFlash(p, 2.0) }},
 	}
 	// 2.5 Mbps codes at full size, 300 kbps at half, 60 kbps at a
@@ -328,7 +328,7 @@ func TestSkipFloat64sMatchesFloat64(t *testing.T) {
 // the same handle at every slot.
 func TestShowThenDecodeShareHandles(t *testing.T) {
 	sent := encodeCase(reconCase{"high-motion", func() media.Source {
-		return media.NewHighMotion(media.QuickProfile, 4)
+		return media.NewSource(media.HighMotion, media.QuickProfile, 4)
 	}, 300_000})
 	lost := func(i int) bool { return i >= 10 && i < 20 }
 	show := NewVideoDecoder()
@@ -366,7 +366,7 @@ func TestShowThenDecodeShareHandles(t *testing.T) {
 // frames, since downstream QoE caches compare frames by identity.
 func TestDecodersShareReconstructions(t *testing.T) {
 	sent := encodeCase(reconCase{"high-motion", func() media.Source {
-		return media.NewHighMotion(media.QuickProfile, 3)
+		return media.NewSource(media.HighMotion, media.QuickProfile, 3)
 	}, 300_000})
 	// Receiver B decodes first and loses frames 10-19, so its request
 	// for frame 20 builds them before receiver A asks for them.

@@ -107,6 +107,7 @@ func TestContract(t *testing.T) {
 		for _, a := range contractArtifacts {
 			t.Run(a.scale.Name+"/"+a.id, func(t *testing.T) { checkArtifact(t, a.scale, a.id, a.units) })
 		}
+		t.Run("tiny/one-testbed", checkOneTestbed)
 	})
 }
 
@@ -426,6 +427,48 @@ func checkArtifact(t *testing.T, sc core.Scale, id string, units int) {
 	})
 }
 
+// checkOneTestbed renders every experiment at seed 42 in IDs order on
+// one testbed, as vcabench -run all does, and each alone on a fresh
+// testbed. On the shared testbed later experiments read the units
+// earlier ones stored (fig14 and fig15 read fig12's sweep, Figs 2-11
+// share the lag campaigns), which must not change a byte.
+func checkOneTestbed(t *testing.T) {
+	render := func(tb *core.Testbed, id string) []byte {
+		t.Helper()
+		e, _ := core.Lookup(id)
+		var b bytes.Buffer
+		e.Run(tb, core.TinyScale, &b)
+		if err := tb.StoreErr(); err != nil {
+			t.Fatal(err)
+		}
+		return b.Bytes()
+	}
+	tel := obs.NewTelemetry()
+	shared := core.NewTestbed(42).SetParallelism(2).WithTelemetry(tel)
+	var differ []string
+	for _, id := range core.IDs() {
+		got := render(shared, id)
+		want := render(core.NewTestbed(42).SetParallelism(2), id)
+		if !bytes.Equal(got, want) {
+			if len(differ) == 0 {
+				t.Errorf("%s renders differently on the shared testbed than alone", id)
+				same(t, want, got)
+			}
+			differ = append(differ, id)
+		}
+	}
+	if len(differ) > 0 {
+		t.Errorf("%d experiments differ on the shared testbed: %s", len(differ), strings.Join(differ, ", "))
+	}
+	var text strings.Builder
+	if err := tel.Metrics.WriteText(&text); err != nil {
+		t.Fatal(err)
+	}
+	if metricValue(t, text.String(), `vcabench_units_total{tier="store"}`) == 0 {
+		t.Error("no experiment read a unit another stored: the check compared nothing shared")
+	}
+}
+
 // coldThenWarm runs check twice, each time on a fresh testbed over a
 // fresh handle to the store in dir, as a new process would: the cold
 // run must compute and store all n units, the warm run must read them
@@ -536,8 +579,8 @@ func httpGet(t *testing.T, url string) string {
 	return string(b)
 }
 
-// metricValue reads an unlabelled integer series from a Prometheus
-// text exposition.
+// metricValue reads an integer series, its labels spelled out in name,
+// from a Prometheus text exposition.
 func metricValue(t *testing.T, text, name string) int {
 	t.Helper()
 	for _, line := range strings.Split(text, "\n") {

@@ -99,11 +99,13 @@ type Scheduler struct {
 }
 
 // parkedKits is the process-wide free list of kits whose worker has
-// finished. Every entry point builds a fresh testbed per artifact or per
-// unit, so kits outlive the testbed to be reused at all. A kit changes
-// hands only through the mutex, between runs, and holds no more than
-// one worker's peak, so the list never keeps more storage than the
-// process held while the most workers ran at once.
+// finished. Kits outlive testbeds: the vcabench CLI renders an
+// invocation on one testbed, but a library caller, a benchmark pass or
+// a daemon job or unit builds a fresh testbed each time, and only a
+// free list shared by the process lets those reuse storage. A kit
+// changes hands only through the mutex, between runs, and holds no
+// more than one worker's peak, so the list never keeps more storage
+// than the process held while the most workers ran at once.
 var parkedKits struct {
 	sync.Mutex
 	free []kit.Kit
@@ -131,8 +133,9 @@ func parkKit(k kit.Kit) {
 // Run executes every unit and waits for completion. A panicking unit is
 // re-panicked on the caller's goroutine after the pool drains.
 //
-// Each worker (and the serial loop) takes one kit (see kit.Kit) from
-// the process-wide free list, builds every fork it runs on it, one fork
+// Units run on up to TB.Parallelism() worker goroutines, one when
+// serial. Each worker takes one kit (see kit.Kit) from the
+// process-wide free list, builds every fork it runs on it, one fork
 // at a time, and parks it when it finishes, so the scorer's float
 // buffers, the QoE host's frame pixel storage, the clients' capture
 // records and RTP packets, and the simulator's events and packets pass
@@ -148,14 +151,6 @@ func (s *Scheduler) Run(units []Unit) {
 	workers := s.TB.Parallelism()
 	if workers > len(units) {
 		workers = len(units)
-	}
-	if workers <= 1 {
-		k := takeKit()
-		for _, u := range units {
-			u.Run(s.TB.forkOn(u.Key, k))
-		}
-		parkKit(k)
-		return
 	}
 	var (
 		next     atomic.Int64

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -87,10 +88,31 @@ func TestSchedulerRunsEveryUnitOnce(t *testing.T) {
 
 // A panicking unit re-panics on the caller's goroutine, and its worker
 // drops its kit: the pools lent to the unit are never parked, so no
-// later Run, serial or parallel, lends them again.
+// later Run, serial or parallel, lends them again. A serial run is the
+// pool with one worker, so it drops the kit too, and runs no unit after
+// the one that panicked.
 func TestSchedulerPropagatesPanic(t *testing.T) {
-	tb := NewTestbed(8).SetParallelism(4)
-	var bad kit.Kit
+	for _, workers := range []int{4, 1} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			checkPanicDropsKit(t, workers)
+		})
+	}
+}
+
+func checkPanicDropsKit(t *testing.T, workers int) {
+	tb := NewTestbed(8).SetParallelism(workers)
+	var (
+		bad   kit.Kit
+		mu    sync.Mutex
+		after int // units that ran after the panicking one started
+	)
+	ok := func(*Testbed) {
+		mu.Lock()
+		defer mu.Unlock()
+		if bad.QoE != nil {
+			after++
+		}
+	}
 	func() {
 		defer func() {
 			if r := recover(); r != "boom" {
@@ -98,18 +120,23 @@ func TestSchedulerPropagatesPanic(t *testing.T) {
 			}
 		}()
 		(&Scheduler{TB: tb}).Run([]Unit{
-			{Key: "ok", Run: func(*Testbed) {}},
+			{Key: "ok", Run: ok},
 			{Key: "bad", Run: func(stb *Testbed) {
+				mu.Lock()
 				bad = stb.kit
+				mu.Unlock()
 				panic("boom")
 			}},
-			{Key: "ok2", Run: func(*Testbed) {}},
-			{Key: "ok3", Run: func(*Testbed) {}},
-			{Key: "ok4", Run: func(*Testbed) {}},
+			{Key: "ok2", Run: ok},
+			{Key: "ok3", Run: ok},
+			{Key: "ok4", Run: ok},
 		})
 	}()
 	if bad.QoE == nil || bad.Frames == nil || bad.Capture == nil || bad.Packets == nil || bad.Sim == nil {
 		t.Fatalf("the panicking unit ran without a full kit: %+v", bad)
+	}
+	if workers == 1 && after != 0 {
+		t.Errorf("a serial Run ran %d units after the one that panicked", after)
 	}
 	shares := func(k kit.Kit) bool {
 		return k.QoE == bad.QoE || k.Frames == bad.Frames || k.Capture == bad.Capture || k.Packets == bad.Packets || k.Sim == bad.Sim
@@ -121,7 +148,7 @@ func TestSchedulerPropagatesPanic(t *testing.T) {
 		}
 	}
 	parkedKits.Unlock()
-	for _, workers := range []int{4, 1} {
+	for _, later := range []int{4, 1} {
 		var mu sync.Mutex
 		units := make([]Unit, 8)
 		for i := range units {
@@ -129,11 +156,11 @@ func TestSchedulerPropagatesPanic(t *testing.T) {
 				mu.Lock()
 				defer mu.Unlock()
 				if shares(stb.kit) {
-					t.Errorf("workers=%d: a later Run lent the panicking unit's pools", workers)
+					t.Errorf("workers=%d: a later Run lent the panicking unit's pools", later)
 				}
 			}}
 		}
-		(&Scheduler{TB: NewTestbed(8).SetParallelism(workers)}).Run(units)
+		(&Scheduler{TB: NewTestbed(8).SetParallelism(later)}).Run(units)
 	}
 }
 

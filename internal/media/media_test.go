@@ -83,8 +83,8 @@ func TestResizeIdentityAndScale(t *testing.T) {
 
 func TestLowMotionIsLow(t *testing.T) {
 	p := QuickProfile
-	lm := NewLowMotion(p, 1)
-	hm := NewHighMotion(p, 1)
+	lm := NewSource(LowMotion, p, 1)
+	hm := NewSource(HighMotion, p, 1)
 	lmMAD, hmMAD := avgMotion(lm, 30), avgMotion(hm, 30)
 	if lmMAD >= hmMAD {
 		t.Errorf("low-motion MAD %v >= high-motion MAD %v", lmMAD, hmMAD)
@@ -144,7 +144,7 @@ func TestFlashSource(t *testing.T) {
 
 func TestSceneCutsProduceSpikes(t *testing.T) {
 	p := QuickProfile
-	s := NewHighMotion(p, 9)
+	s := NewSource(HighMotion, p, 9)
 	prev := s.Next()
 	cuts := 0
 	var base float64
@@ -434,7 +434,7 @@ func TestPooledSourcesMatchUnpooled(t *testing.T) {
 func TestMeanAbsDiffSelfShortCircuit(t *testing.T) {
 	for _, f := range []*Frame{
 		NewFrame(7, 5),
-		NewHighMotion(QuickProfile, 3).Next(),
+		NewSource(HighMotion, QuickProfile, 3).Next(),
 		NewFlash(Profile{W: 33, H: 17, FPS: 10}, 1).Next(),
 	} {
 		got, want := MeanAbsDiff(f, f), MeanAbsDiff(f, f.Clone())

@@ -62,9 +62,6 @@ type lowMotionSource struct {
 	pool *FramePool // storage of bg and of the frames Next returns; nil allocates
 }
 
-// NewLowMotion creates the talking-head feed.
-func NewLowMotion(p Profile, seed int64) Source { return newLowMotion(p, seed, nil) }
-
 func newLowMotion(p Profile, seed int64, pool *FramePool) Source {
 	s := &lowMotionSource{p: p, rng: rand.New(rand.NewSource(seed)), pool: pool}
 	s.bg = pool.Get(p.W, p.H)
@@ -122,9 +119,6 @@ type highMotionSource struct {
 	pool     *FramePool // storage of world and of the frames Next returns; nil allocates
 	sx       []float64  // textured's column scratch, one world row wide
 }
-
-// NewHighMotion creates the tour-guide feed.
-func NewHighMotion(p Profile, seed int64) Source { return newHighMotion(p, seed, nil) }
 
 func newHighMotion(p Profile, seed int64, pool *FramePool) Source {
 	s := &highMotionSource{

@@ -26,7 +26,7 @@ func noisy(f *media.Frame, std float64, seed int64) *media.Frame {
 }
 
 func testFrame(seed int64) *media.Frame {
-	src := media.NewLowMotion(media.QuickProfile, seed)
+	src := media.NewSource(media.LowMotion, media.QuickProfile, seed)
 	return src.Next()
 }
 

@@ -170,7 +170,7 @@ func TestCompareSessionRecyclesPool(t *testing.T) {
 // scorer must refuse it, on either side of a pair, instead of reading a
 // short image.
 func TestCompareSessionPanicsOnUnbuiltFrame(t *testing.T) {
-	ref := media.NewHighMotion(media.QuickProfile, 3).Next()
+	ref := media.NewSource(media.HighMotion, media.QuickProfile, 3).Next()
 	for _, c := range []struct {
 		name string
 		pix  []uint8
