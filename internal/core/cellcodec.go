@@ -4,8 +4,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"maps"
 	"math"
+	"math/bits"
 	"slices"
 	"time"
 
@@ -52,20 +52,83 @@ const (
 
 var errCellTruncated = errors.New("core: cell encoding truncated")
 
-// encodeCell serializes one unit result.
+// encodeCell serializes one unit result into one allocation, sized by
+// qoeSize or lagSize.
 func encodeCell(v any) ([]byte, error) {
-	w := cellWriter{b: make([]byte, 0, 512)}
+	var w cellWriter
 	switch r := v.(type) {
 	case *QoEStudyResult:
-		w.b = append(w.b, cellTagQoE)
+		w.b = append(make([]byte, 0, qoeSize(r)), cellTagQoE)
 		w.qoe(r)
 		return w.b, nil
 	case *LagStudyResult:
-		w.b = append(w.b, cellTagLag)
+		w.b = append(make([]byte, 0, lagSize(r)), cellTagLag)
 		w.lag(r)
 		return w.b, nil
 	}
 	return nil, fmt.Errorf("core: cannot encode a %T cell", v)
+}
+
+// The size functions bound a cell's encoded length from above, counting
+// what grows with the value (samples, strings, maps and slices) at each
+// element's widest encoding; cellFixedSize covers the tag and every
+// fixed-width field. They only size encodeCell's buffer: an estimate
+// that fell short would cost a regrowth, never a different byte.
+const (
+	cellFixedSize = 256
+	varintSize    = binary.MaxVarintLen64
+)
+
+func qoeSize(q *QoEStudyResult) int {
+	n := cellFixedSize + len(q.Kind) + 8*len(q.RateOverTime)
+	for _, s := range [...]*stats.Sample{q.PSNR, q.SSIM, q.VIFP, q.Freeze, q.UpMbps, q.DownMbps, q.MOS} {
+		n += sampleSize(s)
+	}
+	if d := q.Diag; d != nil {
+		n += len(d.Key) + 3*varintSize*len(d.Queue)
+		for _, p := range d.Pipes {
+			n += 2*varintSize + len(p.Name) + (6*varintSize+8)*len(p.Bins)
+		}
+		for _, e := range d.Events {
+			n += 2*varintSize + 16 + len(e.Kind) + len(e.Subject)
+		}
+	}
+	return n
+}
+
+func lagSize(l *LagStudyResult) int {
+	n := cellFixedSize + len(l.Kind) + len(l.HostRegion.Name) +
+		len(l.HostRegion.Location) + len(l.HostRegion.Zone)
+	for _, m := range [...]map[string]*stats.Sample{l.Lags, l.RTTs} {
+		for k, s := range m {
+			n += varintSize + len(k) + sampleSize(s)
+		}
+	}
+	return n + varintsSize(l.Fig2.SentT) + varintsSize(l.Fig2.RecvT) +
+		varintsSize(l.Fig2.SentS) + varintsSize(l.Fig2.RecvS)
+}
+
+// sampleSize is a present sample's presence byte, count and bits.
+func sampleSize(s *stats.Sample) int {
+	if s == nil {
+		return 1
+	}
+	return 9 + 8*s.Len()
+}
+
+// varintsSize is the exact length of a slice of zigzag varints; these
+// slices are most of a lag cell, so they are not sized at 10 bytes per
+// element.
+func varintsSize[T ~int | ~int64](xs []T) int {
+	n := 0
+	for _, x := range xs {
+		ux := uint64(x) << 1
+		if x < 0 {
+			ux = ^ux
+		}
+		n += (bits.Len64(ux|1) + 6) / 7
+	}
+	return n
 }
 
 // decodeCell is encodeCell's inverse. Any error means the bytes are not
@@ -123,7 +186,13 @@ func (w *cellWriter) sample(s *stats.Sample) {
 
 func (w *cellWriter) sampleMap(m map[string]*stats.Sample) {
 	w.uvarint(uint64(len(m)))
-	for _, k := range slices.Sorted(maps.Keys(m)) {
+	var buf [16]string // a lag map has one key per participant region: sorted on the stack
+	keys := buf[:0]
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	for _, k := range keys {
 		w.str(k)
 		w.sample(m[k])
 	}

@@ -258,6 +258,24 @@ func TestCellEncodingCanonical(t *testing.T) {
 	}
 }
 
+// encodeCell sizes its buffer from the value before it writes, so a
+// lag cell and a diagnostics-armed QoE cell each cost one allocation:
+// the returned bytes.
+func TestEncodeCellAllocatesOnce(t *testing.T) {
+	for _, c := range realCells(t) {
+		if c.name != "lag" && c.name != "qoe-diag" {
+			continue
+		}
+		v, err := decodeCell(c.data)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if allocs := testing.AllocsPerRun(20, func() { encodeCell(v) }); allocs != 1 {
+			t.Errorf("%s: encodeCell made %v allocations, want 1", c.name, allocs)
+		}
+	}
+}
+
 // A cell persisted by the v5 schema (gob) must fail to decode, never
 // decode to a wrong value.
 func TestDecodeCellRejectsGobCells(t *testing.T) {

@@ -553,7 +553,7 @@ func Experiments() []Experiment {
 		},
 	}
 	exps = append(exps, ablations()...)
-	exps = append(exps, extraExperiments...)
+	exps = append(exps, extensions()...)
 	return exps
 }
 

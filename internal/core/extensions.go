@@ -17,25 +17,22 @@ import (
 // Both are declared as campaign grids (campaign.go): the last-mile
 // study is a netem axis with fluctuating and steady conditions, the
 // scale study a session-size axis.
-func init() {
-	extraExperiments = append(extraExperiments,
-		Experiment{
+func extensions() []Experiment {
+	return []Experiment{
+		{
 			ID:    "ext-lastmile",
 			Title: "QoE under a fluctuating last mile (paper §6 future work)",
 			Paper: "not in the paper; extends Fig 17 with time-varying capacity",
 			Run:   runLastMile,
 		},
-		Experiment{
+		{
 			ID:    "ext-scale",
 			Title: "QoE as sessions grow to 11 participants (paper §6 future work)",
 			Paper: "not in the paper; extends Fig 12 beyond N=6",
 			Run:   runScaleStudy,
 		},
-	)
+	}
 }
-
-// extraExperiments is appended to the registry by Experiments.
-var extraExperiments []Experiment
 
 // lastMileCampaign alternates a receiver's downlink between a
 // comfortable and a congested capacity every few seconds, with the two

@@ -4,35 +4,15 @@ package qoe
 
 // The separable-convolution inner loops are elementwise: every output
 // element is computed independently as round(src*k) followed by one
-// rounded add. That makes SIMD forms bit-identical to the scalar loops
-// as long as multiply and add stay separate instructions — so the
-// kernels below use VMULPD/VADDPD (and MULPD/ADDPD), never FMA, whose
-// single rounding would change low-order bits.
+// rounded add. That makes the AVX2 kernels (vec_amd64.s) bit-identical
+// to the portable forms (vec_generic.go) as long as multiply and add
+// stay separate instructions — so they use VMULPD/VADDPD, never FMA,
+// whose single rounding would change low-order bits.
 //
-// useAVX2 gates the 4-wide kernels. The SSE2 forms are the floor:
-// SSE2 is part of the amd64 baseline, so no further fallback is needed
-// on this architecture (see vec_generic.go for others).
+// useAVX2 gates the 4-wide kernels. Without AVX2 the portable forms
+// run, the same code every other architecture runs; tests clear it to
+// run them on amd64 too.
 var useAVX2 = cpuSupportsAVX2()
-
-// scaleVec writes dst[i] = src[i] * k for every i in dst.
-// len(src) must be >= len(dst).
-func scaleVec(dst, src []float64, k float64) {
-	if useAVX2 {
-		scaleAVX2(dst, src, k)
-		return
-	}
-	scaleSSE2(dst, src, k)
-}
-
-// axpyVec accumulates dst[i] += src[i] * k for every i in dst.
-// len(src) must be >= len(dst).
-func axpyVec(dst, src []float64, k float64) {
-	if useAVX2 {
-		axpyAVX2(dst, src, k)
-		return
-	}
-	axpySSE2(dst, src, k)
-}
 
 // mulVec writes dst[i] = a[i] * b[i] for every i in dst.
 // len(a) and len(b) must be >= len(dst).
@@ -41,14 +21,14 @@ func mulVec(dst, a, b []float64) {
 		mulVecAVX2(dst, a, b)
 		return
 	}
-	mulVecSSE2(dst, a, b)
+	mulVecGeneric(dst, a, b)
 }
 
 // convTaps writes dst[j] = sum over i of src[j+i*stride]*k[i], with the
 // products added in ascending tap order — the exact rounding sequence of
-// running scaleVec for tap 0 then axpyVec for taps 1..n-1, except the
-// accumulator lives in a register instead of round-tripping through
-// dst once per tap. len(src) must be >= len(dst)+(len(k)-1)*stride.
+// convTapsGeneric, except the accumulator lives in a register instead
+// of round-tripping through dst once per tap.
+// len(src) must be >= len(dst)+(len(k)-1)*stride.
 func convTaps(dst, src, k []float64, stride int) {
 	if len(k) == 0 {
 		return
@@ -57,32 +37,14 @@ func convTaps(dst, src, k []float64, stride int) {
 		convTapsAVX2(dst, src, k, stride)
 		return
 	}
-	convTapsSSE2(dst, src, k, stride)
+	convTapsGeneric(dst, src, k, stride)
 }
 
 //go:noescape
 func convTapsAVX2(dst, src, k []float64, stride int)
 
 //go:noescape
-func convTapsSSE2(dst, src, k []float64, stride int)
-
-//go:noescape
 func mulVecAVX2(dst, a, b []float64)
-
-//go:noescape
-func mulVecSSE2(dst, a, b []float64)
-
-//go:noescape
-func scaleAVX2(dst, src []float64, k float64)
-
-//go:noescape
-func axpyAVX2(dst, src []float64, k float64)
-
-//go:noescape
-func scaleSSE2(dst, src []float64, k float64)
-
-//go:noescape
-func axpySSE2(dst, src []float64, k float64)
 
 func cpuid(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
 

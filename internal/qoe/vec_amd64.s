@@ -2,206 +2,11 @@
 
 #include "textflag.h"
 
-// Elementwise kernels for the separable convolution. Multiply and add
-// are always separate instructions (no FMA): each dst element sees
-// round(src*k) then one rounded add, exactly as the scalar Go loops
-// compute it, so results are bit-identical at any vector width.
-
-// func scaleAVX2(dst, src []float64, k float64)
-TEXT ·scaleAVX2(SB), NOSPLIT, $0-56
-	MOVQ         dst_base+0(FP), DI
-	MOVQ         dst_len+8(FP), CX
-	MOVQ         src_base+24(FP), SI
-	VBROADCASTSD k+48(FP), Y0
-	XORQ         AX, AX
-
-scale_avx2_blk16:
-	LEAQ    16(AX), DX
-	CMPQ    DX, CX
-	JGT     scale_avx2_blk4
-	VMOVUPD (SI)(AX*8), Y1
-	VMOVUPD 32(SI)(AX*8), Y2
-	VMOVUPD 64(SI)(AX*8), Y3
-	VMOVUPD 96(SI)(AX*8), Y4
-	VMULPD  Y0, Y1, Y1
-	VMULPD  Y0, Y2, Y2
-	VMULPD  Y0, Y3, Y3
-	VMULPD  Y0, Y4, Y4
-	VMOVUPD Y1, (DI)(AX*8)
-	VMOVUPD Y2, 32(DI)(AX*8)
-	VMOVUPD Y3, 64(DI)(AX*8)
-	VMOVUPD Y4, 96(DI)(AX*8)
-	MOVQ    DX, AX
-	JMP     scale_avx2_blk16
-
-scale_avx2_blk4:
-	LEAQ    4(AX), DX
-	CMPQ    DX, CX
-	JGT     scale_avx2_tail
-	VMOVUPD (SI)(AX*8), Y1
-	VMULPD  Y0, Y1, Y1
-	VMOVUPD Y1, (DI)(AX*8)
-	MOVQ    DX, AX
-	JMP     scale_avx2_blk4
-
-scale_avx2_tail:
-	CMPQ   AX, CX
-	JGE    scale_avx2_done
-	VMOVSD (SI)(AX*8), X1
-	VMULSD X0, X1, X1
-	VMOVSD X1, (DI)(AX*8)
-	INCQ   AX
-	JMP    scale_avx2_tail
-
-scale_avx2_done:
-	VZEROUPPER
-	RET
-
-// func axpyAVX2(dst, src []float64, k float64)
-TEXT ·axpyAVX2(SB), NOSPLIT, $0-56
-	MOVQ         dst_base+0(FP), DI
-	MOVQ         dst_len+8(FP), CX
-	MOVQ         src_base+24(FP), SI
-	VBROADCASTSD k+48(FP), Y0
-	XORQ         AX, AX
-
-axpy_avx2_blk16:
-	LEAQ    16(AX), DX
-	CMPQ    DX, CX
-	JGT     axpy_avx2_blk4
-	VMOVUPD (SI)(AX*8), Y1
-	VMOVUPD 32(SI)(AX*8), Y2
-	VMOVUPD 64(SI)(AX*8), Y3
-	VMOVUPD 96(SI)(AX*8), Y4
-	VMULPD  Y0, Y1, Y1
-	VMULPD  Y0, Y2, Y2
-	VMULPD  Y0, Y3, Y3
-	VMULPD  Y0, Y4, Y4
-	VADDPD  (DI)(AX*8), Y1, Y1
-	VADDPD  32(DI)(AX*8), Y2, Y2
-	VADDPD  64(DI)(AX*8), Y3, Y3
-	VADDPD  96(DI)(AX*8), Y4, Y4
-	VMOVUPD Y1, (DI)(AX*8)
-	VMOVUPD Y2, 32(DI)(AX*8)
-	VMOVUPD Y3, 64(DI)(AX*8)
-	VMOVUPD Y4, 96(DI)(AX*8)
-	MOVQ    DX, AX
-	JMP     axpy_avx2_blk16
-
-axpy_avx2_blk4:
-	LEAQ    4(AX), DX
-	CMPQ    DX, CX
-	JGT     axpy_avx2_tail
-	VMOVUPD (SI)(AX*8), Y1
-	VMULPD  Y0, Y1, Y1
-	VADDPD  (DI)(AX*8), Y1, Y1
-	VMOVUPD Y1, (DI)(AX*8)
-	MOVQ    DX, AX
-	JMP     axpy_avx2_blk4
-
-axpy_avx2_tail:
-	CMPQ   AX, CX
-	JGE    axpy_avx2_done
-	VMOVSD (SI)(AX*8), X1
-	VMULSD X0, X1, X1
-	VADDSD (DI)(AX*8), X1, X1
-	VMOVSD X1, (DI)(AX*8)
-	INCQ   AX
-	JMP    axpy_avx2_tail
-
-axpy_avx2_done:
-	VZEROUPPER
-	RET
-
-// func scaleSSE2(dst, src []float64, k float64)
-TEXT ·scaleSSE2(SB), NOSPLIT, $0-56
-	MOVQ     dst_base+0(FP), DI
-	MOVQ     dst_len+8(FP), CX
-	MOVQ     src_base+24(FP), SI
-	MOVSD    k+48(FP), X0
-	UNPCKLPD X0, X0
-	XORQ     AX, AX
-
-scale_sse2_blk8:
-	LEAQ   8(AX), DX
-	CMPQ   DX, CX
-	JGT    scale_sse2_tail
-	MOVUPD (SI)(AX*8), X1
-	MOVUPD 16(SI)(AX*8), X2
-	MOVUPD 32(SI)(AX*8), X3
-	MOVUPD 48(SI)(AX*8), X4
-	MULPD  X0, X1
-	MULPD  X0, X2
-	MULPD  X0, X3
-	MULPD  X0, X4
-	MOVUPD X1, (DI)(AX*8)
-	MOVUPD X2, 16(DI)(AX*8)
-	MOVUPD X3, 32(DI)(AX*8)
-	MOVUPD X4, 48(DI)(AX*8)
-	MOVQ   DX, AX
-	JMP    scale_sse2_blk8
-
-scale_sse2_tail:
-	CMPQ  AX, CX
-	JGE   scale_sse2_done
-	MOVSD (SI)(AX*8), X1
-	MULSD X0, X1
-	MOVSD X1, (DI)(AX*8)
-	INCQ  AX
-	JMP   scale_sse2_tail
-
-scale_sse2_done:
-	RET
-
-// func axpySSE2(dst, src []float64, k float64)
-TEXT ·axpySSE2(SB), NOSPLIT, $0-56
-	MOVQ     dst_base+0(FP), DI
-	MOVQ     dst_len+8(FP), CX
-	MOVQ     src_base+24(FP), SI
-	MOVSD    k+48(FP), X0
-	UNPCKLPD X0, X0
-	XORQ     AX, AX
-
-axpy_sse2_blk8:
-	LEAQ   8(AX), DX
-	CMPQ   DX, CX
-	JGT    axpy_sse2_tail
-	MOVUPD (SI)(AX*8), X1
-	MOVUPD 16(SI)(AX*8), X2
-	MOVUPD 32(SI)(AX*8), X3
-	MOVUPD 48(SI)(AX*8), X4
-	MULPD  X0, X1
-	MULPD  X0, X2
-	MULPD  X0, X3
-	MULPD  X0, X4
-	MOVUPD (DI)(AX*8), X5
-	ADDPD  X5, X1
-	MOVUPD 16(DI)(AX*8), X5
-	ADDPD  X5, X2
-	MOVUPD 32(DI)(AX*8), X5
-	ADDPD  X5, X3
-	MOVUPD 48(DI)(AX*8), X5
-	ADDPD  X5, X4
-	MOVUPD X1, (DI)(AX*8)
-	MOVUPD X2, 16(DI)(AX*8)
-	MOVUPD X3, 32(DI)(AX*8)
-	MOVUPD X4, 48(DI)(AX*8)
-	MOVQ   DX, AX
-	JMP    axpy_sse2_blk8
-
-axpy_sse2_tail:
-	CMPQ  AX, CX
-	JGE   axpy_sse2_done
-	MOVSD (SI)(AX*8), X1
-	MULSD X0, X1
-	MOVSD (DI)(AX*8), X5
-	ADDSD X5, X1
-	MOVSD X1, (DI)(AX*8)
-	INCQ  AX
-	JMP   axpy_sse2_tail
-
-axpy_sse2_done:
-	RET
+// Elementwise AVX2 kernels for the separable convolution. Multiply and
+// add are always separate instructions (no FMA): each dst element sees
+// round(src*k) then one rounded add, exactly as the portable Go forms
+// (vec_generic.go) compute it, so results are bit-identical at any
+// vector width.
 
 // func convTapsAVX2(dst, src, k []float64, stride int)
 //
@@ -318,91 +123,6 @@ ct_avx2_done:
 	VZEROUPPER
 	RET
 
-// func convTapsSSE2(dst, src, k []float64, stride int)
-TEXT ·convTapsSSE2(SB), NOSPLIT, $0-80
-	MOVQ dst_base+0(FP), DI
-	MOVQ dst_len+8(FP), CX
-	MOVQ src_base+24(FP), SI
-	MOVQ k_base+48(FP), R8
-	MOVQ k_len+56(FP), R12
-	MOVQ stride+72(FP), R10
-	SHLQ $3, R10
-	XORQ AX, AX
-
-ct_sse2_blk8:
-	LEAQ     8(AX), DX
-	CMPQ     DX, CX
-	JGT      ct_sse2_tail
-	LEAQ     (SI)(AX*8), R11
-	MOVSD    (R8), X0
-	UNPCKLPD X0, X0
-	MOVUPD   (R11), X1
-	MOVUPD   16(R11), X2
-	MOVUPD   32(R11), X3
-	MOVUPD   48(R11), X4
-	MULPD    X0, X1
-	MULPD    X0, X2
-	MULPD    X0, X3
-	MULPD    X0, X4
-	MOVQ     $1, R9
-
-ct_sse2_blk8_tap:
-	CMPQ     R9, R12
-	JGE      ct_sse2_blk8_store
-	ADDQ     R10, R11
-	MOVSD    (R8)(R9*8), X0
-	UNPCKLPD X0, X0
-	MOVUPD   (R11), X5
-	MULPD    X0, X5
-	ADDPD    X5, X1
-	MOVUPD   16(R11), X5
-	MULPD    X0, X5
-	ADDPD    X5, X2
-	MOVUPD   32(R11), X5
-	MULPD    X0, X5
-	ADDPD    X5, X3
-	MOVUPD   48(R11), X5
-	MULPD    X0, X5
-	ADDPD    X5, X4
-	INCQ     R9
-	JMP      ct_sse2_blk8_tap
-
-ct_sse2_blk8_store:
-	MOVUPD X1, (DI)(AX*8)
-	MOVUPD X2, 16(DI)(AX*8)
-	MOVUPD X3, 32(DI)(AX*8)
-	MOVUPD X4, 48(DI)(AX*8)
-	MOVQ   DX, AX
-	JMP    ct_sse2_blk8
-
-ct_sse2_tail:
-	CMPQ  AX, CX
-	JGE   ct_sse2_done
-	LEAQ  (SI)(AX*8), R11
-	MOVSD (R8), X0
-	MOVSD (R11), X1
-	MULSD X0, X1
-	MOVQ  $1, R9
-
-ct_sse2_tail_tap:
-	CMPQ  R9, R12
-	JGE   ct_sse2_tail_store
-	ADDQ  R10, R11
-	MOVSD (R8)(R9*8), X0
-	MOVSD (R11), X5
-	MULSD X0, X5
-	ADDSD X5, X1
-	INCQ  R9
-	JMP   ct_sse2_tail_tap
-
-ct_sse2_tail_store:
-	MOVSD X1, (DI)(AX*8)
-	INCQ  AX
-	JMP   ct_sse2_tail
-
-ct_sse2_done:
-	RET
-
 // func cpuid(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
 	MOVL  eaxIn+0(FP), AX
@@ -472,46 +192,3 @@ mul_avx2_done:
 	VZEROUPPER
 	RET
 
-// func mulVecSSE2(dst, a, b []float64)
-TEXT ·mulVecSSE2(SB), NOSPLIT, $0-72
-	MOVQ dst_base+0(FP), DI
-	MOVQ dst_len+8(FP), CX
-	MOVQ a_base+24(FP), SI
-	MOVQ b_base+48(FP), BX
-	XORQ AX, AX
-
-mul_sse2_blk8:
-	LEAQ   8(AX), DX
-	CMPQ   DX, CX
-	JGT    mul_sse2_tail
-	MOVUPD (SI)(AX*8), X1
-	MOVUPD 16(SI)(AX*8), X2
-	MOVUPD 32(SI)(AX*8), X3
-	MOVUPD 48(SI)(AX*8), X4
-	MOVUPD (BX)(AX*8), X5
-	MULPD  X5, X1
-	MOVUPD 16(BX)(AX*8), X5
-	MULPD  X5, X2
-	MOVUPD 32(BX)(AX*8), X5
-	MULPD  X5, X3
-	MOVUPD 48(BX)(AX*8), X5
-	MULPD  X5, X4
-	MOVUPD X1, (DI)(AX*8)
-	MOVUPD X2, 16(DI)(AX*8)
-	MOVUPD X3, 32(DI)(AX*8)
-	MOVUPD X4, 48(DI)(AX*8)
-	MOVQ   DX, AX
-	JMP    mul_sse2_blk8
-
-mul_sse2_tail:
-	CMPQ  AX, CX
-	JGE   mul_sse2_done
-	MOVSD (SI)(AX*8), X1
-	MOVSD (BX)(AX*8), X5
-	MULSD X5, X1
-	MOVSD X1, (DI)(AX*8)
-	INCQ  AX
-	JMP   mul_sse2_tail
-
-mul_sse2_done:
-	RET

@@ -4,11 +4,12 @@ package qoe
 
 import "testing"
 
-// TestVecKernelsSSE2Path forces the SSE2 kernels on an AVX2 machine so
-// both amd64 paths are exercised by the same bit-identity sweep.
-func TestVecKernelsSSE2Path(t *testing.T) {
+// TestVecKernelsPortablePath forces the portable kernels
+// (vec_generic.go) on an AVX2 machine so both amd64 paths are exercised
+// by the same bit-identity sweep.
+func TestVecKernelsPortablePath(t *testing.T) {
 	if !useAVX2 {
-		t.Skip("already on the SSE2 path")
+		t.Skip("already on the portable path")
 	}
 	useAVX2 = false
 	defer func() { useAVX2 = true }()

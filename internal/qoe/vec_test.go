@@ -20,11 +20,12 @@ func refAxpy(dst, src []float64, k float64) {
 	}
 }
 
-// TestVecKernelsBitIdentical drives scaleVec/axpyVec across every
-// length that exercises the wide blocks, the narrow blocks and the
-// scalar tails, and demands exact bit equality with the scalar loops —
-// including for values whose products round: bit identity, not
-// tolerance, is the simulator's contract.
+// TestVecKernelsBitIdentical drives scaleVec/axpyVec, mulVec and
+// convTaps at one and two taps across every length that exercises the
+// wide blocks, the narrow blocks and the scalar tails, and demands
+// exact bit equality with the scalar loops — including for values
+// whose products round: bit identity, not tolerance, is the
+// simulator's contract.
 func TestVecKernelsBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for n := 0; n <= 67; n++ {
@@ -36,28 +37,27 @@ func TestVecKernelsBitIdentical(t *testing.T) {
 		for i := range base {
 			base[i] = (rng.Float64() - 0.5) * 100003.1
 		}
+		stacked := append(append([]float64(nil), base...), src...)
 		for _, k := range []float64{0, 1, -1, 0.1234567891234, math.Pi, -1e-17, 3e15} {
 			want := append([]float64(nil), base...)
 			refScale(want, src, k)
 			got := append([]float64(nil), base...)
 			scaleVec(got, src, k)
-			for i := range want {
-				if math.Float64bits(want[i]) != math.Float64bits(got[i]) {
-					t.Fatalf("scaleVec n=%d k=%g i=%d: got %x want %x", n, k, i,
-						math.Float64bits(got[i]), math.Float64bits(want[i]))
-				}
-			}
+			checkBits(t, "scaleVec", n, k, got, want)
+			got = append(got[:0], base...)
+			convTaps(got, src, []float64{k}, 1)
+			checkBits(t, "convTaps taps=1", n, k, got, want)
 
 			want = append(want[:0:0], base...)
 			refAxpy(want, src, k)
 			got = append(got[:0:0], base...)
 			axpyVec(got, src, k)
-			for i := range want {
-				if math.Float64bits(want[i]) != math.Float64bits(got[i]) {
-					t.Fatalf("axpyVec n=%d k=%g i=%d: got %x want %x", n, k, i,
-						math.Float64bits(got[i]), math.Float64bits(want[i]))
-				}
-			}
+			checkBits(t, "axpyVec", n, k, got, want)
+			// Taps 1 and k over base then src (stride n) are the axpy:
+			// base*1 is exact.
+			got = append(got[:0], src[:n]...)
+			convTaps(got, stacked, []float64{1, k}, n)
+			checkBits(t, "convTaps taps=2", n, k, got, want)
 		}
 
 		bv := make([]float64, n+1)
@@ -114,6 +114,16 @@ func testConvTaps(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+func checkBits(t *testing.T, what string, n int, k float64, got, want []float64) {
+	t.Helper()
+	for i := range want {
+		if math.Float64bits(want[i]) != math.Float64bits(got[i]) {
+			t.Fatalf("%s n=%d k=%g i=%d: got %x want %x", what, n, k, i,
+				math.Float64bits(got[i]), math.Float64bits(want[i]))
 		}
 	}
 }
