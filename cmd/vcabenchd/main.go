@@ -24,10 +24,15 @@
 //	POST /campaigns             submit {"spec": {...}, "scale": "...", "seed": N}
 //	GET  /campaigns/{id}        poll job status
 //	GET  /campaigns/{id}/result fetch the result document
-//	GET  /cells/{key}           fetch one cell by canonical unit key
+//	GET  /cells/{key}           fetch one cell by canonical unit key: the
+//	                            cell of the job that finished last with
+//	                            that key at that scale and seed, from
+//	                            memory or, after eviction or a restart,
+//	                            from -cache
 //	GET  /cells/{key}/diag      fetch the cell's sim-time diagnostics
 //	                            artifact (needs -diag; byte-identical to
-//	                            `vcabench -diag-out` for the same cell)
+//	                            `vcabench -diag-out` for the same cell);
+//	                            a cell whose key ends in "/diag" wins
 //	POST /units                 run one campaign cell (worker endpoint)
 //	GET  /healthz               liveness + store statistics
 //	GET  /metrics               Prometheus text exposition (always on)

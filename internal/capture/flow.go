@@ -50,10 +50,3 @@ type Endpoint struct {
 }
 
 func (e Endpoint) String() string { return fmt.Sprintf("%s:%d", e.IP, e.Port) }
-
-// Flow is a directed (src, dst) endpoint pair.
-type Flow struct {
-	Src, Dst Endpoint
-}
-
-func (f Flow) String() string { return f.Src.String() + "->" + f.Dst.String() }

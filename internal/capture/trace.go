@@ -51,9 +51,6 @@ type Record struct {
 // Time returns the capture time in UTC.
 func (r Record) Time() time.Time { return time.Unix(0, r.UnixNano).UTC() }
 
-// Flow returns the record's directed flow.
-func (r Record) Flow() Flow { return Flow{Src: r.Src, Dst: r.Dst} }
-
 // Remote returns the non-local endpoint given the record's direction.
 func (r Record) Remote() Endpoint {
 	if r.Dir == In {

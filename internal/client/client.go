@@ -77,8 +77,11 @@ type Client struct {
 	reasm  *rtp.Reassembler
 	sent   []codec.EncodedFrame
 	sentAu []codec.AudioFrame
-	gotVid []*codec.EncodedFrame // complete arrivals, indexed by frame seq
-	gotAu  map[int]*codec.AudioFrame
+	// lastSent is the previous session's frame count, the capacity the
+	// next session's frame log starts with.
+	lastSent int
+	gotVid   []*codec.EncodedFrame // complete arrivals, indexed by frame seq
+	gotAu    map[int]*codec.AudioFrame
 
 	feedEv, audEv, kaEv, repEv *simnet.Event
 
@@ -153,6 +156,11 @@ func (c *Client) Start() {
 			Seed:      c.cfg.Seed + 1,
 		}, c.cfg.Kit.Frames)
 		c.att.OnTarget(func(bps float64) { c.enc.SetTargetBps(bps) })
+		// Sessions repeat, so the frame log starts at the last session's
+		// length instead of growing from nil again. The array is new:
+		// packets sent from the old one point into it and may still be
+		// in flight.
+		c.sent = make([]codec.EncodedFrame, 0, c.lastSent)
 		c.newPacketizer(c.src.FPS())
 		interval := time.Second / time.Duration(c.src.FPS())
 		c.feedEv = c.sim.Every(interval, c.feedVideoFrame)
@@ -290,6 +298,7 @@ func (c *Client) Reset() {
 	c.reasm = rtp.NewReassembler(5)
 	c.gotVid = nil
 	c.gotAu = make(map[int]*codec.AudioFrame)
+	c.lastSent = len(c.sent)
 	c.sent = nil
 	c.sentAu = nil
 	c.recvBytes = 0

@@ -2,6 +2,7 @@ package core
 
 import (
 	"sort"
+	"strconv"
 	"time"
 
 	"github.com/vcabench/vcabench/internal/client"
@@ -65,24 +66,8 @@ func (p pipeProbe) PipeDropped(pipe string, at time.Time, wire int, cause simnet
 func (tb *Testbed) rateProbe(kind string) func(session int, bps float64) {
 	r := tb.diagRec
 	return func(session int, bps float64) {
-		r.Event(tb.Sim.Now(), diag.KindRateTarget, kind+"-session-"+itoa(session), bps)
+		r.Event(tb.Sim.Now(), diag.KindRateTarget, kind+"-session-"+strconv.Itoa(session), bps)
 	}
-}
-
-// itoa is a minimal non-negative integer formatter (avoids fmt on the
-// per-event path).
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	var b [20]byte
-	i := len(b)
-	for v > 0 {
-		i--
-		b[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(b[i:])
 }
 
 // traceProbe returns the step observer trace players feed, or nil when

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"strconv"
 	"time"
 
 	"github.com/vcabench/vcabench/internal/capture"
@@ -296,18 +297,10 @@ func trim(v float64) string {
 	if v < 0 && tenths > 0 {
 		s = append(s, '-')
 	}
-	s = appendInt(s, tenths/10)
+	s = strconv.AppendInt(s, tenths/10, 10)
 	if frac := tenths % 10; frac > 0 {
 		s = append(s, '.')
-		s = appendInt(s, frac)
+		s = strconv.AppendInt(s, frac, 10)
 	}
 	return string(s)
-}
-
-// appendInt appends the decimal form of a non-negative integer.
-func appendInt(b []byte, v int64) []byte {
-	if v >= 10 {
-		b = appendInt(b, v/10)
-	}
-	return append(b, byte('0'+v%10))
 }

@@ -181,9 +181,6 @@ func NewRecorder(key string, start time.Time, bin time.Duration) *Recorder {
 	}
 }
 
-// Key returns the cell key the recorder was created with.
-func (r *Recorder) Key() string { return r.key }
-
 // binIndex maps a sim instant to its bin.
 func (r *Recorder) binIndex(at time.Time) int {
 	d := at.Sub(r.start)

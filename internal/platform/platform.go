@@ -240,9 +240,6 @@ func New(k Kind, net *simnet.Network) *Platform {
 // Kind returns the platform's identity.
 func (p *Platform) Kind() Kind { return p.cfg.Kind }
 
-// Config returns the active profile.
-func (p *Platform) Config() Config { return p.cfg }
-
 // MediaPort returns the platform's well-known media port.
 func (p *Platform) MediaPort() int { return p.cfg.MediaPort }
 

@@ -1,7 +1,6 @@
 package platform
 
 import (
-	"fmt"
 	"time"
 
 	"github.com/vcabench/vcabench/internal/simnet"
@@ -111,9 +110,6 @@ func (p *Platform) CreateSession() *Session {
 	return &Session{p: p, id: p.sessions, fwdClock: make(map[*Attachment]time.Time)}
 }
 
-// ID returns the session's ordinal (1-based) on its platform.
-func (s *Session) ID() int { return s.id }
-
 // Join attaches a participant. The first participant to join is the
 // meeting host. Join binds opts.Port on the node.
 func (s *Session) Join(node *simnet.Node, opts JoinOpts) *Attachment {
@@ -139,9 +135,6 @@ func (s *Session) Join(node *simnet.Node, opts JoinOpts) *Attachment {
 	s.parts = append(s.parts, a)
 	return a
 }
-
-// N returns the participant count.
-func (s *Session) N() int { return len(s.parts) }
 
 // P2P reports whether the session runs peer-to-peer.
 func (s *Session) P2P() bool { return s.p2p }
@@ -342,8 +335,4 @@ func (s *Session) End() {
 	for _, ep := range s.endpoints {
 		ep.Node.Unbind(s.p.cfg.MediaPort)
 	}
-}
-
-func (s *Session) String() string {
-	return fmt.Sprintf("%s session %d (n=%d, p2p=%v)", s.p.cfg.Kind, s.id, len(s.parts), s.p2p)
 }

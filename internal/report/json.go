@@ -21,20 +21,3 @@ func WriteJSON(w io.Writer, v any) error {
 	_, err = w.Write(data)
 	return err
 }
-
-// tableJSON is the serialized form of a Table.
-type tableJSON struct {
-	Title  string     `json:"title,omitempty"`
-	Header []string   `json:"header,omitempty"`
-	Rows   [][]string `json:"rows"`
-}
-
-// JSON writes the table as a JSON object with title, header and rows —
-// cells stay the strings the text renderer would print.
-func (t *Table) JSON(w io.Writer) error {
-	rows := t.Rows
-	if rows == nil {
-		rows = [][]string{}
-	}
-	return WriteJSON(w, tableJSON{Title: t.Title, Header: t.Header, Rows: rows})
-}

@@ -110,29 +110,6 @@ func (t *Table) String() string {
 	return b.String()
 }
 
-// CSV writes the table as comma-separated values.
-func (t *Table) CSV(w io.Writer) {
-	esc := func(s string) string {
-		if strings.ContainsAny(s, ",\"\n") {
-			return `"` + strings.ReplaceAll(s, `"`, `""`) + `"`
-		}
-		return s
-	}
-	writeRow := func(row []string) {
-		parts := make([]string, len(row))
-		for i, c := range row {
-			parts[i] = esc(c)
-		}
-		fmt.Fprintln(w, strings.Join(parts, ","))
-	}
-	if len(t.Header) > 0 {
-		writeRow(t.Header)
-	}
-	for _, row := range t.Rows {
-		writeRow(row)
-	}
-}
-
 // pad right-pads s to w columns. Width is counted in runes, not bytes,
 // so multibyte cells (the "±" of replicated metrics) align with their
 // ASCII neighbors.

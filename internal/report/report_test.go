@@ -1,7 +1,6 @@
 package report
 
 import (
-	"encoding/json"
 	"io"
 	"math"
 	"strings"
@@ -37,23 +36,6 @@ func TestTableRender(t *testing.T) {
 	col := strings.Index(hdr, "value")
 	if col <= 0 {
 		t.Fatalf("header layout: %q", hdr)
-	}
-}
-
-func TestTableCSV(t *testing.T) {
-	tb := Table{Header: []string{"a", "b"}}
-	tb.AddRow("x,y", `say "hi"`)
-	var sb strings.Builder
-	tb.CSV(&sb)
-	out := sb.String()
-	if !strings.Contains(out, `"x,y"`) {
-		t.Errorf("comma not quoted: %s", out)
-	}
-	if !strings.Contains(out, `"say ""hi"""`) {
-		t.Errorf("quote not escaped: %s", out)
-	}
-	if !strings.HasPrefix(out, "a,b\n") {
-		t.Errorf("header missing: %s", out)
 	}
 }
 
@@ -157,35 +139,6 @@ func TestWriteJSON(t *testing.T) {
 	// NaN is a caller bug and must surface as an error, not output.
 	if err := WriteJSON(io.Discard, math.NaN()); err == nil {
 		t.Error("NaN should fail to encode")
-	}
-}
-
-func TestTableJSON(t *testing.T) {
-	tb := Table{Title: "demo", Header: []string{"a", "b"}}
-	tb.AddRow("x", 1.5)
-	var buf strings.Builder
-	if err := tb.JSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var dec struct {
-		Title  string     `json:"title"`
-		Header []string   `json:"header"`
-		Rows   [][]string `json:"rows"`
-	}
-	if err := json.Unmarshal([]byte(buf.String()), &dec); err != nil {
-		t.Fatal(err)
-	}
-	if dec.Title != "demo" || len(dec.Header) != 2 || len(dec.Rows) != 1 || dec.Rows[0][1] != "1.5" {
-		t.Errorf("round trip: %+v", dec)
-	}
-	// An empty table still emits a rows array, not null.
-	var empty Table
-	buf.Reset()
-	if err := empty.JSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), `"rows": []`) {
-		t.Errorf("empty rows should be [], got:\n%s", buf.String())
 	}
 }
 

@@ -16,17 +16,24 @@
 //	                             spec.json -json -` at the same scale/seed
 //	GET  /cells/{key}          → one completed cell by canonical unit key,
 //	                             at the server's default scale and seed;
-//	                             ?scale= and ?seed= select others. Within
-//	                             one (scale, seed), campaigns sharing keys
-//	                             (fig12/fig14) agree on cell contents.
-//	                             Misses fall back to the persistent store,
-//	                             so cells survive daemon restarts and job
+//	                             ?scale= and ?seed= select others. The
+//	                             answer is the cell of the job that
+//	                             finished last with that key at that
+//	                             (scale, seed): retained jobs are asked
+//	                             newest-finished first, then the
+//	                             persistent store, which jobs write in
+//	                             the order they finish. So memory and
+//	                             store serve the same bytes, and cells
+//	                             survive daemon restarts and job
 //	                             eviction.
 //	GET  /cells/{key}/diag     → the cell's sim-time flight-recorder
 //	                             artifact (see internal/diag), when the
 //	                             server runs with Config.Diagnostics;
 //	                             byte-identical to what `vcabench
 //	                             -diag-out` writes for the same cell.
+//	                             The whole key is tried as a cell first,
+//	                             so a cell whose key ends in "/diag" is
+//	                             still served.
 //	POST /units                {"spec": {...}, "scale": "tiny", "seed": 42,
 //	                            "key": "grid/zoom"} → the cell's canonical
 //	                             binary encoding (application/octet-stream).
@@ -80,10 +87,10 @@ type Config struct {
 	// directory).
 	Store core.CellStore
 	// MaxJobs bounds retained finished jobs (0 = DefaultMaxJobs).
-	// Beyond it the oldest finished job — result document and its
-	// cells-index entries — is dropped; resubmitting its spec re-runs
-	// it, served warm from the store. Queued and running jobs are
-	// never evicted.
+	// Beyond it the oldest finished job — its result and rendered
+	// cell documents — is dropped; resubmitting its spec re-runs it,
+	// served warm from the store. Queued and running jobs are never
+	// evicted.
 	MaxJobs int
 	// Telemetry, when set with a registry, mounts GET /metrics on the
 	// handler, exports job and unit counters, and attaches the bundle
@@ -101,7 +108,7 @@ type Config struct {
 }
 
 // DefaultMaxJobs bounds retained finished jobs when Config.MaxJobs is
-// unset. Results and cell indexes live in memory; without a bound,
+// unset. Results and rendered cells live in memory; without a bound,
 // clients sweeping seeds or scales would grow the daemon without limit
 // even though the persistent store already holds every cell on disk.
 const DefaultMaxJobs = 256
@@ -117,19 +124,13 @@ type Server struct {
 	mUnits     *obs.Counter
 	mCampaigns *obs.Counter
 
+	// tail serialises each job's persist-and-finish tail, so the store
+	// receives rendered documents in the order jobs finish.
+	tail sync.Mutex
+
 	mu       sync.Mutex
 	jobs     map[string]*job
-	finished []string          // finished job ids, oldest first
-	cells    map[string][]byte // scoped cell key → CellResult JSON
-	cellRefs map[string]int    // retained jobs referencing each key
-	diags    map[string][]byte // scoped cell key → CellDiag JSON artifact
-}
-
-// cellIndexKey scopes the /cells index: the same unit key holds
-// different values at different scales or seeds, so the bare key would
-// let one client's seed override silently shadow another's cells.
-func cellIndexKey(scaleName string, seed int64, unitKey string) string {
-	return fmt.Sprintf("%s/%d/%s", scaleName, seed, unitKey)
+	finished []*job // finished jobs, oldest first
 }
 
 // job is one submitted campaign execution.
@@ -140,12 +141,14 @@ type job struct {
 	seed      int64
 	spec      core.Campaign
 
-	status   string // "queued" | "running" | "done" | "failed"
-	errMsg   string
-	result   []byte // WriteJSON bytes of the CampaignResult
-	cells    int
-	cellKeys []string      // keys this job contributed to the cells index
-	done     chan struct{} // closed on done/failed
+	status string // "queued" | "running" | "done" | "failed"
+	errMsg string
+	result []byte // WriteJSON bytes of the CampaignResult
+	cells  int
+	// docs maps a store key (core.ServeCellKey, core.ServeDiagKey) to
+	// the rendered document this job produced under it.
+	docs map[string][]byte
+	done chan struct{} // closed on done/failed
 }
 
 // New creates a Server. The zero Config is usable: seed 0, quick scale
@@ -164,12 +167,9 @@ func New(cfg Config) *Server {
 		cfg.MaxJobs = DefaultMaxJobs
 	}
 	s := &Server{
-		cfg:      cfg,
-		sem:      make(chan struct{}, cfg.MaxRuns),
-		jobs:     make(map[string]*job),
-		cells:    make(map[string][]byte),
-		cellRefs: make(map[string]int),
-		diags:    make(map[string][]byte),
+		cfg:  cfg,
+		sem:  make(chan struct{}, cfg.MaxRuns),
+		jobs: make(map[string]*job),
 	}
 	if cfg.Telemetry != nil && cfg.Telemetry.Metrics != nil {
 		s.tel = cfg.Telemetry
@@ -263,41 +263,66 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	report.WriteJSON(w, v)
 }
 
-// resolveSubmission applies the daemon defaults to a request's raw
-// spec, scale name and optional seed — shared by the campaign and unit
-// endpoints so the two halves of the API cannot drift. Errors map to
-// 400.
-func (s *Server) resolveSubmission(rawSpec json.RawMessage, scaleName string, seed *int64) (core.Campaign, core.Scale, int64, error) {
-	if len(rawSpec) == 0 {
+// decode reads a request body strictly (unknown fields and trailing
+// data are errors), writing the 400 itself.
+func decode(w http.ResponseWriter, r *http.Request, v any) bool {
+	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
+		return false
+	}
+	return true
+}
+
+// resolve applies the daemon defaults to a request's raw spec, scale
+// name and optional seed — shared by the campaign and unit endpoints
+// so the two halves of the API cannot drift. Errors map to 400.
+func (s *Server) resolve(req submitRequest) (core.Campaign, core.Scale, int64, error) {
+	if len(req.Spec) == 0 {
 		return core.Campaign{}, core.Scale{}, 0, fmt.Errorf("request needs a \"spec\" field holding a campaign")
 	}
-	spec, err := core.ParseCampaign(rawSpec)
+	spec, err := core.ParseCampaign(req.Spec)
 	if err != nil {
 		return core.Campaign{}, core.Scale{}, 0, err
 	}
 	sc := s.cfg.Scale
-	if scaleName != "" {
+	if req.Scale != "" {
 		var ok bool
-		if sc, ok = core.ScaleByName(scaleName); !ok {
-			return core.Campaign{}, core.Scale{}, 0, fmt.Errorf("unknown scale %q (want tiny, quick or paper)", scaleName)
+		if sc, ok = core.ScaleByName(req.Scale); !ok {
+			return core.Campaign{}, core.Scale{}, 0, fmt.Errorf("unknown scale %q (want tiny, quick or paper)", req.Scale)
 		}
 	}
 	sd := s.cfg.Seed
-	if seed != nil {
-		sd = *seed
+	if req.Seed != nil {
+		sd = *req.Seed
 	}
 	return spec, sc, sd, nil
 }
 
+// testbed builds the testbed every campaign and unit runs on: the
+// server's worker count, store and telemetry, plus the flight recorder
+// when diagOn.
+func (s *Server) testbed(seed int64, diagOn bool) *core.Testbed {
+	tb := core.NewTestbed(seed).SetParallelism(s.cfg.Workers)
+	if s.cfg.Store != nil {
+		tb.WithStore(s.cfg.Store)
+	}
+	if s.tel != nil {
+		tb.WithTelemetry(s.tel)
+	}
+	if diagOn {
+		tb.WithDiagnostics()
+	}
+	return tb
+}
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req submitRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
+	if !decode(w, r, &req) {
 		return
 	}
-	spec, sc, seed, err := s.resolveSubmission(req.Spec, req.Scale, req.Seed)
+	spec, sc, seed, err := s.resolve(req)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -350,141 +375,96 @@ func (s *Server) run(j *job, sc core.Scale) {
 	j.status = "running"
 	s.mu.Unlock()
 
-	fail := func(msg string) {
-		s.mu.Lock()
-		j.status = "failed"
-		j.errMsg = msg
-		s.finish(j)
-		s.mu.Unlock()
-		close(j.done)
-	}
+	result, cells, docs, err := s.execute(j, sc)
 
-	// The engine panics on internal invariant violations, and this
-	// goroutine — unlike an http handler's — would otherwise take the
-	// whole daemon (and every other client's jobs) down with it.
-	defer func() {
-		if r := recover(); r != nil {
-			fail(fmt.Sprintf("panic: %v", r))
-		}
-	}()
-
-	tb := core.NewTestbed(j.seed).SetParallelism(s.cfg.Workers)
-	if s.cfg.Store != nil {
-		tb.WithStore(s.cfg.Store)
-	}
-	if s.tel != nil {
-		tb.WithTelemetry(s.tel)
-	}
-	if s.cfg.Diagnostics {
-		tb.WithDiagnostics()
-	}
-	res, err := core.RunCampaign(tb, j.spec, sc)
-	if err != nil {
-		fail(err.Error())
-		return
-	}
-	var buf bytes.Buffer
-	if err := report.WriteJSON(&buf, res); err != nil {
-		fail("encode result: " + err.Error())
-		return
-	}
-
-	type cellDoc struct {
-		unitKey string
-		data    []byte
-	}
-	var docs []cellDoc
-	for i := range res.Cells {
-		c := &res.Cells[i]
-		var cb bytes.Buffer
-		if report.WriteJSON(&cb, c) == nil {
-			docs = append(docs, cellDoc{unitKey: c.Key, data: cb.Bytes()})
-		}
-	}
-	// Flight-recorder documents ride alongside the rendered cells:
-	// same scoping, same eviction, served at GET /cells/{key}/diag.
-	var diagDocs []cellDoc
-	if s.cfg.Diagnostics {
-		for _, d := range tb.DiagResults() {
-			if data, err := diag.Encode(d); err == nil {
-				diagDocs = append(diagDocs, cellDoc{unitKey: d.Key, data: data})
-			}
-		}
-	}
-	// Persist the rendered cells before the job turns "done": once a
-	// poller sees the terminal status, every cell must be servable —
+	// Persist the rendered documents before the job turns "done": once
+	// a poller sees the terminal status, every cell must be servable —
 	// from memory while the job is retained, from the store after a
-	// restart or eviction. Deterministic cells make the write
-	// idempotent, so an already-present document (a warm rerun, or a
-	// sibling campaign sharing the key) is left alone — the Get costs
-	// a small read (absorbed by the store's LRU) but preserves the
-	// invariant that warm reruns perform zero Puts; failed Puts only
-	// narrow the fallback.
-	if s.cfg.Store != nil {
-		for _, d := range docs {
-			key := core.ServeCellKey(j.scaleName, j.seed, d.unitKey)
-			if _, ok := s.cfg.Store.Get(key); !ok {
-				s.cfg.Store.Put(key, d.data)
-			}
-		}
-		// Diag artifacts are as deterministic as the cells, so the same
-		// Get-before-Put idempotence applies.
-		for _, d := range diagDocs {
-			key := core.ServeDiagKey(j.scaleName, j.seed, d.unitKey)
-			if _, ok := s.cfg.Store.Get(key); !ok {
-				s.cfg.Store.Put(key, d.data)
-			}
-		}
-	}
-
-	s.mu.Lock()
-	j.status = "done"
-	j.result = buf.Bytes()
-	j.cells = len(res.Cells)
+	// restart or eviction. Persisting and finishing under one lock
+	// makes the job that finished last with a key its last writer in
+	// the store too, and eviction drops the oldest-finished job first,
+	// so memory and store serve the same bytes at every moment. A
+	// document is written only when the store lacks it or holds other
+	// bytes: a warm rerun makes zero Puts (the Get is absorbed by the
+	// store's LRU). A failed Put leaves the store an older answer, or
+	// none, for after eviction.
+	s.tail.Lock()
+	defer s.tail.Unlock()
+	index := make(map[string][]byte, len(docs))
 	for _, d := range docs {
-		ck := cellIndexKey(j.scaleName, j.seed, d.unitKey)
-		s.cells[ck] = d.data
-		s.cellRefs[ck]++
-		j.cellKeys = append(j.cellKeys, ck)
+		index[d.key] = d.data
+		if s.cfg.Store != nil {
+			if old, ok := s.cfg.Store.Get(d.key); !ok || !bytes.Equal(old, d.data) {
+				s.cfg.Store.Put(d.key, d.data)
+			}
+		}
 	}
-	for _, d := range diagDocs {
-		// Diag entries ride the same refcounted eviction as cells. They
-		// need their own counts: a replicated campaign's diag documents
-		// are keyed per replica ("<cellKey>/rep=K"), which never appears
-		// in the cells index.
-		ck := cellIndexKey(j.scaleName, j.seed, d.unitKey)
-		s.diags[ck] = d.data
-		s.cellRefs[ck]++
-		j.cellKeys = append(j.cellKeys, ck)
+	s.mu.Lock()
+	if err != nil {
+		j.status, j.errMsg = "failed", err.Error()
+	} else {
+		j.status, j.result, j.cells, j.docs = "done", result, cells, index
 	}
 	s.finish(j)
 	s.mu.Unlock()
 	close(j.done)
 }
 
+// doc is one rendered document a job serves, under its store key.
+type doc struct {
+	key  string
+	data []byte
+}
+
+// execute runs a job's campaign and renders its result document, one
+// JSON document per cell and, when armed, one flight-recorder artifact
+// per cell. The engine panics on internal invariant violations; this
+// goroutine, unlike an http handler's, would otherwise take the whole
+// daemon (and every other client's jobs) down with it, so a panic
+// becomes the job's error.
+func (s *Server) execute(j *job, sc core.Scale) (result []byte, cells int, docs []doc, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			docs, err = nil, fmt.Errorf("panic: %v", r)
+		}
+	}()
+	tb := s.testbed(j.seed, s.cfg.Diagnostics)
+	res, err := core.RunCampaign(tb, j.spec, sc)
+	if err != nil {
+		return nil, 0, nil, err
+	}
+	var buf bytes.Buffer
+	if err := report.WriteJSON(&buf, res); err != nil {
+		return nil, 0, nil, fmt.Errorf("encode result: %w", err)
+	}
+	for i := range res.Cells {
+		c := &res.Cells[i]
+		var cb bytes.Buffer
+		if report.WriteJSON(&cb, c) == nil {
+			docs = append(docs, doc{core.ServeCellKey(j.scaleName, j.seed, c.Key), cb.Bytes()})
+		}
+	}
+	for _, d := range tb.DiagResults() {
+		if data, err := diag.Encode(d); err == nil {
+			docs = append(docs, doc{core.ServeDiagKey(j.scaleName, j.seed, d.Key), data})
+		}
+	}
+	return buf.Bytes(), len(res.Cells), docs, nil
+}
+
 // finish records a terminal job and evicts the oldest finished jobs
-// beyond MaxJobs — result documents and cell-index entries are dropped
-// (the persistent store still holds every computed cell, so a
-// resubmission re-runs warm). "Oldest" is by completion, not
+// beyond MaxJobs, with their results and rendered documents (the
+// persistent store still holds every document, so /cells falls back to
+// it and a resubmission re-runs warm). "Oldest" is by completion, not
 // submission: evicting in submission order would drop a slow job the
 // moment it finishes, and its poller would get a 404 for a result it
 // never saw. Caller holds s.mu.
 func (s *Server) finish(j *job) {
-	s.finished = append(s.finished, j.id)
+	s.finished = append(s.finished, j)
 	for len(s.finished) > s.cfg.MaxJobs {
-		old := s.jobs[s.finished[0]]
+		delete(s.jobs, s.finished[0].id)
+		s.finished[0] = nil // let the evicted job's documents go
 		s.finished = s.finished[1:]
-		if old == nil {
-			continue
-		}
-		for _, key := range old.cellKeys {
-			if s.cellRefs[key]--; s.cellRefs[key] <= 0 {
-				delete(s.cellRefs, key)
-				delete(s.cells, key)
-				delete(s.diags, key)
-			}
-		}
-		delete(s.jobs, old.id)
 	}
 }
 
@@ -535,91 +515,71 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// handleCell serves GET /cells/{key} and GET /cells/{key}/diag. The
+// {key...} wildcard swallows the whole remaining path, so the whole key
+// is tried as a cell first; only on a miss does a trailing "/diag"
+// select the flight-recorder artifact of the cell it follows — exactly
+// the bytes `vcabench -diag-out` writes for that cell.
 func (s *Server) handleCell(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
-	// The {key...} wildcard swallows the whole remaining path, so the
-	// /cells/{key}/diag route is dispatched here by suffix: a trailing
-	// "/diag" selects the cell's flight-recorder artifact instead of
-	// its result JSON.
-	if base, ok := strings.CutSuffix(key, "/diag"); ok && base != "" {
-		s.serveCellDiag(w, r, base)
-		return
-	}
-	scaleName, seed, ok := s.cellScope(w, r)
-	if !ok {
-		return
-	}
-	s.mu.Lock()
-	data, ok := s.cells[cellIndexKey(scaleName, seed, key)]
-	s.mu.Unlock()
-	if !ok && s.cfg.Store != nil {
-		// The in-memory index only spans retained jobs; the store holds
-		// every cell this daemon (or a predecessor sharing the cache
-		// directory) ever finished.
-		data, ok = s.cfg.Store.Get(core.ServeCellKey(scaleName, seed, key))
-	}
-	if !ok {
-		httpError(w, http.StatusNotFound,
-			"no completed cell %q at scale=%s seed=%d (cells appear once their campaign finishes; ?scale=/?seed= select non-default runs)",
-			key, scaleName, seed)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(data)
-}
-
-// cellScope resolves the (scale, seed) query parameters shared by the
-// /cells result and diag lookups, writing the 400 itself on a bad seed.
-func (s *Server) cellScope(w http.ResponseWriter, r *http.Request) (scaleName string, seed int64, ok bool) {
-	scaleName = s.cfg.Scale.Name
+	scaleName := s.cfg.Scale.Name
 	if q := r.URL.Query().Get("scale"); q != "" {
 		scaleName = q
 	}
-	seed = s.cfg.Seed
+	seed := s.cfg.Seed
 	if q := r.URL.Query().Get("seed"); q != "" {
 		v, err := strconv.ParseInt(q, 10, 64)
 		if err != nil {
 			httpError(w, http.StatusBadRequest, "bad seed %q", q)
-			return "", 0, false
+			return
 		}
 		seed = v
 	}
-	return scaleName, seed, true
-}
-
-// serveCellDiag serves GET /cells/{key}/diag: the cell's flight-recorder
-// artifact, exactly the bytes `vcabench -diag-out` writes for the same
-// cell. Like result lookups, misses fall back to the persistent store's
-// servediag/ namespace.
-func (s *Server) serveCellDiag(w http.ResponseWriter, r *http.Request, key string) {
-	scaleName, seed, ok := s.cellScope(w, r)
-	if !ok {
-		return
+	data, ok := s.rendered(core.ServeCellKey(scaleName, seed, key))
+	base, isDiag := strings.CutSuffix(key, "/diag")
+	if !ok && isDiag {
+		data, ok = s.rendered(core.ServeDiagKey(scaleName, seed, base))
 	}
-	s.mu.Lock()
-	data, ok := s.diags[cellIndexKey(scaleName, seed, key)]
-	s.mu.Unlock()
-	if !ok && s.cfg.Store != nil {
-		data, ok = s.cfg.Store.Get(core.ServeDiagKey(scaleName, seed, key))
-	}
-	if !ok {
+	switch {
+	case ok:
+		w.Header().Set("Content-Type", "application/json")
+		w.Write(data)
+	case isDiag:
 		httpError(w, http.StatusNotFound,
 			"no diagnostics for cell %q at scale=%s seed=%d (the daemon must run with -diag, and the cell's campaign must have finished)",
+			base, scaleName, seed)
+	default:
+		httpError(w, http.StatusNotFound,
+			"no completed cell %q at scale=%s seed=%d (cells appear once their campaign finishes; ?scale=/?seed= select non-default runs)",
 			key, scaleName, seed)
-		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(data)
+}
+
+// rendered returns the document under a store key (core.ServeCellKey or
+// core.ServeDiagKey): the newest-finished retained job's, else the
+// store's, which holds every document this daemon (or a predecessor
+// sharing the cache directory) ever finished.
+func (s *Server) rendered(key string) ([]byte, bool) {
+	s.mu.Lock()
+	for i := len(s.finished) - 1; i >= 0; i-- {
+		if data, ok := s.finished[i].docs[key]; ok {
+			s.mu.Unlock()
+			return data, true
+		}
+	}
+	s.mu.Unlock()
+	if s.cfg.Store == nil {
+		return nil, false
+	}
+	return s.cfg.Store.Get(key)
 }
 
 // unitRequest is the POST /units body: one campaign cell to execute on
-// behalf of a distributed-campaign coordinator. Spec stays raw so the
-// campaign parser's strict decoding applies verbatim.
+// behalf of a distributed-campaign coordinator, named by Key within the
+// campaign, scale and seed a submitRequest carries.
 type unitRequest struct {
-	Spec  json.RawMessage `json:"spec"`
-	Scale string          `json:"scale,omitempty"`
-	Seed  *int64          `json:"seed,omitempty"`
-	Key   string          `json:"key"`
+	submitRequest
+	Key string `json:"key"`
 	// Diag mirrors core.UnitRequest.Diag: arm the flight recorder for
 	// this unit so the returned cell carries the same Diag document a
 	// local diagnostics-armed run would compute.
@@ -634,17 +594,14 @@ type unitRequest struct {
 // this daemon's own jobs) cost one disk read.
 func (s *Server) handleUnit(w http.ResponseWriter, r *http.Request) {
 	var req unitRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
+	if !decode(w, r, &req) {
 		return
 	}
 	if req.Key == "" {
 		httpError(w, http.StatusBadRequest, "request needs a \"key\" field naming a cell")
 		return
 	}
-	spec, sc, seed, err := s.resolveSubmission(req.Spec, req.Scale, req.Seed)
+	spec, sc, seed, err := s.resolve(req.submitRequest)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -687,27 +644,17 @@ func (e unitPanicError) Error() string { return e.msg }
 
 // runUnit executes one cell on a fresh testbed, converting engine
 // panics into errors so a pathological unit cannot take down the
-// daemon (the coordinator computes such a unit locally instead).
+// daemon (the coordinator computes such a unit locally instead). A
+// diagnostics-armed coordinator sets diagOn: matching its mode keys
+// this unit into the diag half of the store and attaches the Diag
+// document the returned encoding must carry.
 func (s *Server) runUnit(spec core.Campaign, sc core.Scale, seed int64, key string, diagOn bool) (data []byte, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = unitPanicError{msg: fmt.Sprintf("unit panicked: %v", r)}
 		}
 	}()
-	tb := core.NewTestbed(seed)
-	if s.cfg.Store != nil {
-		tb.WithStore(s.cfg.Store)
-	}
-	if s.tel != nil {
-		tb.WithTelemetry(s.tel)
-	}
-	if diagOn {
-		// The coordinator is diagnostics-armed; matching its mode keys
-		// this unit into the diag half of the store and attaches the
-		// Diag document the returned encoding must carry.
-		tb.WithDiagnostics()
-	}
-	data, err = core.RunCampaignUnit(tb, spec, sc, key)
+	data, err = core.RunCampaignUnit(s.testbed(seed, diagOn), spec, sc, key)
 	if err == nil && s.mUnits != nil {
 		s.mUnits.Inc()
 	}

@@ -384,10 +384,10 @@ func TestServeCellStoreFallbackAfterEviction(t *testing.T) {
 	}
 }
 
-// Satellite: finish() refcounting. Two jobs share a cell key (same
-// spec modulo description — descriptions change the job id but not
-// unit keys or cell bytes); evicting one must keep the shared cell
-// served and must not leak refcount entries.
+// Eviction by completion order with a shared cell key. Two jobs share
+// one (same spec modulo description — descriptions change the job id
+// but not unit keys or cell bytes); evicting one must keep the shared
+// cell served, and evicting both must drop it when no store backs it.
 func TestServeFinishEvictionRefcounting(t *testing.T) {
 	srv := New(Config{Scale: core.TinyScale, Seed: 42, MaxJobs: 2})
 	ts := httptest.NewServer(srv.Handler())
@@ -403,14 +403,8 @@ func TestServeFinishEvictionRefcounting(t *testing.T) {
 	}
 	poll(t, ts, b.ID)
 
-	srv.mu.Lock()
-	if got := srv.cellRefs[cellIndexKey("tiny", 42, "svc")]; got != 2 {
-		t.Errorf("shared cell refcount = %d, want 2", got)
-	}
-	srv.mu.Unlock()
-
 	// A third job (distinct seed) evicts job a; the shared cell must
-	// survive with refcount 1.
+	// survive in job b.
 	c := submit(t, ts, `{"spec": `+testSpec+`, "seed": 7}`)
 	poll(t, ts, c.ID)
 	if code, _ := get(t, ts, "/campaigns/"+a.ID); code != http.StatusNotFound {
@@ -419,33 +413,104 @@ func TestServeFinishEvictionRefcounting(t *testing.T) {
 	if code, _ := get(t, ts, "/cells/svc"); code != http.StatusOK {
 		t.Error("cell shared with a retained job was dropped on eviction")
 	}
-	srv.mu.Lock()
-	if got := srv.cellRefs[cellIndexKey("tiny", 42, "svc")]; got != 1 {
-		t.Errorf("refcount after evicting one sharer = %d, want 1", got)
-	}
-	srv.mu.Unlock()
 
-	// Evict the remaining sharer too: the cell and its refcount entry
-	// must both disappear — a leaked entry here grows forever in a
-	// long-lived daemon.
+	// Evict the remaining sharer too: with no store, the cell must go.
 	d := submit(t, ts, `{"spec": `+testSpec+`, "seed": 8}`)
 	poll(t, ts, d.ID)
 	if code, _ := get(t, ts, "/cells/svc"); code != http.StatusNotFound {
 		t.Error("cell with no retaining jobs still served")
 	}
-	srv.mu.Lock()
-	if n := len(srv.cellRefs); n != len(srv.cells) {
-		t.Errorf("cellRefs has %d entries, cells has %d — refcount map leaking", n, len(srv.cells))
+}
+
+// Two same-named specs whose unit keys match but whose cells differ
+// (a single-valued caps axis adds no key segment) run one after the
+// other: /cells serves the later job's bytes while both are retained,
+// from a restarted daemon's store, and once eviction has dropped both.
+func TestServeCellsServeLastFinishedJob(t *testing.T) {
+	const (
+		specA = `{"name": "svc", "platforms": ["zoom", "webex"]}`
+		specB = `{"name": "svc", "platforms": ["zoom", "webex"], "caps_bps": [250000]}`
+	)
+	render := func(raw string) []byte {
+		t.Helper()
+		spec, err := core.ParseCampaign([]byte(raw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := core.RunCampaign(core.NewTestbed(42), spec, core.TinyScale)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range res.Cells {
+			if res.Cells[i].Key == "svc/zoom" {
+				var b bytes.Buffer
+				if err := report.WriteJSON(&b, &res.Cells[i]); err != nil {
+					t.Fatal(err)
+				}
+				return b.Bytes()
+			}
+		}
+		t.Fatalf("%s has no cell svc/zoom", raw)
+		return nil
 	}
-	for ck, n := range srv.cellRefs {
-		if n <= 0 {
-			t.Errorf("leaked zero refcount for %q", ck)
+	cellA, want := render(specA), render(specB)
+	if bytes.Equal(cellA, want) {
+		t.Fatal("the two specs render the same svc/zoom cell; the test needs them to differ")
+	}
+	runBoth := func(ts *httptest.Server) {
+		t.Helper()
+		for _, spec := range []string{specA, specB} {
+			if fin := poll(t, ts, submit(t, ts, `{"spec": `+spec+`}`).ID); fin.Status != "done" {
+				t.Fatalf("job %s: %+v", spec, fin)
+			}
 		}
 	}
-	if _, ok := srv.cellRefs[cellIndexKey("tiny", 42, "svc")]; ok {
-		t.Error("evicted cell's refcount entry leaked")
+	check := func(what string, ts *httptest.Server) {
+		t.Helper()
+		code, got := get(t, ts, "/cells/svc/zoom")
+		if code != http.StatusOK {
+			t.Fatalf("%s: status %d (%s)", what, code, got)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: /cells/svc/zoom is not the later job's cell", what)
+		}
 	}
-	srv.mu.Unlock()
+
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := newTestServer(t, Config{Store: st})
+	runBoth(ts)
+	check("both jobs retained", ts)
+	check("restarted daemon", newTestServer(t, Config{Store: st}))
+
+	ts = newTestServer(t, Config{Store: st, MaxJobs: 1})
+	runBoth(ts)
+	third := submit(t, ts, `{"spec": `+testSpec+`, "seed": 7}`)
+	poll(t, ts, third.ID)
+	check("both jobs evicted", ts)
+}
+
+// A cell whose key ends in "diag" is a cell like any other: the whole
+// key is tried as a cell before "/diag" selects a diagnostics document.
+func TestServeCellKeyEndingInDiag(t *testing.T) {
+	ts := newTestServer(t, Config{})
+	spec := `{"name": "svc", "platforms": ["zoom"], "netem": [{"name": "diag", "loss_pct": 1}, {"name": "clean"}]}`
+	if fin := poll(t, ts, submit(t, ts, `{"spec": `+spec+`}`).ID); fin.Status != "done" {
+		t.Fatalf("job: %+v", fin)
+	}
+	code, body := get(t, ts, "/cells/svc/diag")
+	if code != http.StatusOK {
+		t.Fatalf("/cells/svc/diag status = %d (%s)", code, body)
+	}
+	var got core.CellResult
+	if err := json.Unmarshal(body, &got); err != nil {
+		t.Fatal(err)
+	}
+	if got.Key != "svc/diag" || got.Netem != "diag" {
+		t.Errorf("/cells/svc/diag served cell %q (netem %q)", got.Key, got.Netem)
+	}
 }
 
 // DrainJobs returns only after every submitted campaign is terminal.

@@ -678,9 +678,6 @@ func txTable(bps int64) []time.Duration {
 	return tab
 }
 
-// Node returns a node by name, or nil.
-func (n *Network) Node(name string) *Node { return n.nodes[name] }
-
 // propagate carries a packet across the core from src to dst.
 func (n *Network) propagate(src, dst *Node, pkt *Packet) {
 	pp := &src.paths[dst.idx]
