@@ -406,7 +406,7 @@ func reportCache(st *vcabench.Store) {
 	}
 	s := st.Stats()
 	fmt.Fprintf(os.Stderr, "vcabench: cache: %d hits, %d misses, %d cells stored\n",
-		s.Hits(), s.Misses, s.Puts)
+		s.Hits, s.Misses, s.Puts)
 }
 
 // writeDiag lands one flight-recorder document in dir, named after its

@@ -560,8 +560,41 @@ func audioSegment(on bool) string {
 // sharing across processes — and across machines, since the worker
 // side of distributed execution (RunCampaignUnit) derives the same
 // salt from the shipped spec.
+//
+// The salt hashes a JSON mirror of the resolved spec's values, so a
+// name that reads like the fields after it cannot alias another spec.
 func (rc *resolvedCampaign) salt() string {
-	return fingerprint(fmt.Sprintf("%+v", rc))
+	type geometry struct {
+		Name     string
+		Host     geo.Region
+		Zone     geo.Zone
+		Explicit []geo.Region
+	}
+	type schedule struct {
+		Name   string
+		Active bool
+		Trace  trace.Trace
+	}
+	geoms := make([]geometry, len(rc.geoms))
+	for i, g := range rc.geoms {
+		geoms[i] = geometry{g.name, g.host, g.zone, g.explicit}
+	}
+	traces := make([]schedule, len(rc.traces))
+	for i, t := range rc.traces {
+		traces[i] = schedule{t.name, t.active, t.tr}
+	}
+	return fingerprint(struct {
+		Name       string
+		Platforms  []platform.Kind
+		Geometries []geometry
+		Motions    []media.MotionClass
+		Sizes      []int
+		Caps       []int64
+		Audio      []bool
+		Netem      []Netem
+		Traces     []schedule
+		Repeats    int
+	}{rc.name, rc.platforms, geoms, rc.motions, rc.sizes, rc.caps, rc.audio, rc.netem, traces, rc.repeats})
 }
 
 // cells expands the grid in canonical axis order. Expansion order only

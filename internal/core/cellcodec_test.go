@@ -387,14 +387,14 @@ func TestDecodeCellRejectsMalformed(t *testing.T) {
 
 // Store keys keep their exact bytes for a given schema version: the
 // scale fingerprint is computed once per batch of units, but spells the
-// same as it always has.
+// same on every call. v7 hashes the Scale's JSON encoding.
 func TestCellKeyBytes(t *testing.T) {
 	if got, want := NewTestbed(42).cellKey(scaleFingerprint(TinyScale), "", "lag/zoom/US-East"),
-		"v6/bare/seed42/tiny-64258db51f25c713/-/lag/zoom/US-East"; got != want {
+		"v7/bare/seed42/tiny-d4de14668892c610/-/lag/zoom/US-East"; got != want {
 		t.Errorf("cellKey = %q, want %q", got, want)
 	}
 	if got, want := NewTestbed(42).WithDiagnostics().cellKey(scaleFingerprint(QuickScale), "abc", "k"),
-		"v6/diag/seed42/quick-1c078b701d687ffa/abc/k"; got != want {
+		"v7/diag/seed42/quick-e9c9b732ae90dc0e/abc/k"; got != want {
 		t.Errorf("cellKey = %q, want %q", got, want)
 	}
 }

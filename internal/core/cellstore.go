@@ -3,6 +3,7 @@ package core
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"sync"
 )
@@ -43,7 +44,8 @@ type CellStore interface {
 // v5: platform variants are named kinds inside unit keys and campaign
 // specs, so keys lost the platform-overrides segment.
 // v6: cells are the tagged binary encoding of cellcodec.go, not gob.
-const cellSchemaVersion = 6
+// v7: campaign salts and scale fingerprints hash JSON, not %+v text.
+const cellSchemaVersion = 7
 
 // memStore is the in-process CellStore a testbed starts with: encoded
 // cells in a map built on first Put, living as long as the testbed.
@@ -92,20 +94,28 @@ func (tb *Testbed) StoreErr() error {
 	return tb.storeErr
 }
 
-// fingerprint digests an arbitrary context string into a short stable
-// token for store keys.
-func fingerprint(s string) string {
-	sum := sha256.Sum256([]byte(s))
+// fingerprint digests the JSON encoding of v, a value of exported
+// fields only, into a short stable token for store keys. JSON quotes
+// every string, so no name can spell out the fields that follow it and
+// make two different values hash alike.
+func fingerprint(v any) string {
+	raw, err := json.Marshal(v)
+	if err != nil {
+		// Callers pass validated values: finite floats, no channels or
+		// functions.
+		panic("core: fingerprint: " + err.Error())
+	}
+	sum := sha256.Sum256(raw)
 	return hex.EncodeToString(sum[:8])
 }
 
 // scaleFingerprint names a scale in store keys. The name alone is not
 // enough: a caller may run a tweaked Scale that reuses a preset's name
-// (benchmarks do), and those cells must not be shared. It formats and
+// (benchmarks do), and those cells must not be shared. It encodes and
 // hashes the whole Scale, so callers compute it once per batch of units
 // and pass the result to cellKey.
 func scaleFingerprint(sc Scale) string {
-	return sc.Name + "-" + fingerprint(fmt.Sprintf("%+v", sc))
+	return sc.Name + "-" + fingerprint(sc)
 }
 
 // cellKey composes the full persisted-cell key. scaleFP is
@@ -120,12 +130,8 @@ func (tb *Testbed) cellKey(scaleFP, salt, unitKey string) string {
 	if salt == "" {
 		salt = "-"
 	}
-	mode := "bare"
-	if tb.diag {
-		mode = "diag"
-	}
 	return fmt.Sprintf("v%d/%s/seed%d/%s/%s/%s",
-		cellSchemaVersion, mode, tb.seed, scaleFP, salt, unitKey)
+		cellSchemaVersion, modeSegment(tb.diag), tb.seed, scaleFP, salt, unitKey)
 }
 
 // storeGet fetches and decodes the unit result stored under cell key

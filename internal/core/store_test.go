@@ -3,7 +3,7 @@ package core
 import (
 	"bytes"
 	"errors"
-	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -41,14 +41,68 @@ func TestCellKeyScoping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if saltOf(ra) == saltOf(rb) {
+	if ra.salt() == rb.salt() {
 		t.Error("campaigns differing in a single-valued axis share a salt")
 	}
 }
 
-// saltOf mirrors RunCampaign's store-salt derivation.
-func saltOf(rc *resolvedCampaign) string {
-	return fingerprint(fmt.Sprintf("%+v", rc))
+// Specs that resolve to one campaign share one salt, so their stored
+// cells stay shared: an omitted axis and its default spelled out, an
+// omitted or unit repeat count, and a different description.
+func TestCampaignSaltCanonical(t *testing.T) {
+	base := Campaign{Name: "s"}
+	same := []Campaign{
+		{Name: "s", Repeats: 1},
+		{Name: "s", Platforms: []string{"zoom", "webex", "meet"}},
+		{Name: "s", Description: "the same campaign, described"},
+		{Name: "s", Sizes: []int{2}, CapsBps: []int64{0}, Audio: []bool{false}, Motions: []string{"high-motion"}},
+	}
+	want := mustResolve(t, base).salt()
+	for _, c := range same {
+		if got := mustResolve(t, c).salt(); got != want {
+			t.Errorf("%+v: salt %s, want %s (resolves like %+v)", c, got, want, base)
+		}
+	}
+	// The salt mirrors every field of the resolved campaign; a new
+	// field must join the mirror, or specs differing only there would
+	// share stored cells.
+	if n := reflect.TypeOf(resolvedCampaign{}).NumField(); n != 10 {
+		t.Errorf("resolvedCampaign has %d fields; add the new ones to salt() and to this count", n)
+	}
+}
+
+// Names are free text, and a name that spells out the fields after it
+// must not alias another spec: A and B differ in where the loss sits,
+// but %+v printed them alike. B run after A on one testbed must render
+// what B renders alone.
+func TestCampaignSaltNamesCannotAlias(t *testing.T) {
+	const (
+		specA = `{"name":"svc","platforms":["zoom"],"netem":[{"name":"n","loss_pct":5}],"traces":[{"name":"t LossPct:0 DownCapBps:0 FluctHiBps:0 FluctLoBps:0 FluctPeriodSec:0}] traces:[{name:u"}]}`
+		specB = `{"name":"svc","platforms":["zoom"],"netem":[{"name":"n LossPct:5 DownCapBps:0 FluctHiBps:0 FluctLoBps:0 FluctPeriodSec:0}] traces:[{name:t"}],"traces":[{"name":"u"}]}`
+	)
+	a, err := ParseCampaign([]byte(specA))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := ParseCampaign([]byte(specB))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := campaignJSON(t, NewTestbed(42), b)
+	tb := NewTestbed(42)
+	campaignJSON(t, tb, a)
+	if got := campaignJSON(t, tb, b); !bytes.Equal(got, want) {
+		t.Errorf("B after A on one testbed differs from B alone:\n%s\nvs\n%s", got, want)
+	}
+}
+
+func mustResolve(t *testing.T, c Campaign) *resolvedCampaign {
+	t.Helper()
+	rc, err := c.resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rc
 }
 
 // A store serving undecodable bytes is a miss, not a failure: the run

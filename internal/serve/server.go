@@ -385,9 +385,9 @@ func (s *Server) run(j *job, sc core.Scale) {
 	// the store too, and eviction drops the oldest-finished job first,
 	// so memory and store serve the same bytes at every moment. A
 	// document is written only when the store lacks it or holds other
-	// bytes: a warm rerun makes zero Puts (the Get is absorbed by the
-	// store's LRU). A failed Put leaves the store an older answer, or
-	// none, for after eviction.
+	// bytes: a warm rerun makes zero Puts, only a read per document. A
+	// failed Put leaves the store an older answer, or none, for after
+	// eviction.
 	s.tail.Lock()
 	defer s.tail.Unlock()
 	index := make(map[string][]byte, len(docs))
@@ -441,7 +441,7 @@ func (s *Server) execute(j *job, sc core.Scale) (result []byte, cells int, docs 
 		c := &res.Cells[i]
 		var cb bytes.Buffer
 		if report.WriteJSON(&cb, c) == nil {
-			docs = append(docs, doc{core.ServeCellKey(j.scaleName, j.seed, c.Key), cb.Bytes()})
+			docs = append(docs, doc{core.ServeCellKey(j.scaleName, j.seed, s.cfg.Diagnostics, c.Key), cb.Bytes()})
 		}
 	}
 	for _, d := range tb.DiagResults() {
@@ -535,7 +535,7 @@ func (s *Server) handleCell(w http.ResponseWriter, r *http.Request) {
 		}
 		seed = v
 	}
-	data, ok := s.rendered(core.ServeCellKey(scaleName, seed, key))
+	data, ok := s.rendered(core.ServeCellKey(scaleName, seed, s.cfg.Diagnostics, key))
 	base, isDiag := strings.CutSuffix(key, "/diag")
 	if !ok && isDiag {
 		data, ok = s.rendered(core.ServeDiagKey(scaleName, seed, base))

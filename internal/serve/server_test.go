@@ -191,7 +191,7 @@ func TestServeSharedStoreAcrossJobs(t *testing.T) {
 	if warm.Puts != cold.Puts {
 		t.Errorf("restarted daemon recomputed cells: %+v -> %+v", cold, warm)
 	}
-	if warm.Hits() == cold.Hits() {
+	if warm.Hits == cold.Hits {
 		t.Error("restarted daemon never consulted the store")
 	}
 }
@@ -329,7 +329,7 @@ func TestServeUnitSharesStore(t *testing.T) {
 	if s.Puts != 1 {
 		t.Errorf("two identical units persisted %d cells, want 1 (second served warm)", s.Puts)
 	}
-	if s.Hits() == 0 {
+	if s.Hits == 0 {
 		t.Error("repeated unit never consulted the store")
 	}
 }
@@ -422,58 +422,70 @@ func TestServeFinishEvictionRefcounting(t *testing.T) {
 	}
 }
 
-// Two same-named specs whose unit keys match but whose cells differ
-// (a single-valued caps axis adds no key segment) run one after the
-// other: /cells serves the later job's bytes while both are retained,
-// from a restarted daemon's store, and once eviction has dropped both.
-func TestServeCellsServeLastFinishedJob(t *testing.T) {
-	const (
-		specA = `{"name": "svc", "platforms": ["zoom", "webex"]}`
-		specB = `{"name": "svc", "platforms": ["zoom", "webex"], "caps_bps": [250000]}`
-	)
-	render := func(raw string) []byte {
-		t.Helper()
-		spec, err := core.ParseCampaign([]byte(raw))
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := core.RunCampaign(core.NewTestbed(42), spec, core.TinyScale)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range res.Cells {
-			if res.Cells[i].Key == "svc/zoom" {
-				var b bytes.Buffer
-				if err := report.WriteJSON(&b, &res.Cells[i]); err != nil {
-					t.Fatal(err)
-				}
-				return b.Bytes()
-			}
-		}
-		t.Fatalf("%s has no cell svc/zoom", raw)
-		return nil
+// Two same-named specs whose unit keys match but whose cells differ (a
+// single-valued caps axis adds no key segment).
+const (
+	twinSpecA = `{"name": "svc", "platforms": ["zoom", "webex"]}`
+	twinSpecB = `{"name": "svc", "platforms": ["zoom", "webex"], "caps_bps": [250000]}`
+)
+
+// renderCell returns the cell JSON the direct path renders for one
+// cell of a spec at tiny scale, seed 42.
+func renderCell(t *testing.T, raw, key string) []byte {
+	t.Helper()
+	spec, err := core.ParseCampaign([]byte(raw))
+	if err != nil {
+		t.Fatal(err)
 	}
-	cellA, want := render(specA), render(specB)
+	res, err := core.RunCampaign(core.NewTestbed(42), spec, core.TinyScale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range res.Cells {
+		if res.Cells[i].Key == key {
+			var b bytes.Buffer
+			if err := report.WriteJSON(&b, &res.Cells[i]); err != nil {
+				t.Fatal(err)
+			}
+			return b.Bytes()
+		}
+	}
+	t.Fatalf("%s has no cell %s", raw, key)
+	return nil
+}
+
+// runJob submits a spec and waits for it to finish.
+func runJob(t *testing.T, ts *httptest.Server, spec string) {
+	t.Helper()
+	if fin := poll(t, ts, submit(t, ts, `{"spec": `+spec+`}`).ID); fin.Status != "done" {
+		t.Fatalf("job %s: %+v", spec, fin)
+	}
+}
+
+// checkCell requires path to serve want.
+func checkCell(t *testing.T, what string, ts *httptest.Server, path string, want []byte) {
+	t.Helper()
+	code, got := get(t, ts, path)
+	if code != http.StatusOK {
+		t.Fatalf("%s: %s status %d (%s)", what, path, code, got)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("%s: %s served\n%s\nwant\n%s", what, path, got, want)
+	}
+}
+
+// The twin specs run one after the other: /cells serves the later
+// job's bytes while both are retained, from a restarted daemon's store,
+// and once eviction has dropped both.
+func TestServeCellsServeLastFinishedJob(t *testing.T) {
+	cellA, want := renderCell(t, twinSpecA, "svc/zoom"), renderCell(t, twinSpecB, "svc/zoom")
 	if bytes.Equal(cellA, want) {
 		t.Fatal("the two specs render the same svc/zoom cell; the test needs them to differ")
 	}
 	runBoth := func(ts *httptest.Server) {
 		t.Helper()
-		for _, spec := range []string{specA, specB} {
-			if fin := poll(t, ts, submit(t, ts, `{"spec": `+spec+`}`).ID); fin.Status != "done" {
-				t.Fatalf("job %s: %+v", spec, fin)
-			}
-		}
-	}
-	check := func(what string, ts *httptest.Server) {
-		t.Helper()
-		code, got := get(t, ts, "/cells/svc/zoom")
-		if code != http.StatusOK {
-			t.Fatalf("%s: status %d (%s)", what, code, got)
-		}
-		if !bytes.Equal(got, want) {
-			t.Errorf("%s: /cells/svc/zoom is not the later job's cell", what)
-		}
+		runJob(t, ts, twinSpecA)
+		runJob(t, ts, twinSpecB)
 	}
 
 	st, err := store.Open(t.TempDir())
@@ -482,14 +494,54 @@ func TestServeCellsServeLastFinishedJob(t *testing.T) {
 	}
 	ts := newTestServer(t, Config{Store: st})
 	runBoth(ts)
-	check("both jobs retained", ts)
-	check("restarted daemon", newTestServer(t, Config{Store: st}))
+	checkCell(t, "both jobs retained", ts, "/cells/svc/zoom", want)
+	checkCell(t, "restarted daemon", newTestServer(t, Config{Store: st}), "/cells/svc/zoom", want)
 
 	ts = newTestServer(t, Config{Store: st, MaxJobs: 1})
 	runBoth(ts)
 	third := submit(t, ts, `{"spec": `+testSpec+`, "seed": 7}`)
 	poll(t, ts, third.ID)
-	check("both jobs evicted", ts)
+	checkCell(t, "both jobs evicted", ts, "/cells/svc/zoom", want)
+}
+
+// Two daemons share one store directory through their own handles.
+// Once A's job is evicted, A's /cells reads the store, and serves what
+// B wrote there last, not what A itself wrote before.
+func TestServeCellsSeeOtherDaemonsWrites(t *testing.T) {
+	dir := t.TempDir()
+	open := func() *store.Store {
+		t.Helper()
+		st, err := store.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	a := newTestServer(t, Config{Store: open(), MaxJobs: 1})
+	b := newTestServer(t, Config{Store: open()})
+	runJob(t, a, twinSpecA)
+	runJob(t, b, twinSpecB)
+	runJob(t, a, `{"name": "other", "platforms": ["zoom"]}`)
+	checkCell(t, "daemon A after eviction", a, "/cells/svc/zoom", renderCell(t, twinSpecB, "svc/zoom"))
+}
+
+// A bare daemon and a diagnostics-armed one share a store: each keeps
+// its own rendered cells, so a bare daemon never serves drop causes.
+func TestServeBareAndDiagCellsKeptApart(t *testing.T) {
+	const spec = `{"name": "svc", "platforms": ["zoom"], "netem": [{"name": "lossy", "loss_pct": 5}]}`
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	bare := newTestServer(t, Config{Store: st})
+	runJob(t, bare, spec)
+	_, want := get(t, bare, "/cells/svc")
+	armed := newTestServer(t, Config{Store: st, Diagnostics: true})
+	runJob(t, armed, spec)
+	if _, diagCell := get(t, armed, "/cells/svc"); bytes.Equal(diagCell, want) {
+		t.Fatal("armed and bare daemons render the same cell; the test needs them to differ")
+	}
+	checkCell(t, "fresh bare daemon", newTestServer(t, Config{Store: st}), "/cells/svc", want)
 }
 
 // A cell whose key ends in "diag" is a cell like any other: the whole

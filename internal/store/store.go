@@ -10,8 +10,8 @@
 // plus a payload checksum. Reads tolerate corruption: a torn, tampered
 // or foreign file is reported as a miss (and counted in Stats.Corrupt),
 // never an error — the caller just recomputes and rewrites the cell.
-// An in-memory LRU front, bounded in bytes, absorbs repeated reads of
-// hot cells without touching the disk.
+// Every Get reads and checks the file, so a handle always serves the
+// bytes the last writer left, whichever process or handle wrote them.
 //
 // A Store is safe for concurrent use by multiple goroutines, and the
 // on-disk format is safe for concurrent writers across processes: two
@@ -19,7 +19,6 @@
 package store
 
 import (
-	"container/list"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -31,20 +30,12 @@ import (
 	"github.com/vcabench/vcabench/internal/obs"
 )
 
-// DefaultLRUBytes bounds the in-memory front when Options.LRUBytes is
-// unset: enough for tens of thousands of typical cells.
-const DefaultLRUBytes = 64 << 20
-
 // magic heads every cell file; the trailing version digit is the frame
 // format's, independent of the payload schema version inside the key.
 const magic = "vcacell1\n"
 
 // Options tunes a Store.
 type Options struct {
-	// LRUBytes bounds the in-memory front in payload bytes; <= 0 means
-	// DefaultLRUBytes. Entries larger than the bound bypass the front.
-	LRUBytes int64
-
 	// Telemetry, when set with a registry, exports the traffic counters
 	// as vcabench_store_* series (snapshotted under the store's lock so
 	// a scrape never tears them) and times Get/Put into read/write
@@ -56,20 +47,15 @@ type Options struct {
 
 // Stats counts store traffic since Open. Snapshot via Store.Stats.
 type Stats struct {
-	MemHits  uint64 // served from the LRU front
-	DiskHits uint64 // served from disk
-	Misses   uint64 // key not present anywhere
-	Puts     uint64 // entries written
-	Corrupt  uint64 // unreadable cell files, reported as misses
+	Hits    uint64 // entries read and verified
+	Misses  uint64 // key not present
+	Puts    uint64 // entries written
+	Corrupt uint64 // unreadable cell files, reported as misses
 }
 
-// Hits is the total over both tiers.
-func (st Stats) Hits() uint64 { return st.MemHits + st.DiskHits }
-
-// Store is an on-disk key→bytes store with an LRU memory front.
+// Store is an on-disk key→bytes store.
 type Store struct {
-	dir      string
-	lruBytes int64
+	dir string
 
 	// tel and the latency histograms are set once at OpenOptions and
 	// read-only after; nil histograms mean unobserved Get/Put.
@@ -77,16 +63,8 @@ type Store struct {
 	readSec  *obs.Histogram
 	writeSec *obs.Histogram
 
-	mu       sync.Mutex
-	lru      *list.List // *lruEntry, front = most recently used
-	idx      map[string]*list.Element
-	curBytes int64
-	stats    Stats
-}
-
-type lruEntry struct {
-	key  string
-	data []byte
+	mu    sync.Mutex
+	stats Stats
 }
 
 // Open creates (or reopens) a store rooted at dir with default options.
@@ -94,22 +72,14 @@ func Open(dir string) (*Store, error) { return OpenOptions(dir, Options{}) }
 
 // OpenOptions is Open with explicit tuning.
 func OpenOptions(dir string, o Options) (*Store, error) {
-	if o.LRUBytes <= 0 {
-		o.LRUBytes = DefaultLRUBytes
-	}
 	if err := os.MkdirAll(filepath.Join(dir, "objects"), 0o777); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	s := &Store{
-		dir:      dir,
-		lruBytes: o.LRUBytes,
-		lru:      list.New(),
-		idx:      make(map[string]*list.Element),
-	}
+	s := &Store{dir: dir}
 	if o.Telemetry != nil && o.Telemetry.Metrics != nil {
 		s.tel = o.Telemetry
 		s.readSec = o.Telemetry.Metrics.Histogram("vcabench_store_read_seconds",
-			"Store Get latency (memory front and disk alike).", nil)
+			"Store Get latency, including the file read and checksum.", nil)
 		s.writeSec = o.Telemetry.Metrics.Histogram("vcabench_store_write_seconds",
 			"Store Put latency, including the atomic rename commit.", nil)
 		o.Telemetry.Metrics.RegisterGroup(s.emitMetrics)
@@ -118,25 +88,18 @@ func OpenOptions(dir string, o Options) (*Store, error) {
 }
 
 // emitMetrics exports the traffic counters on each scrape. One lock
-// acquisition snapshots every series, so hits, misses, puts and the
-// LRU fill are always mutually consistent on the wire.
+// acquisition snapshots every series, so hits, misses and puts are
+// always mutually consistent on the wire.
 func (s *Store) emitMetrics(g *obs.Group) {
-	s.mu.Lock()
-	st := s.stats
-	cur := s.curBytes
-	s.mu.Unlock()
-	tier := func(v string) []obs.Label { return []obs.Label{{Name: "tier", Value: v}} }
-	g.Emit("vcabench_store_hits_total", "Cell reads served, by tier.", obs.TypeCounter,
-		obs.Sample{Labels: tier("mem"), Value: float64(st.MemHits)},
-		obs.Sample{Labels: tier("disk"), Value: float64(st.DiskHits)})
+	st := s.Stats()
+	g.Emit("vcabench_store_hits_total", "Cell reads served.", obs.TypeCounter,
+		obs.Sample{Value: float64(st.Hits)})
 	g.Emit("vcabench_store_misses_total", "Cell reads that found no entry.", obs.TypeCounter,
 		obs.Sample{Value: float64(st.Misses)})
 	g.Emit("vcabench_store_puts_total", "Cell entries written.", obs.TypeCounter,
 		obs.Sample{Value: float64(st.Puts)})
 	g.Emit("vcabench_store_corrupt_total", "Unreadable cell files, reported as misses.", obs.TypeCounter,
 		obs.Sample{Value: float64(st.Corrupt)})
-	g.Emit("vcabench_store_lru_bytes", "Payload bytes resident in the LRU front.", obs.TypeGauge,
-		obs.Sample{Value: float64(cur)})
 }
 
 // Dir returns the store's root directory.
@@ -158,8 +121,8 @@ func (s *Store) path(key string) string {
 	return filepath.Join(s.dir, "objects", h[:2], h[2:])
 }
 
-// Get returns the payload stored under key. The returned slice is
-// shared with the LRU front and must be treated as read-only.
+// Get returns the payload stored under key, read from its file and
+// checked against the frame's key and checksum on every call.
 func (s *Store) Get(key string) ([]byte, bool) {
 	if s.readSec == nil {
 		return s.get(key)
@@ -171,16 +134,6 @@ func (s *Store) Get(key string) ([]byte, bool) {
 }
 
 func (s *Store) get(key string) ([]byte, bool) {
-	s.mu.Lock()
-	if el, ok := s.idx[key]; ok {
-		s.lru.MoveToFront(el)
-		s.stats.MemHits++
-		data := el.Value.(*lruEntry).data
-		s.mu.Unlock()
-		return data, true
-	}
-	s.mu.Unlock()
-
 	raw, err := os.ReadFile(s.path(key))
 	if err != nil {
 		s.count(func(st *Stats) { st.Misses++ })
@@ -193,10 +146,7 @@ func (s *Store) get(key string) ([]byte, bool) {
 		s.count(func(st *Stats) { st.Corrupt++ })
 		return nil, false
 	}
-	s.mu.Lock()
-	s.stats.DiskHits++
-	s.admit(key, payload)
-	s.mu.Unlock()
+	s.count(func(st *Stats) { st.Hits++ })
 	return payload, true
 }
 
@@ -243,10 +193,7 @@ func (s *Store) put(key string, data []byte) error {
 		os.Remove(tmp.Name())
 		return fmt.Errorf("store: %w", werr)
 	}
-	s.mu.Lock()
-	s.stats.Puts++
-	s.admit(key, data)
-	s.mu.Unlock()
+	s.count(func(st *Stats) { st.Puts++ })
 	return nil
 }
 
@@ -254,30 +201,6 @@ func (s *Store) count(f func(*Stats)) {
 	s.mu.Lock()
 	f(&s.stats)
 	s.mu.Unlock()
-}
-
-// admit inserts (or refreshes) an LRU entry and evicts from the cold
-// end until the front fits its byte bound. Caller holds s.mu.
-func (s *Store) admit(key string, data []byte) {
-	if int64(len(data)) > s.lruBytes {
-		return
-	}
-	if el, ok := s.idx[key]; ok {
-		ent := el.Value.(*lruEntry)
-		s.curBytes += int64(len(data)) - int64(len(ent.data))
-		ent.data = data
-		s.lru.MoveToFront(el)
-	} else {
-		s.idx[key] = s.lru.PushFront(&lruEntry{key: key, data: data})
-		s.curBytes += int64(len(data))
-	}
-	for s.curBytes > s.lruBytes {
-		el := s.lru.Back()
-		ent := el.Value.(*lruEntry)
-		s.lru.Remove(el)
-		delete(s.idx, ent.key)
-		s.curBytes -= int64(len(ent.data))
-	}
 }
 
 // frame wraps a payload for disk: magic, key, payload, then a SHA-256

@@ -115,7 +115,8 @@ type (
 	// processes (see Testbed.WithStore and OpenStore).
 	CellStore = core.CellStore
 	// Store is the on-disk CellStore implementation: content-addressed
-	// entries, atomic writes, corruption-tolerant reads, LRU front.
+	// entries, atomic writes, corruption-tolerant reads, each read from
+	// the file, so every handle sees the last writer's bytes.
 	Store = store.Store
 	// StoreStats counts store hits, misses, puts and corrupt entries.
 	StoreStats = store.Stats
@@ -146,7 +147,7 @@ type (
 	Tracer = obs.Tracer
 	// Clock is the monotonic time source telemetry reads through.
 	Clock = obs.Clock
-	// StoreOptions tunes OpenStoreOptions (LRU bound, telemetry).
+	// StoreOptions tunes OpenStoreOptions (telemetry).
 	StoreOptions = store.Options
 	// CellDiag is one campaign cell's flight-recorder document:
 	// sim-time-binned per-pipe series (throughput, queuing delay,
@@ -363,8 +364,7 @@ func DecodeDiag(data []byte) (*CellDiag, error) { return diag.Decode(data) }
 // callers — across processes and concurrently.
 func OpenStore(dir string) (*Store, error) { return store.Open(dir) }
 
-// OpenStoreOptions is OpenStore with explicit tuning (LRU bound,
-// telemetry).
+// OpenStoreOptions is OpenStore with explicit options (telemetry).
 func OpenStoreOptions(dir string, o StoreOptions) (*Store, error) {
 	return store.OpenOptions(dir, o)
 }
