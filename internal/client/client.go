@@ -147,14 +147,13 @@ func (c *Client) Start() {
 	if c.cfg.SendVideo {
 		c.src = c.cfg.VideoSource
 		if c.src == nil {
-			c.src = media.NewSourceOn(c.cfg.VideoClass, c.cfg.Profile, c.cfg.Seed, c.cfg.Kit.Frames)
+			c.src = media.NewSourceOn(c.cfg.VideoClass, c.cfg.Profile, c.sim.Rand(c.cfg.Seed), c.cfg.Kit.Frames)
 		}
 		c.enc = codec.NewVideoEncoderOn(codec.VideoEncoderConfig{
 			FPS:       c.src.FPS(),
 			TargetBps: c.att.Target(),
 			BitScale:  codec.BitScaleFor(c.cfg.Profile),
-			Seed:      c.cfg.Seed + 1,
-		}, c.cfg.Kit.Frames)
+		}, c.cfg.Kit.Frames, c.sim.Rand(c.cfg.Seed+1))
 		c.att.OnTarget(func(bps float64) { c.enc.SetTargetBps(bps) })
 		// Sessions repeat, so the frame log starts at the last session's
 		// length instead of growing from nil again. The array is new:
@@ -409,7 +408,7 @@ func (c *Client) record(sender *Client, ref []*media.Frame) Recording {
 				ptrs[i] = af
 			}
 		}
-		adec := codec.NewAudioDecoder(c.cfg.Seed + 7)
+		adec := codec.NewAudioDecoder(c.sim.Rand(c.cfg.Seed + 7))
 		rate := sender.cfg.AudioClip.Rate
 		bps := sender.att.Session().AudioBps()
 		rec.Audio = adec.Decode(ptrs, rate, bps)

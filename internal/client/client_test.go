@@ -2,6 +2,7 @@ package client
 
 import (
 	"bytes"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -90,7 +91,7 @@ func TestEndToEndVideoSession(t *testing.T) {
 }
 
 func TestEndToEndAudio(t *testing.T) {
-	clip := media.NewSpeech(8, 3)
+	clip := media.NewSpeech(8, rand.New(rand.NewSource(3)))
 	host := Config{
 		Name: "au-host", Region: geo.USEast,
 		SendAudio: true, AudioClip: clip, Seed: 3,

@@ -66,9 +66,10 @@ type AudioDecoder struct {
 	rng *rand.Rand
 }
 
-// NewAudioDecoder creates a decoder; seed drives the coding-noise model.
-func NewAudioDecoder(seed int64) *AudioDecoder {
-	return &AudioDecoder{rng: rand.New(rand.NewSource(seed))}
+// NewAudioDecoder creates a decoder; rng, which the decoder owns from
+// then on, drives the coding-noise model.
+func NewAudioDecoder(rng *rand.Rand) *AudioDecoder {
+	return &AudioDecoder{rng: rng}
 }
 
 // Decode rebuilds the clip. frames[i] == nil marks a lost frame. rate is

@@ -2,6 +2,7 @@ package codec
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"github.com/vcabench/vcabench/internal/media"
@@ -282,7 +283,7 @@ func TestDecoderNothingYet(t *testing.T) {
 }
 
 func TestAudioRoundTripClean(t *testing.T) {
-	clip := media.NewSpeech(2.0, 1)
+	clip := media.NewSpeech(2.0, rand.New(rand.NewSource(1)))
 	enc := NewAudioEncoder(90_000)
 	frames := enc.Encode(clip)
 	wantFrames := int(2.0 / AudioFrameDur)
@@ -293,7 +294,7 @@ func TestAudioRoundTripClean(t *testing.T) {
 	for i := range frames {
 		ptrs[i] = &frames[i]
 	}
-	dec := NewAudioDecoder(1)
+	dec := NewAudioDecoder(rand.New(rand.NewSource(1)))
 	out := dec.Decode(ptrs, clip.Rate, 90_000)
 	if len(out.Samples) != len(clip.Samples) {
 		t.Fatalf("decoded %d samples, want %d", len(out.Samples), len(clip.Samples))
@@ -322,7 +323,7 @@ func TestAudioPLCAttenuates(t *testing.T) {
 	for i := 10; i < 20 && i < len(ptrs); i++ {
 		ptrs[i] = nil
 	}
-	dec := NewAudioDecoder(2)
+	dec := NewAudioDecoder(rand.New(rand.NewSource(2)))
 	out := dec.Decode(ptrs, clip.Rate, 45_000)
 	if len(out.Samples) != len(clip.Samples) {
 		t.Fatalf("length mismatch: %d vs %d", len(out.Samples), len(clip.Samples))

@@ -52,8 +52,8 @@ func encodeCaseOn(c reconCase, pool *media.FramePool) ([]EncodedFrame, *VideoEnc
 	p := media.QuickProfile
 	src := c.feed()
 	enc := NewVideoEncoderOn(VideoEncoderConfig{
-		FPS: p.FPS, TargetBps: c.target, BitScale: BitScaleFor(p), Seed: reconSeed,
-	}, pool)
+		FPS: p.FPS, TargetBps: c.target, BitScale: BitScaleFor(p),
+	}, pool, rand.New(rand.NewSource(reconSeed)))
 	frames := make([]EncodedFrame, 4*p.FPS)
 	for i := range frames {
 		frames[i] = enc.Encode(src.Next())

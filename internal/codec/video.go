@@ -126,7 +126,8 @@ type VideoEncoderConfig struct {
 	// BitScale maps effective (quality) bits to wire bits; use
 	// BitScaleFor to derive it from the active profile. 0 means 1.
 	BitScale float64
-	// Seed drives the quantization noise.
+	// Seed drives the quantization noise of NewVideoEncoder;
+	// NewVideoEncoderOn draws it from the generator it is given.
 	Seed int64
 	// SceneCutMAD forces a keyframe above this inter-frame complexity
 	// (default 45).
@@ -182,14 +183,15 @@ type VideoEncoder struct {
 
 // NewVideoEncoder creates an encoder. Config zero-values are defaulted.
 func NewVideoEncoder(cfg VideoEncoderConfig) *VideoEncoder {
-	return NewVideoEncoderOn(cfg, nil)
+	return NewVideoEncoderOn(cfg, nil, rand.New(rand.NewSource(cfg.Seed)))
 }
 
-// NewVideoEncoderOn is NewVideoEncoder with reconstructions built on
-// storage from frames; nil allocates each one. Hand the storage back
-// with Recycle. The pool must stay on the encoder's goroutine while the
-// encoder may build.
-func NewVideoEncoderOn(cfg VideoEncoderConfig, frames *media.FramePool) *VideoEncoder {
+// NewVideoEncoderOn is NewVideoEncoder with its quantization noise
+// drawn from rng, which the encoder owns from then on, in place of
+// cfg.Seed's stream, and reconstructions built on storage from frames;
+// nil allocates each one. Hand the storage back with Recycle. The pool
+// must stay on the encoder's goroutine while the encoder may build.
+func NewVideoEncoderOn(cfg VideoEncoderConfig, frames *media.FramePool, rng *rand.Rand) *VideoEncoder {
 	if cfg.FPS <= 0 {
 		cfg.FPS = media.PaperProfile.FPS
 	}
@@ -214,7 +216,7 @@ func NewVideoEncoderOn(cfg VideoEncoderConfig, frames *media.FramePool) *VideoEn
 	}
 	return &VideoEncoder{
 		cfg:       cfg,
-		rng:       rand.New(rand.NewSource(cfg.Seed)),
+		rng:       rng,
 		targetBps: cfg.TargetBps,
 		frames:    frames,
 		ladder:    ladder,

@@ -162,8 +162,9 @@ func countKits(t *testing.T, served map[any]int, max int, reuse bool) {
 // with three workers, each worker owns at most one of each pool and
 // reuses all five from cell to cell. A second Run on that testbed,
 // after every parked capture record, RTP packet, frame buffer,
-// simulator event and simulator packet is overwritten with junk, lends only pools the first Run lent, since its
-// workers take the kits the first Run parked. Then two Runs on two
+// simulator event and simulator packet is overwritten with junk and
+// every parked generator left on a junk stream, lends only pools the
+// first Run lent, since its workers take the kits the first Run parked. Then two Runs on two
 // testbeds go at once. Every result must equal the same unit's result
 // on a fork with private storage.
 func TestSchedulerWorkerBuffersNeverShared(t *testing.T) {
@@ -427,20 +428,26 @@ func scribblePackets(s *rtp.Store) {
 }
 
 // scribbleSim marks every event slot the store parks cancelled, so an
-// event handed out without being rewritten never fires, and overwrites
+// event handed out without being rewritten never fires, overwrites
 // every parked packet with a junk datagram a receiver would notice: a
 // big packet between unknown nodes, stamped far past any session, that
-// carries a foreign RTP packet.
+// carries a foreign RTP packet, and leaves every parked generator on a
+// junk stream, reseeded and stopped part-way through a Read.
 func scribbleSim(s *simnet.Store) {
 	future := time.Date(2100, 1, 1, 0, 0, 0, 0, time.UTC)
 	junk := simnet.Addr{Node: "junk", Port: 0xbad}
 	payload := &rtp.Packet{Info: capture.RTPInfo{SSRC: 0xbad, Seq: 0xbad, PT: rtp.PTVideo, KeyUnit: true}, Bytes: 1400}
-	events, packets := s.Parked()
+	events, packets, rands := s.Parked()
 	for _, e := range events {
 		e.Cancel()
 	}
 	for _, p := range packets {
 		*p = simnet.Packet{From: junk, To: junk, Size: 1400, Payload: payload, SentAt: future, ArrivedAt: future}
+	}
+	for i, r := range rands {
+		r.Int63()
+		r.Seed(0xbad + int64(i))
+		r.Read(make([]byte, 3))
 	}
 }
 
@@ -449,11 +456,12 @@ func scribbleSim(s *simnet.Store) {
 // packetizer writes every slot of a packet before anyone reads it, a
 // motion source writes every pixel of its background or world before
 // copying from it, the simulator writes every event and packet whole
-// before handing it out, and none goes back while a reader can reach
-// it. An unrelated high-motion QoE study (another platform and meeting
-// size) fills a worker's packet store, frame pool and simulator store;
-// then, with every parked packet, pixel and event overwritten with
-// junk, a lag study and fig12 cells of both motion classes on that
+// and reseeds every generator before handing it out, and none goes
+// back while a reader can reach it. An unrelated high-motion QoE study
+// (another platform and meeting size) fills a worker's packet store,
+// frame pool and simulator store; then, with every parked packet, pixel
+// and event overwritten with junk and every parked generator on a junk
+// stream, a lag study and fig12 cells of both motion classes on that
 // storage must encode to the same cell bytes as the same studies on
 // private storage.
 func TestReusedPacketStorageCannotChangeResults(t *testing.T) {
@@ -487,10 +495,10 @@ func TestReusedPacketStorageCannotChangeResults(t *testing.T) {
 		key := "packets/" + c.name
 		want := encode(c.study(tb.Fork(key)))
 
-		events, packets := k.Sim.Parked()
-		if len(k.Packets.Parked()) == 0 || k.Frames.Parked()[world] == 0 || len(events) == 0 || len(packets) == 0 {
-			t.Fatalf("before the %s study the kit parks %d packet chunks, %d worlds, %d events and %d simulator packets; the study would reuse none",
-				c.name, len(k.Packets.Parked()), k.Frames.Parked()[world], len(events), len(packets))
+		events, packets, rands := k.Sim.Parked()
+		if len(k.Packets.Parked()) == 0 || k.Frames.Parked()[world] == 0 || len(events) == 0 || len(packets) == 0 || len(rands) == 0 {
+			t.Fatalf("before the %s study the kit parks %d packet chunks, %d worlds, %d events, %d simulator packets and %d generators; the study would reuse none",
+				c.name, len(k.Packets.Parked()), k.Frames.Parked()[world], len(events), len(packets), len(rands))
 		}
 		scribblePackets(k.Packets)
 		scribbleFrames(k.Frames)

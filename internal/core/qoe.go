@@ -97,7 +97,7 @@ func RunQoEStudyWithSetup(tb *Testbed, kind platform.Kind, host geo.Region, recv
 
 	var clip *media.AudioClip
 	if opts.WithAudio {
-		clip = media.NewSpeech(sc.QoEDur.Seconds(), tb.seed+11)
+		clip = media.NewSpeech(sc.QoEDur.Seconds(), tb.Sim.Rand(tb.seed+11))
 	}
 	// The host's frames live on the running worker's pixel storage (see
 	// Testbed.kit), or on a private pool that recycles from session to

@@ -27,8 +27,10 @@ type Kit struct {
 	Capture *capture.Store
 	// Packets is the RTP packets the clients send.
 	Packets *rtp.Store
-	// Sim is the simulator's events and its network's packets
-	// (simnet.NewSimOn).
+	// Sim is the simulator's events, its network's packets and the
+	// random generators it lends (simnet.NewSimOn, simnet.Sim.Rand):
+	// the network's and platforms' streams, the clients' motion
+	// sources, encoders and audio decoders, and a study's speech clip.
 	Sim *simnet.Store
 }
 

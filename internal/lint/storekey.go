@@ -2,6 +2,7 @@ package lint
 
 import (
 	"go/ast"
+	"go/constant"
 	"go/token"
 	"strconv"
 	"strings"
@@ -21,10 +22,21 @@ import (
 // Reading keys is always legal: strings.LastIndex(key, "/rep=") parses,
 // it does not build. Only literals used as operands of string
 // concatenation or arguments to fmt formatting calls are flagged.
+//
+// Inside internal/core's key-derivation helpers (the canonical ones,
+// plus the fingerprints and the campaign salt they hash in), fmt may
+// not format with %v in any spelling (%v, %+v, %#v, ...), nor through
+// Sprint and friends, which format every operand with %v: %v renders
+// whatever a type's String method or Go's default formatting makes of
+// a value, which changes when a type gains a field or a method, and a
+// key that changes that way splits the warm cache without a schema
+// bump. Keys name their parts with explicit verbs or hash an explicit
+// encoding.
 var StorekeyAnalyzer = &Analyzer{
 	Name: "storekey",
-	Doc:  "reserved store-key fragments may only be assembled by the canonical helpers in internal/core; ad-hoc Sprintf/concatenation drifts from the key schema",
-	Run:  runStorekey,
+	Doc: "reserved store-key fragments may only be assembled by the canonical helpers in internal/core; ad-hoc Sprintf/concatenation drifts from the key schema, " +
+		"and key derivation may not format with %v",
+	Run: runStorekey,
 }
 
 // reservedKeyFragments are the substrings that mark a string literal as
@@ -46,9 +58,26 @@ var canonicalKeyHelpers = map[string]bool{
 	"ServeDiagKey": true,
 }
 
+// keyDerivationFuncs are the internal/core functions and methods whose
+// output becomes part of a store key. A bare name matches a function
+// or a method of any receiver; "Receiver.name" matches only that
+// receiver's method.
+var keyDerivationFuncs = map[string]bool{
+	"cellKey":               true,
+	"replicaKey":            true,
+	"ServeCellKey":          true,
+	"ServeDiagKey":          true,
+	"scaleFingerprint":      true,
+	"fingerprint":           true,
+	"resolvedCampaign.salt": true,
+}
+
 func runStorekey(pass *Pass) {
 	inCore := pass.Path == "internal/core" || strings.HasSuffix(pass.Path, "/internal/core")
 	for _, f := range pass.Files {
+		if inCore {
+			checkKeyVerbs(pass, f)
+		}
 		parents := buildParents(f)
 		ast.Inspect(f, func(n ast.Node) bool {
 			lit, ok := n.(*ast.BasicLit)
@@ -103,4 +132,64 @@ func buildsString(pass *Pass, parents parentMap, lit *ast.BasicLit) bool {
 		}
 	}
 	return false
+}
+
+// checkKeyVerbs reports every %v formatting inside f's key-derivation
+// functions (keyDerivationFuncs), closures inside them included.
+func checkKeyVerbs(pass *Pass, f *ast.File) {
+	for _, decl := range f.Decls {
+		fd, ok := decl.(*ast.FuncDecl)
+		if !ok || fd.Body == nil || !keyDerivationFuncs[fd.Name.Name] && !keyDerivationFuncs[funcDeclName(fd)] {
+			continue
+		}
+		ast.Inspect(fd.Body, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok || !isPkg(pass, sel.X, "fmt") {
+				return true
+			}
+			if _, ok := implicitFuncs[sel.Sel.Name]; ok {
+				pass.Reportf(call.Pos(),
+					"fmt.%s in key derivation %s formats its operands with %%v; "+
+						"spell each key part with an explicit verb or hash an explicit encoding", sel.Sel.Name, funcDeclName(fd))
+				return true
+			}
+			fi, ok := formattedFuncs[sel.Sel.Name]
+			if !ok || fi >= len(call.Args) {
+				return true
+			}
+			tv, ok := pass.TypesInfo.Types[call.Args[fi]]
+			if !ok || tv.Value == nil || tv.Value.Kind() != constant.String {
+				return true
+			}
+			for _, v := range parseVerbs(constant.StringVal(tv.Value)) {
+				if v.char == 'v' {
+					pass.Reportf(call.Args[fi].Pos(),
+						"%%v in key derivation %s formats through String methods and Go's default formatting, "+
+							"which change with the type; spell each key part with an explicit verb or hash an explicit encoding", funcDeclName(fd))
+					break
+				}
+			}
+			return true
+		})
+	}
+}
+
+// funcDeclName names fd "name" for a function and "Receiver.name" for
+// a method.
+func funcDeclName(fd *ast.FuncDecl) string {
+	if fd.Recv == nil || len(fd.Recv.List) == 0 {
+		return fd.Name.Name
+	}
+	t := fd.Recv.List[0].Type
+	if star, ok := t.(*ast.StarExpr); ok {
+		t = star.X
+	}
+	if id, ok := t.(*ast.Ident); ok {
+		return id.Name + "." + fd.Name.Name
+	}
+	return fd.Name.Name
 }

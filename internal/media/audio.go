@@ -30,9 +30,9 @@ const DefaultAudioRate = 16000
 
 // NewSpeech synthesizes seconds of speech-like audio: a fundamental with
 // harmonics whose pitch and amplitude are modulated at syllabic rates,
-// with inter-word pauses. Deterministic for a given seed.
-func NewSpeech(seconds float64, seed int64) *AudioClip {
-	rng := rand.New(rand.NewSource(seed))
+// with inter-word pauses. The clip is a function of rng's state, so a
+// generator seeded alike always gives the same clip.
+func NewSpeech(seconds float64, rng *rand.Rand) *AudioClip {
 	n := int(seconds * DefaultAudioRate)
 	c := &AudioClip{Rate: DefaultAudioRate, Samples: make([]float64, n)}
 	f0 := 110 + float64(rng.Float64()*60) // speaker fundamental

@@ -3,6 +3,7 @@ package media
 import (
 	"bytes"
 	"math"
+	"math/rand"
 	"reflect"
 	"sync"
 	"testing"
@@ -169,7 +170,7 @@ func TestSceneCutsProduceSpikes(t *testing.T) {
 }
 
 func TestSpeechProperties(t *testing.T) {
-	c := NewSpeech(2.0, 5)
+	c := NewSpeech(2.0, rand.New(rand.NewSource(5)))
 	if c.Rate != DefaultAudioRate {
 		t.Errorf("rate = %d", c.Rate)
 	}
@@ -181,7 +182,7 @@ func TestSpeechProperties(t *testing.T) {
 		t.Errorf("speech RMS = %v out of plausible range", r)
 	}
 	// Determinism.
-	d := NewSpeech(2.0, 5)
+	d := NewSpeech(2.0, rand.New(rand.NewSource(5)))
 	for i := range c.Samples {
 		if c.Samples[i] != d.Samples[i] {
 			t.Fatal("speech not deterministic")
@@ -407,7 +408,7 @@ func TestPooledSourcesMatchUnpooled(t *testing.T) {
 	for _, class := range []MotionClass{LowMotion, HighMotion} {
 		want := Record(NewSource(class, p, 5), 50)
 		pool := NewFramePool()
-		src := NewSourceOn(class, p, 5, pool)
+		src := NewSourceOn(class, p, rand.New(rand.NewSource(5)), pool)
 		var prev *Frame
 		for i := range want {
 			got := src.Next()
@@ -531,7 +532,7 @@ func TestPooledSourceBackgroundsAreRecycled(t *testing.T) {
 		}
 		first := &dirty.Pix[0]
 		pool.Put(dirty)
-		src := NewSourceOn(class, p, 9, pool)
+		src := NewSourceOn(class, p, rand.New(rand.NewSource(9)), pool)
 		var last *Frame
 		for i := range want {
 			if last != nil {

@@ -62,8 +62,8 @@ type lowMotionSource struct {
 	pool *FramePool // storage of bg and of the frames Next returns; nil allocates
 }
 
-func newLowMotion(p Profile, seed int64, pool *FramePool) Source {
-	s := &lowMotionSource{p: p, rng: rand.New(rand.NewSource(seed)), pool: pool}
+func newLowMotion(p Profile, rng *rand.Rand, pool *FramePool) Source {
+	s := &lowMotionSource{p: p, rng: rng, pool: pool}
 	s.bg = pool.Get(p.W, p.H)
 	textured(s.bg, 96, 40, s.rng, nil) // mid-gray room with texture
 	return s
@@ -120,10 +120,10 @@ type highMotionSource struct {
 	sx       []float64  // textured's column scratch, one world row wide
 }
 
-func newHighMotion(p Profile, seed int64, pool *FramePool) Source {
+func newHighMotion(p Profile, rng *rand.Rand, pool *FramePool) Source {
 	s := &highMotionSource{
 		p:        p,
-		rng:      rand.New(rand.NewSource(seed)),
+		rng:      rng,
 		cutEvery: p.FPS * 4,
 		pool:     pool,
 	}
@@ -255,17 +255,19 @@ func IsFlashFrame(p Profile, periodSec float64, i int) bool {
 
 // NewSource builds a source for a motion class.
 func NewSource(class MotionClass, p Profile, seed int64) Source {
-	return NewSourceOn(class, p, seed, nil)
+	return NewSourceOn(class, p, rand.New(rand.NewSource(seed)), nil)
 }
 
-// NewSourceOn is NewSource with every frame Next returns drawn from
-// pool; nil allocates each one. The frames' pixels are the same either
-// way.
-func NewSourceOn(class MotionClass, p Profile, seed int64, pool *FramePool) Source {
+// NewSourceOn is NewSource with its randomness drawn from rng, which
+// the source owns from then on, and every frame Next returns drawn from
+// pool; nil allocates each one. A generator in the state
+// rand.NewSource(seed) starts in, on either storage, makes the frames
+// NewSource makes for seed.
+func NewSourceOn(class MotionClass, p Profile, rng *rand.Rand, pool *FramePool) Source {
 	if class == LowMotion {
-		return newLowMotion(p, seed, pool)
+		return newLowMotion(p, rng, pool)
 	}
-	return newHighMotion(p, seed, pool)
+	return newHighMotion(p, rng, pool)
 }
 
 // Release hands the storage a motion source built on a pool

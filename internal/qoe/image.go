@@ -27,9 +27,12 @@ func newFimg(w, h int) *fimg { return &fimg{w: w, h: h, v: make([]float64, w*h)}
 // (NewScorerOn), as a scheduler worker does from cell to cell. It is not
 // safe for concurrent use. Buffers come back dirty — every producer
 // below writes each output element before it is read, so no zeroing
-// pass is needed, and a buffer's history cannot reach a result.
+// pass is needed, and a buffer's history cannot reach a result. The
+// scorer's per-frame stat entries recycle through it too, zeroed when
+// taken.
 type Buffers struct {
-	free map[int][]*fimg
+	free  map[int][]*fimg
+	stats []*imgStats
 }
 
 // NewBuffers returns an empty buffer pool.

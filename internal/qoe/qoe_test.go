@@ -179,7 +179,7 @@ func TestCompareVideoLengthMismatchPanics(t *testing.T) {
 }
 
 func TestMOSIdentity(t *testing.T) {
-	c := media.NewSpeech(2.0, 31)
+	c := media.NewSpeech(2.0, rand.New(rand.NewSource(31)))
 	mos := MOSLQO(c, c)
 	if mos < 4.5 {
 		t.Errorf("identity MOS = %v, want >= 4.5", mos)
@@ -187,14 +187,14 @@ func TestMOSIdentity(t *testing.T) {
 }
 
 func TestMOSCleanCodecHigh(t *testing.T) {
-	clip := media.NewSpeech(2.0, 32)
+	clip := media.NewSpeech(2.0, rand.New(rand.NewSource(32)))
 	enc := codec.NewAudioEncoder(90_000)
 	frames := enc.Encode(clip)
 	ptrs := make([]*codec.AudioFrame, len(frames))
 	for i := range frames {
 		ptrs[i] = &frames[i]
 	}
-	out := codec.NewAudioDecoder(1).Decode(ptrs, clip.Rate, 90_000)
+	out := codec.NewAudioDecoder(rand.New(rand.NewSource(1))).Decode(ptrs, clip.Rate, 90_000)
 	mos := MOSLQO(clip, out)
 	if mos < 3.8 {
 		t.Errorf("clean 90kbps MOS = %v, want high", mos)
@@ -202,7 +202,7 @@ func TestMOSCleanCodecHigh(t *testing.T) {
 }
 
 func TestMOSDegradesWithLoss(t *testing.T) {
-	clip := media.NewSpeech(3.0, 33)
+	clip := media.NewSpeech(3.0, rand.New(rand.NewSource(33)))
 	enc := codec.NewAudioEncoder(45_000)
 	frames := enc.Encode(clip)
 	mosAt := func(lossEvery int) float64 {
@@ -213,7 +213,7 @@ func TestMOSDegradesWithLoss(t *testing.T) {
 			}
 			ptrs[i] = &frames[i]
 		}
-		out := codec.NewAudioDecoder(2).Decode(ptrs, clip.Rate, 45_000)
+		out := codec.NewAudioDecoder(rand.New(rand.NewSource(2))).Decode(ptrs, clip.Rate, 45_000)
 		return MOSLQO(clip, out)
 	}
 	clean := mosAt(0)
@@ -228,7 +228,7 @@ func TestMOSDegradesWithLoss(t *testing.T) {
 }
 
 func TestMOSSilenceVsSpeech(t *testing.T) {
-	c := media.NewSpeech(2.0, 34)
+	c := media.NewSpeech(2.0, rand.New(rand.NewSource(34)))
 	dead := &media.AudioClip{Rate: c.Rate, Samples: make([]float64, len(c.Samples))}
 	if mos := MOSLQO(c, dead); mos > 2.5 {
 		t.Errorf("speech vs silence MOS = %v, want low", mos)

@@ -66,11 +66,20 @@ func NewScorerOn(b *Buffers) *Scorer {
 	return &Scorer{pool: b, stats: make(map[*media.Frame]*imgStats)}
 }
 
+// statsEntry returns f's stat entry, taking an empty one from the pool
+// on f's first use.
 func (sc *Scorer) statsEntry(f *media.Frame) *imgStats {
 	if st, ok := sc.stats[f]; ok {
 		return st
 	}
-	st := &imgStats{}
+	var st *imgStats
+	if n := len(sc.pool.stats); n > 0 {
+		st = sc.pool.stats[n-1]
+		sc.pool.stats = sc.pool.stats[:n-1]
+		*st = imgStats{}
+	} else {
+		st = &imgStats{}
+	}
 	sc.stats[f] = st
 	return st
 }
@@ -155,8 +164,9 @@ func (sc *Scorer) denLogFor(st *imgStats, s int) *fimg {
 	return st.denLog[s]
 }
 
-// retire returns f's stats to the pool when slot is the last one that
-// uses f. A frame seen twice in one slot is released once.
+// retire returns f's stats and their entry to the pool when slot is
+// the last one that uses f. A frame seen twice in one slot is released
+// once.
 func (sc *Scorer) retire(f *media.Frame, lastUse map[*media.Frame]int, slot int) {
 	if lastUse[f] != slot {
 		return
@@ -177,4 +187,5 @@ func (sc *Scorer) retire(f *media.Frame, lastUse map[*media.Frame]int, slot int)
 		sc.pool.put(st.vif[s].sxx)
 		sc.pool.put(st.denLog[s]) // put ignores nil
 	}
+	sc.pool.stats = append(sc.pool.stats, st)
 }

@@ -227,8 +227,9 @@ func unrelatedSession() (ref []*media.Frame, displayed [][]*media.Frame) {
 // across scorers rests on: every producer writes each element before
 // reading it. Session A is scored on a fresh scorer; then, on one shared
 // Buffers, an unrelated session of other geometries is scored, every
-// parked buffer is filled with NaN, and A is scored again by a new
-// scorer on those buffers. A NaN read anywhere would poison a sum.
+// parked buffer is filled with NaN, every parked stat entry is made to
+// claim finished stats held in a NaN image, and A is scored again by a
+// new scorer on those buffers. A NaN read anywhere would poison a sum.
 func TestReusedBuffersCannotChangeResults(t *testing.T) {
 	ref, displayed := sessionFixture(3, 13)
 	want := NewScorer().CompareSession(ref, displayed, 2)
@@ -247,6 +248,17 @@ func TestReusedBuffersCannotChangeResults(t *testing.T) {
 	}
 	if len(b.free[ref[0].W*ref[0].H]) == 0 {
 		t.Fatalf("no %dx%d buffers parked after the unrelated session; the rerun would not reuse any", ref[0].W, ref[0].H)
+	}
+	if len(b.stats) == 0 {
+		t.Fatal("no stat entries parked after the unrelated session; the rerun would not reuse any")
+	}
+	junk := &fimg{w: 1, h: 1, v: []float64{math.NaN()}}
+	for _, st := range b.stats {
+		*st = imgStats{base: junk, ssimMu: junk, ssimSxx: junk, vifScales: 4, vifDone: true}
+		for s := range st.vif {
+			st.vif[s] = vifScale{junk, junk, junk}
+			st.denLog[s] = junk
+		}
 	}
 	got := NewScorerOn(b).CompareSession(ref, displayed, 2)
 	for r := range want {

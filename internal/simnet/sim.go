@@ -141,34 +141,41 @@ const eventChunkSize = 256
 // them parked after it.
 const maxStoreSlabs = 64
 
+// maxStoreRands bounds the random generators a Sim keeps for its
+// Store, about 315 kB of math/rand state; later ones are private, as on
+// a Sim without a store.
+const maxStoreRands = 64
+
 // Store is the storage a Sim and its Networks run on, passed from Sim
 // to Sim: the event slabs, the backing arrays of the payload-event free
-// list and of the event queue, and the packet free list behind
-// Network.NewPacket. It has one owner at a time: a Sim built on it
-// (NewSimOn) takes everything it parks, and Release hands that back
-// zeroed, so parked storage pins no callback, argument or payload. A
-// Sim writes every slot whole before using it, so what a store parks
-// never reaches a result.
+// list and of the event queue, the packet free list behind
+// Network.NewPacket, and the random generators Rand lends. It has one
+// owner at a time: a Sim built on it (NewSimOn) takes everything it
+// parks, and Release hands that back zeroed, so parked storage pins no
+// callback, argument or payload. A Sim writes every slot whole before
+// using it, and reseeds every generator before lending it, so what a
+// store parks never reaches a result.
 type Store struct {
 	slabs [][]Event  // each with len 0
 	free  []*Event   // len 0
 	queue eventQueue // len 0
 	pkts  []*Packet
+	rands []*rand.Rand
 }
 
 // NewStore returns an empty store.
 func NewStore() *Store { return &Store{} }
 
-// Parked returns every event slot of the slabs s parks and the packets
-// it parks.
-func (s *Store) Parked() (events []*Event, packets []*Packet) {
+// Parked returns every event slot of the slabs s parks, the packets it
+// parks and the random generators it parks.
+func (s *Store) Parked() (events []*Event, packets []*Packet, rands []*rand.Rand) {
 	for _, slab := range s.slabs {
 		slab = slab[:cap(slab)]
 		for i := range slab {
 			events = append(events, &slab[i])
 		}
 	}
-	return events, s.pkts
+	return events, s.pkts, s.rands
 }
 
 // Sim is the discrete-event engine: a virtual clock plus an event queue.
@@ -195,10 +202,14 @@ type Sim struct {
 	// store, when set, is the Store the Sim took its storage from and
 	// gives it back to (Release): spare holds the parked slabs it has
 	// not used yet, and slabs every slab it has filled, up to
-	// maxStoreSlabs. released marks a Sim that Release ended.
+	// maxStoreSlabs; rands holds the generators it took and made, up to
+	// maxStoreRands, of which Rand has lent the first lent. released
+	// marks a Sim that Release ended.
 	store    *Store
 	spare    [][]Event
 	slabs    [][]Event
+	rands    []*rand.Rand
+	lent     int
 	released bool
 	// stepProbe, when set, observes every executed event: the virtual
 	// instant it ran at and the number of live events still pending after
@@ -225,7 +236,7 @@ func NewSimOn(seed int64, store *Store) *Sim {
 	}
 	if store != nil {
 		s.store = store
-		s.spare, s.free, s.queue, s.pkts = store.slabs, store.free, store.queue, store.pkts
+		s.spare, s.free, s.queue, s.pkts, s.rands = store.slabs, store.free, store.queue, store.pkts, store.rands
 		*store = Store{}
 	}
 	return s
@@ -237,10 +248,11 @@ const errReleased = "simnet: Sim used after Release"
 
 // Release ends the Sim and hands its storage back to the Store it was
 // built on (NewSimOn), zeroed. Pending events never fire; stepping,
-// running or scheduling on the Sim panics from then on, and every
-// handle At and After returned is void, since a later Sim on the store
-// hands its slot out again. Release on private storage only ends the
-// Sim; a second Release does nothing.
+// running, scheduling or calling Rand or Fork on the Sim panics from
+// then on, and every handle At and After returned and every generator
+// Rand lent is void, since a later Sim on the store hands it out again.
+// Release on private storage only ends the Sim; a second Release does
+// nothing.
 func (s *Sim) Release() {
 	if s.released {
 		return
@@ -255,9 +267,9 @@ func (s *Sim) Release() {
 		s.spare = append(s.spare, slab[:0])
 	}
 	if st := s.store; st != nil {
-		st.slabs, st.free, st.queue, st.pkts = s.spare, s.free[:0], s.queue[:0], s.pkts
+		st.slabs, st.free, st.queue, st.pkts, st.rands = s.spare, s.free[:0], s.queue[:0], s.pkts, s.rands
 	}
-	s.queue, s.free, s.pkts, s.chunk, s.spare, s.slabs = nil, nil, nil, nil, nil, nil
+	s.queue, s.free, s.pkts, s.chunk, s.spare, s.slabs, s.rands = nil, nil, nil, nil, nil, nil, nil
 }
 
 // Now returns the current virtual time.
@@ -298,12 +310,37 @@ func later(at int64, d time.Duration) int64 {
 }
 
 // Fork returns an independent deterministic random stream derived from the
-// simulation seed and the given name. Two forks with different names are
-// statistically independent; the same name always yields the same stream.
+// simulation seed and the given name, lent as Rand lends. Two forks with
+// different names are statistically independent; the same name always
+// yields the same stream.
 func (s *Sim) Fork(name string) *rand.Rand {
 	h := fnv.New64a()
 	h.Write([]byte(name))
-	return rand.New(rand.NewSource(s.seed ^ int64(h.Sum64())))
+	return s.Rand(s.seed ^ int64(h.Sum64()))
+}
+
+// Rand returns a generator in the state rand.New(rand.NewSource(seed))
+// starts in. A Sim on a Store lends one of the generators the store
+// parked, reseeded (Seed rewrites the whole source state and the Read
+// position), and parks every generator it lent when it is released,
+// so each one is valid only until Release; a Sim on private storage
+// builds a new one. Rand panics after Release.
+func (s *Sim) Rand(seed int64) *rand.Rand {
+	if s.released {
+		panic(errReleased)
+	}
+	if s.lent < len(s.rands) {
+		r := s.rands[s.lent]
+		s.lent++
+		r.Seed(seed)
+		return r
+	}
+	r := rand.New(rand.NewSource(seed))
+	if s.store != nil && len(s.rands) < maxStoreRands {
+		s.rands = append(s.rands, r)
+		s.lent++
+	}
+	return r
 }
 
 // alloc returns a zeroed Event from the current slab chunk.
